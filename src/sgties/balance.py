@@ -24,6 +24,7 @@ from .core import (
     VertexId,
     check_sign,
     delete_edge,
+    sign_product,
 )
 from .errors import BadParams, BadVertex, DomainMismatch, NotTwoConnected
 from .search import SearchBudget, iter_paths
@@ -196,9 +197,6 @@ def find_signed_path(
     for edges, verts in iter_paths(
         g, u, v, banned_vertices=banned_vertices, banned_edges=banned_edges, budget=b
     ):
-        s = 1
-        for eid in edges:
-            s *= g.sign(eid)
-        if s == sign:
-            return PathSearchResult(SignedPath(edges, verts, s), True)
+        if sign_product(g, edges) == sign:
+            return PathSearchResult(SignedPath(edges, verts, sign), True)
     return PathSearchResult(None, not b.exhausted)

@@ -27,7 +27,7 @@ from .certificate import (
     verdict_to_doc,
 )
 from .connectivity import blocks
-from .core import SignedGraph, char_sign, sign_char
+from .core import SignedGraph, char_sign, sign_char, sign_product
 from .decide import decide_tied, lovasz_three_edges
 from .errors import BadParams, LoopRejected, ParseError, SgError
 from .gen import GenSpec, generate, random_recipe
@@ -149,10 +149,7 @@ def cmd_decide(args) -> int:
         print("UNTIED")
     if args.witness:
         for c in v.witness:
-            s = 1
-            for eid in c.edges:
-                s *= g.sign(eid)
-            print(f"cycle {sign_char(s)} {_fmt_cycle(c.edges)}")
+            print(f"cycle {sign_char(sign_product(g, c.edges))} {_fmt_cycle(c.edges)}")
     if v.witness_error:
         print(f"note: {v.witness_error}", file=sys.stderr)
     if args.certificate:
@@ -195,10 +192,7 @@ def cmd_oracle(args) -> int:
     )
     if args.list:
         for c in rep.cycles:
-            s = 1
-            for eid in c.edges:
-                s *= g.sign(eid)
-            print(f"cycle {sign_char(s)} {_fmt_cycle(c.edges)}")
+            print(f"cycle {sign_char(sign_product(g, c.edges))} {_fmt_cycle(c.edges)}")
     return 0
 
 
@@ -360,6 +354,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # exit 1 means UNTIED, so a reduction too deep for the stack is an error
+        print("error: recursion limit exceeded; the reduction is too deep", file=sys.stderr)
         return 2
 
 

@@ -2,6 +2,13 @@
 
 All routines treat the graph as a multigraph; parallel edges matter for
 blocks (a doubled edge is a 2-connected block) but never for vertex cuts.
+``components`` and ``blocks`` take a set of removed vertices and walk the
+graph as if those vertices and their edges were absent.
+
+2-cuts rest on one fact: in a 2-connected graph, {u, v} is a vertex cut
+exactly when v is a cut vertex of G-u.  One lowpoint search of G-u per
+vertex u finds the lexicographically smallest 2-cut, or proves there is
+none, in O(n(n+m)) time.
 """
 from __future__ import annotations
 
@@ -12,9 +19,13 @@ from .core import EdgeId, SignedGraph, VertexId
 from .errors import NotTwoConnected
 
 
-def components(g: SignedGraph) -> list[frozenset[VertexId]]:
-    """Connected components as vertex sets, ordered by smallest member."""
+def components(
+    g: SignedGraph, removed: frozenset[VertexId] = frozenset()
+) -> list[frozenset[VertexId]]:
+    """Connected components of g minus ``removed``, ordered by smallest member."""
     seen = [False] * g.n
+    for x in removed:
+        seen[x] = True
     out: list[frozenset[int]] = []
     for root in range(g.n):
         if seen[root]:
@@ -35,15 +46,13 @@ def components(g: SignedGraph) -> list[frozenset[VertexId]]:
 
 @dataclass(frozen=True)
 class BlockTree:
-    """Blocks (edge-id sets partitioning E), cut vertices, and incidence.
+    """Blocks (edge-id sets partitioning E) and cut vertices.
 
-    attachments[i] holds the cut vertices lying on blocks[i].  Isolated
-    vertices belong to no block.
+    Isolated vertices belong to no block.
     """
 
     blocks: tuple[frozenset[EdgeId], ...]
     cut_vertices: frozenset[VertexId]
-    attachments: tuple[frozenset[VertexId], ...]
 
     def block_of(self, e: EdgeId) -> frozenset[EdgeId]:
         for b in self.blocks:
@@ -52,13 +61,18 @@ class BlockTree:
         raise KeyError(f"edge {e} is in no block")
 
 
-def blocks(g: SignedGraph) -> BlockTree:
-    """Biconnected components via iterative lowpoint search.
+def blocks(g: SignedGraph, removed: frozenset[VertexId] = frozenset()) -> BlockTree:
+    """Biconnected components of g minus ``removed``, by iterative lowpoint search.
 
     Parallel edges back to the discovery edge's endpoint count as genuine
     back edges; only the single discovery edge id itself is skipped.
+    Edges at removed vertices belong to no block.
     """
     disc = [-1] * g.n
+    # a removed vertex looks discovered after every real one, so edges to
+    # it are neither tree edges nor back edges
+    for x in removed:
+        disc[x] = g.n
     low = [0] * g.n
     cuts: set[int] = set()
     estack: list[int] = []
@@ -119,10 +133,7 @@ def blocks(g: SignedGraph) -> BlockTree:
         if root_children > 1:
             cuts.add(root)
     out.sort(key=min)
-    attach = tuple(
-        frozenset(x for e in b for x in g.endpoints(e) if x in cuts) for b in out
-    )
-    return BlockTree(tuple(out), frozenset(cuts), attach)
+    return BlockTree(tuple(out), frozenset(cuts))
 
 
 def is_2_connected(g: SignedGraph) -> bool:
@@ -148,88 +159,46 @@ def side_vertices(g: SignedGraph, side: frozenset[EdgeId]) -> frozenset[VertexId
     return frozenset(x for e in side for x in g.endpoints(e))
 
 
-def _components_without(g: SignedGraph, u: int, v: int) -> list[frozenset[int]]:
-    seen = [False] * g.n
-    seen[u] = seen[v] = True
-    out = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        comp = [root]
-        seen[root] = True
-        queue = [root]
-        while queue:
-            x = queue.pop()
-            for _, w in g.adjacency[x]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        out.append(frozenset(comp))
-    return out
+def _first_cut_pair(g: SignedGraph) -> Optional[tuple[VertexId, VertexId]]:
+    """Lexicographically smallest 2-cut (u < v) of a 2-connected graph.
+
+    The first u whose G-u has a cut vertex has only cut vertices above
+    it: a cut vertex w < u of G-u would make u a cut vertex of G-w, and
+    the scan would have stopped at w.
+    """
+    for u in range(g.n):
+        cuts = blocks(g, frozenset((u,))).cut_vertices
+        if cuts:
+            return u, min(cuts)
+    return None
 
 
 def find_proper_2_separation(g: SignedGraph) -> Optional[Separation]:
     """Deterministic proper 2-separation of a 2-connected graph, if any.
 
-    Scans boundary pairs in lexicographic order; side1 is the smallest
-    single-component side (fewest edges, then smallest ids).  Returns None
-    exactly when no cut pair exists, i.e. when g is 3-connected or too
-    small to separate properly.
+    The boundary is the lexicographically smallest vertex pair whose
+    removal disconnects g, found as the first cut vertex of some G-u in
+    O(n(n+m)); side1 is the smallest single-component side (fewest
+    edges, then smallest ids).  Returns None exactly when no cut pair
+    exists, i.e. when g is 3-connected or too small to separate properly.
     """
     if not is_2_connected(g):
         raise NotTwoConnected("find_proper_2_separation needs a 2-connected graph")
     if g.n < 4:
         return None
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            comps = _components_without(g, u, v)
-            if len(comps) < 2:
-                continue
-            sides = []
-            for comp in comps:
-                side = frozenset(
-                    i for i, e in enumerate(g.edges) if e.u in comp or e.v in comp
-                )
-                sides.append(side)
-            side1 = min(sides, key=lambda s: (len(s), sorted(s)))
-            side2 = frozenset(range(g.m)) - side1
-            return Separation(side1, side2, (u, v))
-    return None
+    pair = _first_cut_pair(g)
+    if pair is None:
+        return None
+    sides = []
+    for comp in components(g, frozenset(pair)):
+        sides.append(
+            frozenset(i for i, e in enumerate(g.edges) if e.u in comp or e.v in comp)
+        )
+    side1 = min(sides, key=lambda s: (len(s), sorted(s)))
+    side2 = frozenset(range(g.m)) - side1
+    return Separation(side1, side2, pair)
 
 
 def is_3_connected(g: SignedGraph) -> bool:
     """At least 4 vertices and no vertex cut of size <= 2."""
-    if g.n < 4:
-        return False
-    if len(components(g)) != 1:
-        return False
-    for u in range(g.n):
-        if len(_components_without_one(g, u)) != 1:
-            return False
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if len(_components_without(g, u, v)) != 1:
-                return False
-    return True
-
-
-def _components_without_one(g: SignedGraph, u: int) -> list[frozenset[int]]:
-    seen = [False] * g.n
-    seen[u] = True
-    out = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        comp = [root]
-        seen[root] = True
-        queue = [root]
-        while queue:
-            x = queue.pop()
-            for _, w in g.adjacency[x]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        out.append(frozenset(comp))
-    return out
+    return g.n >= 4 and is_2_connected(g) and _first_cut_pair(g) is None

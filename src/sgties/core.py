@@ -323,15 +323,20 @@ def _canonical(
     return fwd, fv
 
 
+def sign_product(g: SignedGraph, edge_ids: Iterable[EdgeId]) -> Sign:
+    """Product of the signs of the given edges (no structure is checked)."""
+    s = POSITIVE
+    for e in edge_ids:
+        s *= g.sign(e)
+    return s
+
+
 def cycle_sign(g: SignedGraph, c: Cycle) -> Sign:
     """Product of edge signs around c; validates c against g."""
     check = Cycle.from_edges(g, c.edges)
     if check.vertices != c.vertices:
         raise NotACycle("cycle does not match this graph")
-    s = POSITIVE
-    for e in c.edges:
-        s *= g.sign(e)
-    return s
+    return sign_product(g, c.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from .core import (
     delete_edges,
     delete_vertex,
     parallel_class,
+    sign_product,
     switch,
 )
 from .errors import (
@@ -628,7 +629,8 @@ def _evaluate_leaf(leaf: ReductionLeaf, limit: int) -> _Eval:
     g = sl.g
     if g.endpoints(e1) == g.endpoints(e2):
         return _Eval(True, node=cert.parallel_pair_node(g.sign(e1) * g.sign(e2)))
-    if is_3_connected(g):
+    # _reduce stops above SMALL_LEAF only where no 2-cut exists
+    if g.n > SMALL_LEAF or is_3_connected(g):
         lv = _check_cases(sl, e1, e2)
         if lv.tied:
             return _Eval(True, node=lv.node)
@@ -639,23 +641,16 @@ def _evaluate_leaf(leaf: ReductionLeaf, limit: int) -> _Eval:
     if not rep.complete:
         raise PreconditionViolated("leaf enumeration exceeded its budget")
     if rep.positive_count and rep.negative_count:
-        pos = next(c for c in rep.cycles if _cycle_sign_in(g, c) == POSITIVE)
-        neg = next(c for c in rep.cycles if _cycle_sign_in(g, c) == NEGATIVE)
+        pos = next(c for c in rep.cycles if sign_product(g, c.edges) == POSITIVE)
+        neg = next(c for c in rep.cycles if sign_product(g, c.edges) == NEGATIVE)
         return _Eval(False, witness=(_ref_cycle(sl, pos), _ref_cycle(sl, neg)))
     assert rep.cycles, "a 2-connected leaf always has a common cycle"
-    sign = _cycle_sign_in(g, rep.cycles[0])
+    sign = sign_product(g, rep.cycles[0].edges)
     docs = [
         cert.cycle_doc([sl.eref[i] for i in c.edges], [sl.vref[x] for x in c.vertices])
         for c in rep.cycles
     ]
     return _Eval(True, node=cert.enum_node(docs, sign))
-
-
-def _cycle_sign_in(g: SignedGraph, c: Cycle) -> Sign:
-    s = 1
-    for eid in c.edges:
-        s *= g.sign(eid)
-    return s
 
 
 def _leaf_untied_witness(sl: Slice, e1: int, e2: int, limit: int) -> _Eval:
@@ -712,7 +707,7 @@ def _lift_part1(split: ReductionSplit, child_idx: int, ev: _Eval, limit: int) ->
         return ev
     own_spec = split.children[child_idx]
     sib_spec = split.children[1 - child_idx]
-    sib_sl = _tree_slice(sib_spec.node)
+    sib_sl = sib_spec.node.sl
     pidx = sib_sl.edge_index()
     p1 = pidx[sib_spec.pair_refs[0]]
     p2 = pidx[sib_spec.pair_refs[1]]
@@ -727,10 +722,6 @@ def _lift_part1(split: ReductionSplit, child_idx: int, ev: _Eval, limit: int) ->
     own_marker = own_spec.markers[0]["name"]
     lifted = tuple(_splice_path(rc, own_marker, path) for rc in ev.witness)
     return _Eval(False, witness=(lifted[0], lifted[1]))
-
-
-def _tree_slice(node: ReductionTree) -> Slice:
-    return node.sl
 
 
 def lift_witness(
@@ -763,8 +754,7 @@ def lift_witness(
         if ev.witness is None:
             raise BudgetExhausted(ev.error or "witness lifting failed")
     assert ev.witness is not None
-    root_sl = _tree_slice(tree)
-    return _finalize_pair(root_sl, ev.witness)
+    return _finalize_pair(tree.sl, ev.witness)
 
 
 def _locate_leaf(
@@ -802,8 +792,8 @@ def _finalize_pair(
     for edges, _ in witness:
         ids = tuple(idx[r] for r in edges)
         out.append(Cycle.from_edges(root.g, ids))
-    s0 = _cycle_sign_in(root.g, out[0])
-    s1 = _cycle_sign_in(root.g, out[1])
+    s0 = sign_product(root.g, out[0].edges)
+    s1 = sign_product(root.g, out[1].edges)
     if {s0, s1} != {POSITIVE, NEGATIVE}:
         raise BadParams("witness cycles are not an opposite-sign pair")
     if s0 == NEGATIVE:
@@ -874,7 +864,7 @@ def decide_tied(
             return Verdict(kind=cert.KIND_TIED, certificate=doc, witness_error=err)
         return Verdict(
             kind=cert.KIND_TIED,
-            common_sign=_cycle_sign_in(g, c),
+            common_sign=sign_product(g, c.edges),
             witness=(c,),
             certificate=doc,
         )

@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Union
 
 from . import certificate as cert
 from .certificate import Verdict
-from .connectivity import blocks, is_3_connected
+from .connectivity import blocks, is_3_connected, side_vertices
 from .core import (
     Cycle,
     EdgeId,
@@ -31,6 +31,7 @@ from .core import (
     SignedGraph,
     delete_edges,
     parallel_class,
+    sign_product,
     switch,
 )
 from .errors import BudgetExhausted, SameEdge, SgError
@@ -60,13 +61,6 @@ class CommonCycleReport:
     positive_count: int
     negative_count: int
     complete: bool
-
-
-def _edge_set_sign(g: SignedGraph, edge_ids) -> Sign:
-    s = 1
-    for eid in edge_ids:
-        s *= g.sign(eid)
-    return s
 
 
 def _iter_common_cycles(
@@ -128,7 +122,7 @@ def enumerate_common_cycles(
     b = budget if budget is not None else SearchBudget()
     found = set(_iter_common_cycles(g, e1, e2, b))
     cycles = tuple(sorted(found, key=lambda c: tuple(sorted(c.edges))))
-    pos = sum(1 for c in cycles if _edge_set_sign(g, c.edges) == POSITIVE)
+    pos = sum(1 for c in cycles if sign_product(g, c.edges) == POSITIVE)
     return CommonCycleReport(cycles, pos, len(cycles) - pos, not b.exhausted)
 
 
@@ -147,7 +141,7 @@ def find_common_cycle(
     """
     b = budget if budget is not None else SearchBudget()
     for c in _iter_common_cycles(g, e1, e2, b):
-        if sign is None or _edge_set_sign(g, c.edges) == sign:
+        if sign is None or sign_product(g, c.edges) == sign:
             return c, True
     return None, not b.exhausted
 
@@ -169,12 +163,12 @@ def oracle_tied(
             f"common-cycle enumeration for edges {e1},{e2} hit its budget"
         )
     if rep.positive_count and rep.negative_count:
-        pos = next(c for c in rep.cycles if _edge_set_sign(g, c.edges) == POSITIVE)
-        neg = next(c for c in rep.cycles if _edge_set_sign(g, c.edges) == NEGATIVE)
+        pos = next(c for c in rep.cycles if sign_product(g, c.edges) == POSITIVE)
+        neg = next(c for c in rep.cycles if sign_product(g, c.edges) == NEGATIVE)
         return Verdict(kind=cert.KIND_UNTIED, witness=(pos, neg))
     if not rep.cycles:
         return Verdict(kind=cert.KIND_VACUOUS, reason="no cycle contains both edges")
-    s = _edge_set_sign(g, rep.cycles[0].edges)
+    s = sign_product(g, rep.cycles[0].edges)
     return Verdict(kind=cert.KIND_TIED, common_sign=s, witness=(rep.cycles[0],))
 
 
@@ -247,10 +241,6 @@ def _resolve_verts(sl: _Slice, refs, what: str) -> list[int]:
     return out
 
 
-def _side_vertices(g: SignedGraph, side) -> set[int]:
-    return {x for eid in side for x in g.endpoints(eid)}
-
-
 def _switched_positive(
     g: SignedGraph,
     skip_edges: set[int],
@@ -273,7 +263,7 @@ def _switched_positive(
 
 def _sub_slice(sl: _Slice, keep_edges: list[int], extra_markers: list[dict]) -> _Slice:
     """Slice of sl induced by an edge subset, plus marker edges."""
-    verts = sorted(_side_vertices(sl.g, keep_edges))
+    verts = sorted(side_vertices(sl.g, keep_edges))
     for md in extra_markers:
         for key in ("u", "v"):
             _need(
@@ -353,8 +343,8 @@ def _replay_split(sl: _Slice, e1: int, e2: int, node: dict) -> None:
         "split: sides do not partition the edges",
     )
     _need(len(side1) >= 1 and len(side2) >= 1, "split: empty side")
-    v1 = _side_vertices(sl.g, side1)
-    v2 = _side_vertices(sl.g, side2)
+    v1 = side_vertices(sl.g, side1)
+    v2 = side_vertices(sl.g, side2)
     _need(v1 & v2 == {bu, bv}, "split: sides meet outside the boundary pair")
     _need(v1 - {bu, bv} and v2 - {bu, bv}, "split: separation is not proper")
     sides = {1: side1, 2: side2}
@@ -431,7 +421,7 @@ def _replay_split(sl: _Slice, e1: int, e2: int, node: dict) -> None:
         _need(set(ids) <= set(drop_side), "part 3: cycle leaves the discarded side")
         cyc = Cycle.from_edge_set(sl.g, frozenset(ids))
         _need(
-            _edge_set_sign(sl.g, cyc.edges) == NEGATIVE,
+            sign_product(sl.g, cyc.edges) == NEGATIVE,
             "part 3: recorded cycle is not negative",
         )
         _need(
@@ -500,7 +490,7 @@ def _replay_enum(sl: _Slice, e1: int, e2: int, node: dict) -> None:
     rep = enumerate_common_cycles(sl.g, e1, e2)
     _need(rep.complete, "enum: re-enumeration hit its budget")
     _need(len(rep.cycles) >= 1, "enum: leaf has no common cycle")
-    signs = {_edge_set_sign(sl.g, c.edges) for c in rep.cycles}
+    signs = {sign_product(sl.g, c.edges) for c in rep.cycles}
     _need(len(signs) == 1, "enum: leaf cycles carry both signs")
     _need(node.get("sign") in signs, "enum: recorded sign mismatch")
     recorded = set()
@@ -521,7 +511,7 @@ def _check_witness_cycle(g: SignedGraph, c: Cycle, e1: int, e2: int, what: str) 
     _need(set(rebuilt.vertices) == set(c.vertices), f"{what}: vertex list mismatch")
     _need(e1 in c.edges, f"{what}: witness not a cycle containing e1")
     _need(e2 in c.edges, f"{what}: witness not a cycle containing e2")
-    return _edge_set_sign(g, c.edges)
+    return sign_product(g, c.edges)
 
 
 def verify_certificate(
@@ -585,7 +575,7 @@ def verify_certificate(
             "preprocess: recorded block mismatch",
         )
         keep = sorted(b)
-        verts = sorted(_side_vertices(h, keep))
+        verts = sorted(side_vertices(h, keep))
         vmap = {old: new for new, old in enumerate(verts)}
         items = []
         eref: list[Ref] = []

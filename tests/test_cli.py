@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from sgties import LoopRejected, ParseError, random_signed_graph
+from sgties import LoopRejected, ParseError, SignedGraph, random_signed_graph
 from sgties.cli import main, parse, parse_text, serialize, serialize_text
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -116,6 +116,25 @@ def test_cli_decide_missing_file():
     rc, out, err = run("decide", "no-such.sg", "--e1", "0", "--e2", "1")
     assert rc == 2
     assert err.startswith("error:")
+
+
+def test_cli_decide_deep_reduction_never_exits_untied(tmp_path):
+    """A 200-rung ladder with the first and last rung as the pair nests
+    about 400 splits; running out of stack is an error, not UNTIED."""
+    k = 200
+    items = [(i, i + 1, 1) for i in range(k - 1)]
+    items += [(k + i, k + i + 1, 1) for i in range(k - 1)]
+    items += [(i, k + i, 1) for i in range(k)]
+    p = tmp_path / "ladder.sg"
+    serialize(SignedGraph.build(2 * k, items), str(p))
+    first, last = 2 * (k - 1), 2 * (k - 1) + k - 1
+    rc, out, err = run("decide", str(p), "--e1", str(first), "--e2", str(last))
+    assert rc in (0, 2)
+    if rc == 2:
+        assert out == ""
+        assert err.startswith("error:")
+    else:
+        assert out.startswith("TIED")
 
 
 # --- certificates ---------------------------------------------------------------

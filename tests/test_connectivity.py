@@ -58,6 +58,11 @@ def test_blocks_vertex_sets_and_cuts_match_nx():
         g = random_multigraph(rng, n, rng.randrange(2, n + 4))
         bt = blocks(g)
         ref = to_nx(g)
+        for u in range(n):
+            rest = ref.copy()
+            rest.remove_node(u)
+            cuts = blocks(g, frozenset({u})).cut_vertices
+            assert sorted(cuts) == sorted(nx.articulation_points(rest))
         want_blocks = sorted(
             sorted(set(v for e in comp for v in e))
             for comp in nx.biconnected_component_edges(ref)
@@ -166,6 +171,47 @@ def test_separation_is_proper():
         assert v1 - {u, v}
         assert v2 - {u, v}
     assert found > 10
+
+
+def test_separation_picks_the_smallest_cut_pair_and_side():
+    """The boundary is the lexicographically first disconnecting pair and
+    side1 the smallest component side, checked by brute force."""
+    rng = random.Random(47)
+    found = 0
+    for _ in range(80):
+        n = rng.randrange(4, 9)
+        base = helpers.random_2_connected(rng, n, rng.randrange(0, 6))
+        items = [(e.u, e.v, e.sign) for e in base.edges]
+        for i in rng.sample(range(base.m), rng.randrange(0, 3)):
+            u, v, s = items[i]
+            items.append((u, v, -s))  # a doubled edge
+        g = SignedGraph.build(n, items)
+        ref = to_nx(g)
+        want = None
+        for u in range(n):
+            for v in range(u + 1, n):
+                rest = ref.copy()
+                rest.remove_nodes_from((u, v))
+                if not nx.is_connected(rest):
+                    want = (u, v)
+                    break
+            if want:
+                break
+        sep = find_proper_2_separation(g)
+        if want is None:
+            assert sep is None
+            continue
+        found += 1
+        assert sep.boundary == want
+        rest = ref.copy()
+        rest.remove_nodes_from(want)
+        sides = [
+            frozenset(i for i in range(g.m) if g.endpoints(i) & comp)
+            for comp in nx.connected_components(rest)
+        ]
+        assert sep.side1 == min(sides, key=lambda s: (len(s), sorted(s)))
+        assert sep.side2 == frozenset(range(g.m)) - sep.side1
+    assert found > 20
 
 
 def test_separation_is_deterministic():

@@ -6,6 +6,7 @@ from sgties import (
     KIND_TIED,
     KIND_UNTIED,
     KIND_VACUOUS,
+    SMALL_LEAF,
     NotTwoConnected,
     PreconditionViolated,
     ReductionLeaf,
@@ -18,13 +19,18 @@ from sgties import (
     build_hedgehog,
     build_target,
     check_leaf,
+    compose_tied_instance,
     cycle_sign,
     cycle_through_three,
     decide_tied,
+    delete_edges,
     find_common_cycle,
+    is_3_connected,
     lift_witness,
     lovasz_three_edges,
     oracle_tied,
+    parallel_class,
+    random_recipe,
     reduce,
     verdict_to_doc,
     verify_certificate,
@@ -213,6 +219,26 @@ def test_reduce_preconditions():
     g, extra = add_edge(helpers.k4(), 0, 1, -1)
     with pytest.raises(PreconditionViolated):
         reduce(g, 0, 5)  # edge parallel to the pair was not stripped
+
+
+def test_reduce_leaves_above_small_leaf_are_3_connected():
+    """The leaf evaluation trusts the reduction: a leaf above SMALL_LEAF
+    vertices is one where no 2-separation was found."""
+    big = 0
+    for seed in range(40):
+        g, e1, e2 = compose_tied_instance(random_recipe(seed, max_depth=3), seed)
+        drop = (parallel_class(g, e1) | parallel_class(g, e2)) - {e1, e2}
+        h, emap = delete_edges(g, sorted(drop))
+        assert h.endpoints(emap[e1]) != h.endpoints(emap[e2])
+        stack = [reduce(h, emap[e1], emap[e2])]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ReductionSplit):
+                stack.extend(ch.node for ch in node.children)
+            elif node.sl.g.n > SMALL_LEAF:
+                big += 1
+                assert is_3_connected(node.sl.g)
+    assert big > 20
 
 
 def test_reduce_marker_names_are_fresh_per_call():
