@@ -41,6 +41,7 @@ from .core import (
     GadgetInstance,
     Sign,
     SignedGraph,
+    Slice,
     VertexId,
     add_edge,
     build_hat,
@@ -62,7 +63,6 @@ from .decide import (
     ReductionLeaf,
     ReductionSplit,
     ReductionTree,
-    Slice,
     check_leaf,
     decide_tied,
     lift_witness,

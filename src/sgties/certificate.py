@@ -29,9 +29,9 @@ Node kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-from .core import Cycle, EdgeId, Sign
+from .core import Cycle, EdgeId, Ref, Sign
 from .errors import BadParams
 
 FORMAT = "sg-tied/1"
@@ -48,10 +48,6 @@ NODE_CASE1 = "case1"
 NODE_CASE2 = "case2"
 NODE_CASE3 = "case3"
 NODE_ENUM = "enum"
-
-# reference into the original graph: edge id, or a marker edge name
-Ref = Union[int, str]
-
 
 @dataclass(frozen=True)
 class Verdict:

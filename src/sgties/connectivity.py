@@ -140,10 +140,9 @@ def is_2_connected(g: SignedGraph) -> bool:
     """Connected, at least 2 vertices, and a single cycle-bearing block."""
     if g.n < 2:
         return False
-    if len(components(g)) != 1:
-        return False
     bt = blocks(g)
-    return len(bt.blocks) == 1 and len(bt.blocks[0]) >= 2
+    # with one block and no isolated vertex, the block spans g
+    return len(bt.blocks) == 1 and len(bt.blocks[0]) >= 2 and all(g.adjacency)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,19 @@
-"""Signed multigraph model: graphs, cycles, switching, minors, gadgets.
+"""Signed multigraph model: graphs, slices, cycles, switching, minors, gadgets.
 
 Vertices are dense ints 0..n-1, edge ids dense ints 0..m-1 in insertion
 order.  Graphs are immutable values; every mutating operation returns a new
 graph, together with relabeling maps whenever ids are compacted.
+
+A slice is a subgraph together with the map back to the original ids;
+the decision procedure and the certificate verifier both cut the graph
+along 2-separations into slices, and marker edges added across a
+separation are named instead of numbered.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Sequence, Union
 
 from .errors import BadEdge, BadParams, BadVertex, LoopRejected, NotACycle
 
@@ -18,6 +23,8 @@ NEGATIVE = -1
 Sign = int
 VertexId = int
 EdgeId = int
+# reference into the original graph: edge id, or a marker edge name
+Ref = Union[int, str]
 
 
 def check_sign(s: int) -> Sign:
@@ -105,6 +112,56 @@ class SignedGraph:
         if not 0 <= v < self.n:
             raise BadVertex(f"vertex id {v} out of range 0..{self.n - 1}")
         return len(self.adjacency[v])
+
+
+@dataclass(frozen=True)
+class Slice:
+    """A working subgraph plus maps back into the original graph.
+
+    eref sends local edge ids to original edge ids or marker names;
+    vref sends local vertex ids to original vertex ids (markers never
+    introduce vertices).
+    """
+
+    g: SignedGraph
+    eref: tuple[Ref, ...]
+    vref: tuple[VertexId, ...]
+
+    @classmethod
+    def identity(cls, g: SignedGraph) -> "Slice":
+        return cls(g, tuple(range(g.m)), tuple(range(g.n)))
+
+    def edge_index(self) -> dict[Ref, EdgeId]:
+        return {r: i for i, r in enumerate(self.eref)}
+
+    def vert_index(self) -> dict[VertexId, VertexId]:
+        return {r: i for i, r in enumerate(self.vref)}
+
+    def sub(
+        self,
+        keep: Sequence[EdgeId],
+        markers: Sequence[tuple[str, VertexId, VertexId, Sign]] = (),
+    ) -> "Slice":
+        """The slice induced by sorted local edge ids, plus marker edges.
+
+        Each marker is (name, local u, local v, sign); markers follow the
+        kept edges in the given order and are referenced by name.  The
+        vertices are those the kept edges and markers touch, in order.
+        """
+        kept = [self.g.edge(i) for i in keep]
+        verts = sorted(
+            {x for e in kept for x in (e.u, e.v)}
+            | {x for _, u, v, _ in markers for x in (u, v)}
+        )
+        vmap = {old: new for new, old in enumerate(verts)}
+        items = [(vmap[e.u], vmap[e.v], e.sign) for e in kept]
+        items += [(vmap[u], vmap[v], s) for _, u, v, s in markers]
+        eref = [self.eref[i] for i in keep] + [name for name, _, _, _ in markers]
+        return Slice(
+            SignedGraph.build(len(verts), items),
+            tuple(eref),
+            tuple(self.vref[v] for v in verts),
+        )
 
 
 def _check_ends(n: int, u: int, v: int) -> None:

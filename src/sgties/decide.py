@@ -44,8 +44,10 @@ from .core import (
     EdgeId,
     NEGATIVE,
     POSITIVE,
+    Ref,
     Sign,
     SignedGraph,
+    Slice,
     VertexId,
     delete_edges,
     delete_vertex,
@@ -65,32 +67,6 @@ from .search import DEFAULT_BUDGET, SearchBudget
 
 # leaves this small skip the separation search entirely
 SMALL_LEAF = 4
-
-Ref = Union[int, str]
-
-
-@dataclass(frozen=True)
-class Slice:
-    """A working subgraph plus maps back into the original graph.
-
-    eref sends local edge ids to original edge ids or marker names;
-    vref sends local vertex ids to original vertex ids (markers never
-    introduce vertices).
-    """
-
-    g: SignedGraph
-    eref: tuple[Ref, ...]
-    vref: tuple[int, ...]
-
-    def edge_index(self) -> dict[Ref, int]:
-        return {r: i for i, r in enumerate(self.eref)}
-
-    def vert_index(self) -> dict[int, int]:
-        return {r: i for i, r in enumerate(self.vref)}
-
-    @classmethod
-    def identity(cls, g: SignedGraph) -> "Slice":
-        return cls(g, tuple(range(g.m)), tuple(range(g.n)))
 
 
 @dataclass(frozen=True)
@@ -131,11 +107,11 @@ class ReductionSplit:
     boundary: tuple[VertexId, VertexId]  # local
     side1: tuple[EdgeId, ...]  # local
     side2: tuple[EdgeId, ...]
-    kept: Optional[int]  # parts 2/3: 1 or 2
-    resign: Optional[tuple[VertexId, ...]]  # part 2: local switch set
-    neg_cycle_doc: Optional[dict]  # part 3: reference-space cycle doc
-    discard: Optional[Slice]
     children: tuple[ChildSpec, ...]
+    kept: Optional[int] = None  # parts 2/3: 1 or 2
+    resign: Optional[tuple[VertexId, ...]] = None  # part 2: local switch set
+    neg_cycle_doc: Optional[dict] = None  # part 3: reference-space cycle doc
+    discard: Optional[Slice] = None
 
 
 ReductionTree = Union[ReductionLeaf, ReductionSplit]
@@ -215,46 +191,15 @@ def _reduce(sl: Slice, e1: int, e2: int, names: Iterator[int]) -> ReductionTree:
     return _split_part23(sl, e1, e2, (bu, bv), sides, kept, names)
 
 
-def _sub_slice(
-    sl: Slice,
-    keep: tuple[int, ...],
-    markers: tuple[tuple[str, int, int, Sign], ...],
-) -> tuple[Slice, dict[str, int]]:
-    """Slice induced by an edge subset plus marker edges at local vertices.
-
-    markers entries are (name, local u, local v, sign); returns the new
-    slice and each marker's local edge id.
-    """
-    verts = sorted(
-        {x for eid in keep for x in sl.g.endpoints(eid)}
-        | {x for _, u, v, _ in markers for x in (u, v)}
-    )
-    vmap = {old: new for new, old in enumerate(verts)}
-    items: list[tuple[int, int, Sign]] = []
-    eref: list[Ref] = []
-    for eid in keep:
-        e = sl.g.edge(eid)
-        items.append((vmap[e.u], vmap[e.v], e.sign))
-        eref.append(sl.eref[eid])
-    marker_ids: dict[str, int] = {}
-    for name, u, v, s in markers:
-        marker_ids[name] = len(items)
-        items.append((vmap[u], vmap[v], s))
-        eref.append(name)
-    g = SignedGraph.build(len(verts), items)
-    return Slice(g, tuple(eref), tuple(sl.vref[v] for v in verts)), marker_ids
-
-
 def _normalize_child(
     sub: Slice, p1: int, p2: int
 ) -> tuple[Slice, int, int, tuple[Ref, ...]]:
-    """Drop edges parallel to either distinguished edge of a child."""
+    """Drop edges parallel to either distinguished edge of a slice."""
     drop = (parallel_class(sub.g, p1) | parallel_class(sub.g, p2)) - {p1, p2}
     if not drop:
         return sub, p1, p2, ()
     removed = tuple(sorted((sub.eref[i] for i in drop), key=cert._ref_key))
-    keep = tuple(i for i in range(sub.g.m) if i not in drop)
-    slim, _ = _sub_slice(sub, keep, ())
+    slim = sub.sub([i for i in range(sub.g.m) if i not in drop])
     idx = slim.edge_index()
     return slim, idx[sub.eref[p1]], idx[sub.eref[p2]], removed
 
@@ -262,19 +207,18 @@ def _normalize_child(
 def _make_child(
     sl: Slice,
     side: tuple[int, ...],
-    pair: tuple[int, int],
+    pair: tuple[Ref, Ref],
     markers: tuple[tuple[str, int, int, Sign], ...],
-    names_of_pair: tuple[Optional[str], Optional[str]],
     names: Iterator[int],
 ) -> ChildSpec:
-    """Build one child slice, normalize it, and recurse."""
-    sub, marker_ids = _sub_slice(sl, side, markers)
+    """Build one child slice, normalize it, and recurse.
+
+    ``pair`` names the child's distinguished edges by reference: an
+    original edge id or one of the new markers.
+    """
+    sub = sl.sub(side, markers)
     idx = sub.edge_index()
-    p = tuple(
-        marker_ids[name] if name is not None else idx[sl.eref[eid]]
-        for eid, name in zip(pair, names_of_pair)
-    )
-    slim, p1, p2, removed = _normalize_child(sub, p[0], p[1])
+    slim, p1, p2, removed = _normalize_child(sub, idx[pair[0]], idx[pair[1]])
     node = _reduce(slim, p1, p2, names)
     marker_docs = tuple(
         cert.marker_doc(name, sl.vref[u], sl.vref[v], s) for name, u, v, s in markers
@@ -304,9 +248,8 @@ def _split_part1(
             _make_child(
                 sl,
                 sides[snum],
-                (own, -1),
+                (sl.eref[own], name),
                 ((name, bu, bv, POSITIVE),),
-                (None, name),
                 names,
             )
         )
@@ -318,10 +261,6 @@ def _split_part1(
         boundary=boundary,
         side1=sides[1],
         side2=sides[2],
-        kept=None,
-        resign=None,
-        neg_cycle_doc=None,
-        discard=None,
         children=tuple(children),
     )
 
@@ -337,7 +276,7 @@ def _split_part23(
 ) -> ReductionSplit:
     bu, bv = boundary
     drop_ids = sides[3 - kept]
-    drop, _ = _sub_slice(sl, drop_ids, ())
+    drop = sl.sub(drop_ids)
     bal = is_balanced(drop.g)
     if bal.balanced:
         # part 2: switch the whole graph so the far side is all-positive,
@@ -345,58 +284,33 @@ def _split_part23(
         vidx = sl.vert_index()
         resign = tuple(sorted(vidx[drop.vref[v]] for v in bal.switch))
         work = Slice(switch(sl.g, set(resign)), sl.eref, sl.vref)
-        discard, _ = _sub_slice(work, drop_ids, ())
-        name = f"m{next(names)}"
-        child = _make_child(
-            work,
-            sides[kept],
-            (e1, e2),
-            ((name, bu, bv, POSITIVE),),
-            (None, None),
-            names,
+        part, discard, doc = 2, work.sub(drop_ids), None
+        signs = (POSITIVE,)
+    else:
+        # part 3: the far side holds a negative cycle, so a positive and a
+        # negative marker stand in for it
+        nc = bal.negative_cycle
+        assert nc is not None
+        work, part, discard, resign = sl, 3, drop, None
+        doc = cert.cycle_doc(
+            [drop.eref[i] for i in nc.edges], [drop.vref[x] for x in nc.vertices]
         )
-        return ReductionSplit(
-            sl=sl,
-            e1=e1,
-            e2=e2,
-            part=2,
-            boundary=boundary,
-            side1=sides[1],
-            side2=sides[2],
-            kept=kept,
-            resign=resign,
-            neg_cycle_doc=None,
-            discard=discard,
-            children=(child,),
-        )
-    nc = bal.negative_cycle
-    assert nc is not None
-    doc = cert.cycle_doc(
-        [drop.eref[i] for i in nc.edges], [drop.vref[x] for x in nc.vertices]
-    )
-    pos_name = f"m{next(names)}"
-    neg_name = f"m{next(names)}"
-    child = _make_child(
-        sl,
-        sides[kept],
-        (e1, e2),
-        ((pos_name, bu, bv, POSITIVE), (neg_name, bu, bv, NEGATIVE)),
-        (None, None),
-        names,
-    )
+        signs = (POSITIVE, NEGATIVE)
+    markers = tuple((f"m{next(names)}", bu, bv, s) for s in signs)
+    child = _make_child(work, sides[kept], (sl.eref[e1], sl.eref[e2]), markers, names)
     return ReductionSplit(
         sl=sl,
         e1=e1,
         e2=e2,
-        part=3,
+        part=part,
         boundary=boundary,
         side1=sides[1],
         side2=sides[2],
-        kept=kept,
-        resign=None,
-        neg_cycle_doc=doc,
-        discard=drop,
         children=(child,),
+        kept=kept,
+        resign=resign,
+        neg_cycle_doc=doc,
+        discard=discard,
     )
 
 
@@ -444,15 +358,16 @@ def _switch_refs(sl: Slice, signing, vmap=None) -> list[int]:
 
 def _try_case1(sl: Slice, e1: int, e2: int) -> Optional[dict]:
     g = sl.g
-    seen: set[frozenset[int]] = set()
-    for eid in range(g.m):
-        f = parallel_class(g, eid)
-        if f in seen or len(f) < 2 or e1 in f or e2 in f:
+    # parallel classes, in order of their smallest edge id
+    classes: dict[frozenset[int], list[int]] = {}
+    for eid, e in enumerate(g.edges):
+        classes.setdefault(e.endpoints(), []).append(eid)
+    for f in classes.values():
+        if len(f) < 2 or e1 in f or e2 in f:
             continue
-        seen.add(f)
         if {g.sign(i) for i in f} != {POSITIVE, NEGATIVE}:
             continue
-        fplus = f | {e1, e2}
+        fplus = frozenset(f) | {e1, e2}
         x = _exact_cut_side(g, fplus)
         if x is None:
             continue
@@ -476,21 +391,12 @@ def _exact_cut_side(g: SignedGraph, cut: frozenset[int]) -> Optional[set[int]]:
     of components by the removed edges is bipartite.  X is then one
     color class (components without removed edges go to color 0).
     """
-    comp = [-1] * g.n
-    nc = 0
-    for root in range(g.n):
-        if comp[root] != -1:
-            continue
-        comp[root] = nc
-        queue = deque([root])
-        while queue:
-            a = queue.popleft()
-            for eid, b in g.adjacency[a]:
-                if eid in cut or comp[b] != -1:
-                    continue
-                comp[b] = nc
-                queue.append(b)
-        nc += 1
+    comps = components(delete_edges(g, cut)[0])
+    comp = [0] * g.n
+    for i, members in enumerate(comps):
+        for v in members:
+            comp[v] = i
+    nc = len(comps)
     quotient: list[list[int]] = [[] for _ in range(nc)]
     for eid in cut:
         a, b = sorted(g.endpoints(eid))
@@ -824,36 +730,21 @@ def decide_tied(
             witness=(two,),
             certificate=cert.parallel_pair_node(s),
         )
-    removed = sorted(
-        (parallel_class(g, e1) | parallel_class(g, e2)) - {e1, e2}
-    )
-    h, emap = delete_edges(g, removed)
-    bt = blocks(h)
-    b = bt.block_of(emap[e1])
-    if emap[e2] not in b:
+    slim, p1, p2, removed = _normalize_child(Slice.identity(g), e1, e2)
+    b = blocks(slim.g).block_of(p1)
+    if p2 not in b:
         return Verdict(
             kind=cert.KIND_VACUOUS,
             reason="the edges lie in different blocks; no cycle contains both",
-            certificate=cert.blocks_node(removed),
+            certificate=cert.blocks_node(list(removed)),
         )
-    back = {new: old for old, new in emap.items()}
-    keep = sorted(b)
-    verts = sorted({x for eid in keep for x in h.endpoints(eid)})
-    vmap = {old: new for new, old in enumerate(verts)}
-    items = [
-        (vmap[h.edge(eid).u], vmap[h.edge(eid).v], h.edge(eid).sign) for eid in keep
-    ]
-    sl = Slice(
-        SignedGraph.build(len(verts), items),
-        tuple(back[eid] for eid in keep),
-        tuple(verts),
-    )
+    sl = slim.sub(sorted(b))
     idx = sl.edge_index()
     tree = _reduce(sl, idx[e1], idx[e2], itertools.count())
     ev = _evaluate(tree, budget)
     if ev.tied:
         assert ev.node is not None
-        doc = cert.preprocess_node(removed, [back[i] for i in keep], ev.node)
+        doc = cert.preprocess_node(list(removed), list(sl.eref), ev.node)
         c, complete = find_common_cycle(g, e1, e2, budget=SearchBudget(budget))
         if c is None:
             err = (
@@ -889,7 +780,7 @@ def lovasz_three_edges(
         raise SameEdge("the three edges must be distinct")
     for eid in (e1, e2, e3):
         g.edge(eid)
-    if any(len(parallel_class(g, eid)) > 1 for eid in range(g.m)):
+    if len({e.endpoints() for e in g.edges}) < g.m:
         raise PreconditionViolated("the three-edge test needs a simple graph")
     if not is_3_connected(g):
         raise PreconditionViolated("the three-edge test needs a 3-connected graph")

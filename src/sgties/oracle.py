@@ -29,7 +29,7 @@ from .core import (
     POSITIVE,
     Sign,
     SignedGraph,
-    delete_edges,
+    Slice,
     parallel_class,
     sign_product,
     switch,
@@ -196,8 +196,6 @@ def cycle_through_three(
 
 # --- certificate verification -------------------------------------------
 
-Ref = Union[int, str]
-
 
 class _Fail(Exception):
     pass
@@ -208,22 +206,7 @@ def _need(cond: bool, reason: str) -> None:
         raise _Fail(reason)
 
 
-@dataclass(frozen=True)
-class _Slice:
-    """A replayed subgraph: local graph plus maps back to references."""
-
-    g: SignedGraph
-    eref: tuple[Ref, ...]  # local edge id -> original id or marker name
-    vref: tuple[int, ...]  # local vertex id -> original vertex id
-
-    def edge_index(self) -> dict[Ref, int]:
-        return {r: i for i, r in enumerate(self.eref)}
-
-    def vert_index(self) -> dict[int, int]:
-        return {r: i for i, r in enumerate(self.vref)}
-
-
-def _resolve_edges(sl: _Slice, refs, what: str) -> list[int]:
+def _resolve_edges(sl: Slice, refs, what: str) -> list[int]:
     idx = sl.edge_index()
     out = []
     for r in refs:
@@ -232,7 +215,7 @@ def _resolve_edges(sl: _Slice, refs, what: str) -> list[int]:
     return out
 
 
-def _resolve_verts(sl: _Slice, refs, what: str) -> list[int]:
+def _resolve_verts(sl: Slice, refs, what: str) -> list[int]:
     idx = sl.vert_index()
     out = []
     for r in refs:
@@ -261,39 +244,25 @@ def _switched_positive(
         _need(s == POSITIVE, f"{what}: signing violated at edge {eid}")
 
 
-def _sub_slice(sl: _Slice, keep_edges: list[int], extra_markers: list[dict]) -> _Slice:
-    """Slice of sl induced by an edge subset, plus marker edges."""
-    verts = sorted(side_vertices(sl.g, keep_edges))
+def _sub_slice(sl: Slice, keep_edges: list[int], extra_markers: list[dict]) -> Slice:
+    """Slice of sl induced by an edge subset, plus checked marker edges."""
+    vidx = sl.vert_index()
+    markers = []
     for md in extra_markers:
         for key in ("u", "v"):
-            _need(
-                md[key] in set(sl.vref), f"marker {md.get('name')!r}: bad endpoint"
-            )
-    vidx = sl.vert_index()
-    marker_verts = {vidx[md[k]] for md in extra_markers for k in ("u", "v")}
-    verts = sorted(set(verts) | marker_verts)
-    vmap = {old: new for new, old in enumerate(verts)}
-    items: list[tuple[int, int, int]] = []
-    eref: list[Ref] = []
-    for eid in sorted(keep_edges):
-        e = sl.g.edge(eid)
-        items.append((vmap[e.u], vmap[e.v], e.sign))
-        eref.append(sl.eref[eid])
-    for md in extra_markers:
+            _need(md[key] in vidx, f"marker {md.get('name')!r}: bad endpoint")
         _need(md["sign"] in (POSITIVE, NEGATIVE), "marker: bad sign")
         _need(md["u"] != md["v"], "marker: loop endpoints")
-        items.append((vmap[vidx[md["u"]]], vmap[vidx[md["v"]]], md["sign"]))
-        eref.append(md["name"])
-    g = SignedGraph.build(len(verts), items)
-    return _Slice(g, tuple(eref), tuple(sl.vref[v] for v in verts))
+        markers.append((md["name"], vidx[md["u"]], vidx[md["v"]], md["sign"]))
+    return sl.sub(sorted(keep_edges), markers)
 
 
-def _endpoint_refs(sl: _Slice, eid: int) -> frozenset[int]:
+def _endpoint_refs(sl: Slice, eid: int) -> frozenset[int]:
     return frozenset(sl.vref[x] for x in sl.g.endpoints(eid))
 
 
-def _apply_removed(sl: _Slice, pair: tuple[int, int], removed) -> tuple[_Slice, tuple[int, int]]:
-    """Drop recorded parallel-to-pair edges from a child slice."""
+def _apply_removed(sl: Slice, pair: tuple[int, int], removed) -> tuple[Slice, tuple[int, int]]:
+    """Drop recorded parallel-to-pair edges from a slice."""
     if not removed:
         return sl, pair
     ids = _resolve_edges(sl, removed, "removed")
@@ -304,13 +273,13 @@ def _apply_removed(sl: _Slice, pair: tuple[int, int], removed) -> tuple[_Slice, 
             _endpoint_refs(sl, eid) in pair_ends,
             f"removed: edge {sl.eref[eid]!r} is not parallel to the pair",
         )
-    keep = [i for i in range(sl.g.m) if i not in set(ids)]
-    sub = _sub_slice(sl, keep, [])
+    drop = set(ids)
+    sub = sl.sub([i for i in range(sl.g.m) if i not in drop])
     idx = sub.edge_index()
     return sub, (idx[sl.eref[pair[0]]], idx[sl.eref[pair[1]]])
 
 
-def _replay_node(sl: _Slice, e1: int, e2: int, node: dict) -> None:
+def _replay_node(sl: Slice, e1: int, e2: int, node: dict) -> None:
     kind = node.get("kind")
     if kind == cert.NODE_SPLIT:
         _replay_split(sl, e1, e2, node)
@@ -331,7 +300,7 @@ def _replay_node(sl: _Slice, e1: int, e2: int, node: dict) -> None:
         raise _Fail(f"unexpected node kind {kind!r}")
 
 
-def _replay_split(sl: _Slice, e1: int, e2: int, node: dict) -> None:
+def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> None:
     part = node.get("part")
     _need(part in (1, 2, 3), f"split: unknown part {part!r}")
     bu, bv = _resolve_verts(sl, node["boundary"], "split boundary")
@@ -350,7 +319,7 @@ def _replay_split(sl: _Slice, e1: int, e2: int, node: dict) -> None:
     sides = {1: side1, 2: side2}
     children = node.get("children") or []
 
-    def child_slice(side: list[int], child: dict, base: _Slice) -> tuple[_Slice, tuple[int, int]]:
+    def child_slice(side: list[int], child: dict, base: Slice) -> tuple[Slice, tuple[int, int]]:
         markers = child.get("markers") or []
         for md in markers:
             _need(
@@ -413,7 +382,7 @@ def _replay_split(sl: _Slice, e1: int, e2: int, node: dict) -> None:
             )
         _need(len(markers) == 1, "part 2 adds one marker")
         _need(markers[0]["sign"] == POSITIVE, "part 2: marker must be positive")
-        base = _Slice(h, sl.eref, sl.vref)
+        base = Slice(h, sl.eref, sl.vref)
     else:
         nc = node.get("neg_cycle")
         _need(isinstance(nc, dict), "part 3: missing negative cycle")
@@ -438,7 +407,7 @@ def _replay_split(sl: _Slice, e1: int, e2: int, node: dict) -> None:
     _replay_node(sub, pair[0], pair[1], child["node"])
 
 
-def _leaf_preconditions(sl: _Slice, e1: int, e2: int, what: str) -> None:
+def _leaf_preconditions(sl: Slice, e1: int, e2: int, what: str) -> None:
     _need(is_3_connected(sl.g), f"{what}: leaf graph is not 3-connected")
     _need(e1 != e2, f"{what}: distinguished edges coincide")
     _need(
@@ -451,7 +420,7 @@ def _leaf_preconditions(sl: _Slice, e1: int, e2: int, what: str) -> None:
     )
 
 
-def _replay_case(sl: _Slice, e1: int, e2: int, node: dict) -> None:
+def _replay_case(sl: Slice, e1: int, e2: int, node: dict) -> None:
     kind = node["kind"]
     _leaf_preconditions(sl, e1, e2, kind)
     switch_local = set(_resolve_verts(sl, node.get("switch") or [], f"{kind} switch"))
@@ -486,7 +455,7 @@ def _replay_case(sl: _Slice, e1: int, e2: int, node: dict) -> None:
         _switched_positive(sl.g, {e1, e2}, set(), switch_local, "case3")
 
 
-def _replay_enum(sl: _Slice, e1: int, e2: int, node: dict) -> None:
+def _replay_enum(sl: Slice, e1: int, e2: int, node: dict) -> None:
     rep = enumerate_common_cycles(sl.g, e1, e2)
     _need(rep.complete, "enum: re-enumeration hit its budget")
     _need(len(rep.cycles) >= 1, "enum: leaf has no common cycle")
@@ -543,10 +512,10 @@ def verify_certificate(
         if v.kind == cert.KIND_VACUOUS:
             node = v.certificate or {}
             _need(node.get("kind") == cert.NODE_BLOCKS, "vacuous verdict needs a blocks record")
-            h, emap = _removed_parallel(g, e1, e2, node.get("removed"))
-            bt = blocks(h)
+            slim, (p1, p2) = _apply_removed(Slice.identity(g), (e1, e2), node.get("removed"))
+            bt = blocks(slim.g)
             _need(
-                bt.block_of(emap[e1]) != bt.block_of(emap[e2]),
+                bt.block_of(p1) != bt.block_of(p2),
                 "blocks: edges share a block after preprocessing",
             )
             return True, "ok"
@@ -558,32 +527,20 @@ def verify_certificate(
         node = v.certificate
         _need(isinstance(node, dict), "tied verdict is missing its certificate")
         if node.get("kind") == cert.NODE_PARALLEL_PAIR:
-            root = _Slice(g, tuple(range(g.m)), tuple(range(g.n)))
-            _replay_node(root, e1, e2, node)
+            _replay_node(Slice.identity(g), e1, e2, node)
             return True, "ok"
         _need(
             node.get("kind") == cert.NODE_PREPROCESS,
             f"unexpected root node {node.get('kind')!r}",
         )
-        h, emap = _removed_parallel(g, e1, e2, node.get("removed"))
-        bt = blocks(h)
-        b = bt.block_of(emap[e1])
-        _need(emap[e2] in b, "preprocess: edges are in different blocks")
-        back = {new: old for old, new in emap.items()}
+        slim, (p1, p2) = _apply_removed(Slice.identity(g), (e1, e2), node.get("removed"))
+        b = blocks(slim.g).block_of(p1)
+        _need(p2 in b, "preprocess: edges are in different blocks")
+        sli = slim.sub(sorted(b))
         _need(
-            sorted(node.get("block") or []) == sorted(back[i] for i in b),
+            sorted(node.get("block") or []) == sorted(sli.eref),
             "preprocess: recorded block mismatch",
         )
-        keep = sorted(b)
-        verts = sorted(side_vertices(h, keep))
-        vmap = {old: new for new, old in enumerate(verts)}
-        items = []
-        eref: list[Ref] = []
-        for eid in keep:
-            e = h.edge(eid)
-            items.append((vmap[e.u], vmap[e.v], e.sign))
-            eref.append(back[eid])
-        sli = _Slice(SignedGraph.build(len(verts), items), tuple(eref), tuple(verts))
         idx = sli.edge_index()
         _replay_node(sli, idx[e1], idx[e2], node["inner"])
         return True, "ok"
@@ -591,20 +548,3 @@ def verify_certificate(
         return False, str(exc)
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         return False, f"malformed certificate: {exc!r}"
-
-
-def _removed_parallel(
-    g: SignedGraph, e1: EdgeId, e2: EdgeId, removed
-) -> tuple[SignedGraph, dict[int, int]]:
-    ids = list(removed or [])
-    pair_ends = set()
-    for eid in (e1, e2):
-        pair_ends.add(g.endpoints(eid))
-    for r in ids:
-        try:
-            ends = g.endpoints(r)
-        except SgError:
-            raise _Fail(f"removed: unknown edge {r!r}")
-        _need(r not in (e1, e2), "removed: lists a distinguished edge")
-        _need(ends in pair_ends, f"removed: edge {r} is not parallel to the pair")
-    return delete_edges(g, ids)

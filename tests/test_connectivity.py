@@ -108,6 +108,8 @@ def test_is_2_connected():
     assert not is_2_connected(SignedGraph.build(2, [(0, 1, 1)]))
     assert not is_2_connected(helpers.two_triangles_shared_vertex())
     assert not is_2_connected(SignedGraph.build(3, [(0, 1, 1), (1, 2, 1)]))
+    # an isolated vertex beside a 2-connected block
+    assert not is_2_connected(SignedGraph.build(4, [(0, 1, 1), (1, 2, 1), (2, 0, 1)]))
 
 
 def test_is_2_connected_matches_nx_on_simple_graphs():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import helpers
@@ -9,6 +11,7 @@ from sgties import (
     BadVertex,
     NotACycle,
     SignedGraph,
+    Slice,
     add_edge,
     build_hat,
     build_hedgehog,
@@ -129,6 +132,71 @@ def test_delete_edges_map():
     for old, new in emap.items():
         assert h.endpoints(new) == g.endpoints(old)
         assert h.sign(new) == g.sign(old)
+
+
+def _random_keep(rng, g):
+    return sorted(rng.sample(range(g.m), rng.randrange(1, g.m + 1)))
+
+
+def test_slice_sub_is_edge_deletion_minus_isolated_vertices():
+    rng = random.Random(41)
+    for _ in range(60):
+        g = helpers.random_2_connected(rng, rng.randrange(3, 9), rng.randrange(0, 8))
+        keep = _random_keep(rng, g)
+        sub = Slice.identity(g).sub(keep)
+        h, _ = delete_edges(g, set(range(g.m)) - set(keep))
+        isolated = [v for v in range(h.n) if h.degree(v) == 0]
+        for v in reversed(isolated):
+            h, _, _ = delete_vertex(h, v)
+        assert sub.g == h
+        assert sub.eref == tuple(keep)
+        assert sub.vref == tuple(v for v in range(g.n) if v not in isolated)
+
+
+def test_slice_sub_appends_markers_without_new_vertices():
+    rng = random.Random(43)
+    for _ in range(40):
+        g = helpers.random_2_connected(rng, rng.randrange(3, 9), rng.randrange(0, 8))
+        keep = _random_keep(rng, g)
+        plain = Slice.identity(g).sub(keep)
+        ends = sorted({x for i in keep for x in g.endpoints(i)})
+        markers = [
+            (f"m{k}", *rng.sample(ends, 2), rng.choice((1, -1))) for k in range(3)
+        ]
+        sub = Slice.identity(g).sub(keep, markers)
+        assert sub.vref == plain.vref
+        assert sub.g.edges[: len(keep)] == plain.g.edges
+        assert sub.eref == plain.eref + ("m0", "m1", "m2")
+        for (name, u, v, s), eid in zip(markers, range(len(keep), sub.g.m)):
+            e = sub.g.edge(eid)
+            assert (sub.vref[e.u], sub.vref[e.v], e.sign) == (u, v, s)
+
+
+def test_slice_sub_of_sub_maps_back_to_original_ids():
+    rng = random.Random(47)
+    for _ in range(40):
+        g = helpers.random_2_connected(rng, rng.randrange(4, 9), rng.randrange(2, 8))
+        keep = _random_keep(rng, g)
+        ends = sorted({x for i in keep for x in g.endpoints(i)})
+        if len(ends) < 2:
+            continue
+        u, v = rng.sample(ends, 2)
+        first = Slice.identity(g).sub(keep, [("m0", u, v, -1)])
+        vidx = first.vert_index()
+        second = first.sub(
+            _random_keep(rng, first.g), [("m1", vidx[u], vidx[v], 1)]
+        )
+        for eid, ref in enumerate(second.eref):
+            e = second.g.edge(eid)
+            back = frozenset((second.vref[e.u], second.vref[e.v]))
+            if ref == "m0":
+                assert (back, e.sign) == (frozenset((u, v)), -1)
+            elif ref == "m1":
+                assert (back, e.sign) == (frozenset((u, v)), 1)
+            else:
+                assert (back, e.sign) == (g.endpoints(ref), g.sign(ref))
+        assert second.eref[-1] == "m1"
+        assert list(second.vref) == sorted(second.vref)
 
 
 def test_delete_vertex_compacts_ids():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -13,12 +14,15 @@ from sgties import (
     build_hat,
     build_hedgehog,
     build_target,
+    compose_tied_instance,
     cycle_sign,
     cycle_through_three,
     decide_tied,
     enumerate_common_cycles,
     find_common_cycle,
     oracle_tied,
+    random_3_connected,
+    random_recipe,
     random_signed_graph,
     verdict_from_doc,
     verdict_to_doc,
@@ -206,3 +210,77 @@ def test_verify_accepts_dict_or_verdict():
     v = decide_tied(g, 0, 5)
     assert verify_certificate(g, 0, 5, v)[0]
     assert verify_certificate(g, 0, 5, verdict_to_doc(v, 0, 5))[0]
+
+
+# --- rejection reasons ----------------------------------------------------
+
+
+def _vacuous_case():
+    # edges 7 and 4 of this graph lie in different blocks
+    g = random_signed_graph(9, 10, 0.5, seed=6)
+    doc = verdict_to_doc(decide_tied(g, 7, 4), 7, 4)
+    assert doc["certificate"]["kind"] == "blocks"
+    return g, 7, 4, doc
+
+
+def _preprocess_case():
+    # an all-positive wheel with chords: tied, and edges parallel to the
+    # pair are stripped before the block is reduced
+    g = random_3_connected(8, 6, 0.0, seed=0)
+    e1, e2 = 0, g.m - 1
+    doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+    assert doc["certificate"]["kind"] == "preprocess"
+    assert doc["certificate"]["removed"]
+    return g, e1, e2, doc
+
+
+def _reason(g, e1, e2, doc):
+    ok, why = verify_certificate(g, e1, e2, doc)
+    assert not ok
+    return why
+
+
+def _not_parallel(g, e1, e2):
+    ends = {g.endpoints(e1), g.endpoints(e2)}
+    return next(i for i in range(g.m) if g.endpoints(i) not in ends)
+
+
+@pytest.mark.parametrize("case", [_vacuous_case, _preprocess_case])
+def test_verify_names_bad_removed_entries(case):
+    g, e1, e2, doc = case()
+    assert verify_certificate(g, e1, e2, doc)[0]
+    for bad in (g.m + 5, _not_parallel(g, e1, e2), e1, e2):
+        mutated = json.loads(json.dumps(doc))
+        mutated["certificate"]["removed"].append(bad)
+        assert _reason(g, e1, e2, mutated).startswith("removed:"), bad
+
+
+def test_verify_names_a_padded_block():
+    g, e1, e2, doc = _preprocess_case()
+    # the graph is 3-connected, so only a stripped edge lies outside the block
+    node = doc["certificate"]
+    node["block"] = sorted(node["block"] + node["removed"][:1])
+    assert _reason(g, e1, e2, doc) == "preprocess: recorded block mismatch"
+
+
+def _first_split(node):
+    while node["kind"] != "split":
+        node = node["inner"]
+    return node
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda md: md.update(v=md["u"]),
+        lambda md: md.update(sign=0),
+        lambda md: md.update(u=10**6),
+    ],
+    ids=["loop", "bad-sign", "unknown-endpoint"],
+)
+def test_verify_names_bad_markers(mutate):
+    g, e1, e2 = compose_tied_instance(random_recipe(0, 3), 0)
+    doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+    assert verify_certificate(g, e1, e2, doc)[0]
+    mutate(_first_split(doc["certificate"])["children"][0]["markers"][0])
+    assert "marker" in _reason(g, e1, e2, doc)
