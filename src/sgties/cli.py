@@ -359,6 +359,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # exit 1 means UNTIED, so a reduction too deep for the stack is an error
         print("error: recursion limit exceeded; the reduction is too deep", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # likewise for a failed internal assertion or any other defect;
+        # traceback is imported here so that startup does not pay for it
+        import traceback
+
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

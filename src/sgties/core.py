@@ -203,15 +203,7 @@ def switch(g: SignedGraph, s: Iterable[VertexId]) -> SignedGraph:
 
 def delete_edge(g: SignedGraph, e: EdgeId) -> tuple[SignedGraph, dict[EdgeId, EdgeId]]:
     """Remove edge e.  Returns (graph, old id -> new id for survivors)."""
-    g.edge(e)
-    emap: dict[int, int] = {}
-    out: list[Edge] = []
-    for i, ed in enumerate(g.edges):
-        if i == e:
-            continue
-        emap[i] = len(out)
-        out.append(ed)
-    return SignedGraph(g.n, tuple(out)), emap
+    return delete_edges(g, (e,))
 
 
 def delete_edges(

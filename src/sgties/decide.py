@@ -18,6 +18,11 @@ Untied witnesses found at a leaf are lifted back through the splits by
 replacing marker edges with boundary-to-boundary paths of the marker's
 sign inside the replaced side.
 
+Witness searches are budgeted; the decision is not.  A search that runs
+out of budget raises BudgetExhausted, which passes unchanged through
+evaluation and lifting; decide_tied catches it in one place and keeps
+the proven verdict, with the exception's text as its witness_error.
+
 All certificate references use original edge ids and marker names; see
 the certificate module for the document schema.
 """
@@ -25,7 +30,6 @@ the certificate module for the document schema.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -367,59 +371,23 @@ def _try_case1(sl: Slice, e1: int, e2: int) -> Optional[dict]:
             continue
         if {g.sign(i) for i in f} != {POSITIVE, NEGATIVE}:
             continue
+        # the leaf is 3-connected, so its simple graph is 3-edge-connected
+        # and losing F and the pair (three simple edges) leaves at most two
+        # components; the cut is exact iff there are two and all three cross
         fplus = frozenset(f) | {e1, e2}
-        x = _exact_cut_side(g, fplus)
-        if x is None:
+        rest, _ = delete_edges(g, fplus)
+        comps = components(rest)
+        if len(comps) != 2 or any(len(g.endpoints(i) & comps[1]) != 1 for i in fplus):
             continue
-        rest, emap = delete_edges(g, fplus)
         bal = is_balanced(rest)
         if not bal.balanced:
             continue
         return cert.case1_node(
             [sl.eref[i] for i in sorted(f)],
-            sorted(sl.vref[v] for v in x),
+            sorted(sl.vref[v] for v in comps[1]),
             _switch_refs(sl, bal.signing),
         )
     return None
-
-
-def _exact_cut_side(g: SignedGraph, cut: frozenset[int]) -> Optional[set[int]]:
-    """Vertex set X with delta(X) equal to the given edges, if one exists.
-
-    Removing the edges leaves components; the cut is exact for some X
-    iff no removed edge has both ends in one component and the quotient
-    of components by the removed edges is bipartite.  X is then one
-    color class (components without removed edges go to color 0).
-    """
-    comps = components(delete_edges(g, cut)[0])
-    comp = [0] * g.n
-    for i, members in enumerate(comps):
-        for v in members:
-            comp[v] = i
-    nc = len(comps)
-    quotient: list[list[int]] = [[] for _ in range(nc)]
-    for eid in cut:
-        a, b = sorted(g.endpoints(eid))
-        ca, cb = comp[a], comp[b]
-        if ca == cb:
-            return None
-        quotient[ca].append(cb)
-        quotient[cb].append(ca)
-    color = [-1] * nc
-    for root in range(nc):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            a = queue.popleft()
-            for b in quotient[a]:
-                if color[b] == -1:
-                    color[b] = 1 - color[a]
-                    queue.append(b)
-                elif color[b] == color[a]:
-                    return None
-    return {v for v in range(g.n) if color[comp[v]] == 1}
 
 
 def _try_case2(sl: Slice, e1: int, e2: int) -> Optional[dict]:
@@ -446,16 +414,10 @@ def _try_case3(sl: Slice, e1: int, e2: int) -> Optional[dict]:
 
 # --- evaluation and witness lifting ---------------------------------------
 
-# witnesses travel in reference space until the very end
+# witnesses travel in reference space until the very end; a path has the
+# same shape as a cycle, with one more vertex than edges
 _RefCycle = tuple[tuple[Ref, ...], tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class _Eval:
-    tied: bool
-    node: Optional[dict] = None  # certificate node when tied
-    witness: Optional[tuple[_RefCycle, _RefCycle]] = None  # when untied
-    error: Optional[str] = None  # witness search failures; verdict unaffected
+_Witness = tuple[_RefCycle, _RefCycle]
 
 
 def _ref_cycle(sl: Slice, c: Cycle) -> _RefCycle:
@@ -465,9 +427,7 @@ def _ref_cycle(sl: Slice, c: Cycle) -> _RefCycle:
     )
 
 
-def _splice_path(
-    rc: _RefCycle, name: str, path: tuple[tuple[Ref, ...], tuple[int, ...]]
-) -> _RefCycle:
+def _splice_path(rc: _RefCycle, name: str, path: _RefCycle) -> _RefCycle:
     """Replace marker ``name`` in a cycle by a path with matching ends."""
     edges, verts = rc
     pe, pv = path
@@ -483,7 +443,7 @@ def _splice_path(
     )
 
 
-def _cycle_minus_edge(rc: _RefCycle, name: str) -> tuple[tuple[Ref, ...], tuple[int, ...]]:
+def _cycle_minus_edge(rc: _RefCycle, name: str) -> _RefCycle:
     """Open a cycle at one edge, returning the complementary path."""
     edges, verts = rc
     i = edges.index(name)
@@ -493,24 +453,24 @@ def _cycle_minus_edge(rc: _RefCycle, name: str) -> tuple[tuple[Ref, ...], tuple[
     return pe, pv
 
 
-def _evaluate(tree: ReductionTree, limit: int) -> _Eval:
+def _evaluate(tree: ReductionTree, limit: int) -> Union[dict, _Witness]:
+    """The certificate node of a tied subtree, or the untied witness pair.
+
+    Children are evaluated in order; the first untied one decides the
+    split, and its witness is lifted through it.
+    """
     if isinstance(tree, ReductionLeaf):
         return _evaluate_leaf(tree, limit)
-    if tree.part == 1:
-        first = _evaluate(tree.children[0].node, limit)
-        if not first.tied:
-            return _lift_part1(tree, 0, first, limit)
-        second = _evaluate(tree.children[1].node, limit)
-        if not second.tied:
-            return _lift_part1(tree, 1, second, limit)
-        return _Eval(True, node=_split_doc(tree, (first.node, second.node)))
-    ev = _evaluate(tree.children[0].node, limit)
-    if ev.tied:
-        return _Eval(True, node=_split_doc(tree, (ev.node,)))
-    return _lift_part23(tree, ev, limit)
+    nodes = []
+    for i, spec in enumerate(tree.children):
+        res = _evaluate(spec.node, limit)
+        if not isinstance(res, dict):
+            return _lift(tree, i, res, limit)
+        nodes.append(res)
+    return _split_doc(tree, nodes)
 
 
-def _split_doc(tree: ReductionSplit, child_nodes: tuple[Optional[dict], ...]) -> dict:
+def _split_doc(tree: ReductionSplit, child_nodes: list[dict]) -> dict:
     sl = tree.sl
     children = [
         cert.child_doc(spec.pair_refs, list(spec.markers), list(spec.removed), node)
@@ -530,16 +490,14 @@ def _split_doc(tree: ReductionSplit, child_nodes: tuple[Optional[dict], ...]) ->
     )
 
 
-def _evaluate_leaf(leaf: ReductionLeaf, limit: int) -> _Eval:
+def _evaluate_leaf(leaf: ReductionLeaf, limit: int) -> Union[dict, _Witness]:
     sl, e1, e2 = leaf.sl, leaf.e1, leaf.e2
     g = sl.g
-    if g.endpoints(e1) == g.endpoints(e2):
-        return _Eval(True, node=cert.parallel_pair_node(g.sign(e1) * g.sign(e2)))
     # _reduce stops above SMALL_LEAF only where no 2-cut exists
     if g.n > SMALL_LEAF or is_3_connected(g):
         lv = _check_cases(sl, e1, e2)
         if lv.tied:
-            return _Eval(True, node=lv.node)
+            return lv.node
         return _leaf_untied_witness(sl, e1, e2, limit)
     # the budget parameter caps witness searches only; leaf enumeration is
     # decision-critical, so never let a small witness budget starve it
@@ -549,29 +507,26 @@ def _evaluate_leaf(leaf: ReductionLeaf, limit: int) -> _Eval:
     if rep.positive_count and rep.negative_count:
         pos = next(c for c in rep.cycles if sign_product(g, c.edges) == POSITIVE)
         neg = next(c for c in rep.cycles if sign_product(g, c.edges) == NEGATIVE)
-        return _Eval(False, witness=(_ref_cycle(sl, pos), _ref_cycle(sl, neg)))
+        return _ref_cycle(sl, pos), _ref_cycle(sl, neg)
     assert rep.cycles, "a 2-connected leaf always has a common cycle"
     sign = sign_product(g, rep.cycles[0].edges)
     docs = [
         cert.cycle_doc([sl.eref[i] for i in c.edges], [sl.vref[x] for x in c.vertices])
         for c in rep.cycles
     ]
-    return _Eval(True, node=cert.enum_node(docs, sign))
+    return cert.enum_node(docs, sign)
 
 
-def _leaf_untied_witness(sl: Slice, e1: int, e2: int, limit: int) -> _Eval:
+def _leaf_untied_witness(sl: Slice, e1: int, e2: int, limit: int) -> _Witness:
     pos, ok_p = find_common_cycle(sl.g, e1, e2, sign=POSITIVE, budget=SearchBudget(limit))
     neg, ok_n = find_common_cycle(sl.g, e1, e2, sign=NEGATIVE, budget=SearchBudget(limit))
     if pos is None or neg is None:
-        if ok_p and ok_n:
-            raise AssertionError("untied leaf lacks an opposite-sign cycle pair")
-        return _Eval(False, error="witness search budget exhausted at a leaf")
-    return _Eval(False, witness=(_ref_cycle(sl, pos), _ref_cycle(sl, neg)))
+        assert not (ok_p and ok_n), "untied leaf lacks an opposite-sign cycle pair"
+        raise BudgetExhausted("witness search budget exhausted at a leaf")
+    return _ref_cycle(sl, pos), _ref_cycle(sl, neg)
 
 
-def _marker_path(
-    split: ReductionSplit, md: dict, limit: int
-) -> tuple[Optional[tuple[tuple[Ref, ...], tuple[int, ...]]], Optional[str]]:
+def _marker_path(split: ReductionSplit, md: dict, limit: int) -> _RefCycle:
     """A boundary path of the marker's sign inside the discarded side."""
     discard = split.discard
     assert discard is not None
@@ -584,33 +539,33 @@ def _marker_path(
         budget=SearchBudget(limit),
     )
     if res.path is None:
-        if res.complete:
-            return None, "replaced side lacks a boundary path of the marker sign"
-        return None, "marker path search budget exhausted"
+        # a side of a 2-separation joins its boundary by paths of each
+        # sign its markers carry, so only the budget can stop the search
+        assert not res.complete, "replaced side lacks a boundary path of the marker sign"
+        raise BudgetExhausted("marker path search budget exhausted")
     pe = tuple(discard.eref[i] for i in res.path.edges)
     pv = tuple(discard.vref[x] for x in res.path.vertices)
-    return (pe, pv), None
+    return pe, pv
 
 
-def _lift_part23(split: ReductionSplit, ev: _Eval, limit: int) -> _Eval:
-    if ev.witness is None:
-        return ev
-    spec = split.children[0]
+def _lift(split: ReductionSplit, child_idx: int, w: _Witness, limit: int) -> _Witness:
+    """Lift a witness of one child to the split's own slice."""
+    if split.part == 1:
+        return _lift_part1(split, child_idx, w, limit)
+    return _lift_part23(split, w, limit)
+
+
+def _lift_part23(split: ReductionSplit, w: _Witness, limit: int) -> _Witness:
     lifted = []
-    for rc in ev.witness:
-        for md in spec.markers:
+    for rc in w:
+        for md in split.children[0].markers:
             if md["name"] in rc[0]:
-                path, err = _marker_path(split, md, limit)
-                if path is None:
-                    return _Eval(False, error=err)
-                rc = _splice_path(rc, md["name"], path)
+                rc = _splice_path(rc, md["name"], _marker_path(split, md, limit))
         lifted.append(rc)
-    return _Eval(False, witness=(lifted[0], lifted[1]))
+    return lifted[0], lifted[1]
 
 
-def _lift_part1(split: ReductionSplit, child_idx: int, ev: _Eval, limit: int) -> _Eval:
-    if ev.witness is None:
-        return ev
+def _lift_part1(split: ReductionSplit, child_idx: int, w: _Witness, limit: int) -> _Witness:
     own_spec = split.children[child_idx]
     sib_spec = split.children[1 - child_idx]
     sib_sl = sib_spec.node.sl
@@ -619,15 +574,11 @@ def _lift_part1(split: ReductionSplit, child_idx: int, ev: _Eval, limit: int) ->
     p2 = pidx[sib_spec.pair_refs[1]]
     c2, complete = find_common_cycle(sib_sl.g, p1, p2, budget=SearchBudget(limit))
     if c2 is None:
-        if complete:
-            raise AssertionError("2-connected sibling lacks a common cycle")
-        return _Eval(False, error="sibling cycle search budget exhausted")
-    sib_rc = _ref_cycle(sib_sl, c2)
-    marker = sib_spec.markers[0]["name"]
-    path = _cycle_minus_edge(sib_rc, marker)
+        assert not complete, "2-connected sibling lacks a common cycle"
+        raise BudgetExhausted("sibling cycle search budget exhausted")
+    path = _cycle_minus_edge(_ref_cycle(sib_sl, c2), sib_spec.markers[0]["name"])
     own_marker = own_spec.markers[0]["name"]
-    lifted = tuple(_splice_path(rc, own_marker, path) for rc in ev.witness)
-    return _Eval(False, witness=(lifted[0], lifted[1]))
+    return _splice_path(w[0], own_marker, path), _splice_path(w[1], own_marker, path)
 
 
 def lift_witness(
@@ -642,25 +593,15 @@ def lift_witness(
     were found at (for a single-leaf tree this is the root graph
     itself, and lifting is the identity).  Returns the pair ordered
     (positive, negative) in the root graph's local ids.  Raises
-    BudgetExhausted when a marker path search fails.
+    BudgetExhausted when any witness search on the way up runs out of
+    budget: a sibling's common cycle at a part-1 split or a marker path
+    at a part-2/3 split.
     """
     leaf, ancestry = _locate_leaf(tree, leaf_witness)
-    ev = _Eval(
-        False,
-        witness=(
-            _ref_cycle(leaf.sl, leaf_witness[0]),
-            _ref_cycle(leaf.sl, leaf_witness[1]),
-        ),
-    )
+    w = (_ref_cycle(leaf.sl, leaf_witness[0]), _ref_cycle(leaf.sl, leaf_witness[1]))
     for split, child_idx in reversed(ancestry):
-        if split.part == 1:
-            ev = _lift_part1(split, child_idx, ev, budget)
-        else:
-            ev = _lift_part23(split, ev, budget)
-        if ev.witness is None:
-            raise BudgetExhausted(ev.error or "witness lifting failed")
-    assert ev.witness is not None
-    return _finalize_pair(tree.sl, ev.witness)
+        w = _lift(split, child_idx, w, budget)
+    return _finalize_pair(tree.sl, w)
 
 
 def _locate_leaf(
@@ -690,9 +631,7 @@ def _valid_witness_at(leaf: ReductionLeaf, c: Cycle) -> bool:
     )
 
 
-def _finalize_pair(
-    root: Slice, witness: tuple[_RefCycle, _RefCycle]
-) -> tuple[Cycle, Cycle]:
+def _finalize_pair(root: Slice, witness: _Witness) -> tuple[Cycle, Cycle]:
     idx = root.edge_index()
     out = []
     for edges, _ in witness:
@@ -741,28 +680,28 @@ def decide_tied(
     sl = slim.sub(sorted(b))
     idx = sl.edge_index()
     tree = _reduce(sl, idx[e1], idx[e2], itertools.count())
-    ev = _evaluate(tree, budget)
-    if ev.tied:
-        assert ev.node is not None
-        doc = cert.preprocess_node(list(removed), list(sl.eref), ev.node)
+    doc = None
+    try:
+        res = _evaluate(tree, budget)
+        if not isinstance(res, dict):
+            return Verdict(
+                kind=cert.KIND_UNTIED, witness=_finalize_pair(Slice.identity(g), res)
+            )
+        doc = cert.preprocess_node(list(removed), list(sl.eref), res)
         c, complete = find_common_cycle(g, e1, e2, budget=SearchBudget(budget))
         if c is None:
-            err = (
-                "common-cycle search budget exhausted"
-                if not complete
-                else "no common cycle found despite a shared block"
-            )
-            return Verdict(kind=cert.KIND_TIED, certificate=doc, witness_error=err)
-        return Verdict(
-            kind=cert.KIND_TIED,
-            common_sign=sign_product(g, c.edges),
-            witness=(c,),
-            certificate=doc,
-        )
-    if ev.witness is None:
-        return Verdict(kind=cert.KIND_UNTIED, witness_error=ev.error)
-    pos, neg = _finalize_pair(Slice.identity(g), ev.witness)
-    return Verdict(kind=cert.KIND_UNTIED, witness=(pos, neg))
+            # the pair shares a 2-connected block, so a common cycle exists
+            assert not complete, "no common cycle found despite a shared block"
+            raise BudgetExhausted("common-cycle search budget exhausted")
+    except BudgetExhausted as exc:
+        kind = cert.KIND_UNTIED if doc is None else cert.KIND_TIED
+        return Verdict(kind=kind, certificate=doc, witness_error=str(exc))
+    return Verdict(
+        kind=cert.KIND_TIED,
+        common_sign=sign_product(g, c.edges),
+        witness=(c,),
+        certificate=doc,
+    )
 
 
 # --- three edges on one cycle ---------------------------------------------

@@ -244,19 +244,6 @@ def _switched_positive(
         _need(s == POSITIVE, f"{what}: signing violated at edge {eid}")
 
 
-def _sub_slice(sl: Slice, keep_edges: list[int], extra_markers: list[dict]) -> Slice:
-    """Slice of sl induced by an edge subset, plus checked marker edges."""
-    vidx = sl.vert_index()
-    markers = []
-    for md in extra_markers:
-        for key in ("u", "v"):
-            _need(md[key] in vidx, f"marker {md.get('name')!r}: bad endpoint")
-        _need(md["sign"] in (POSITIVE, NEGATIVE), "marker: bad sign")
-        _need(md["u"] != md["v"], "marker: loop endpoints")
-        markers.append((md["name"], vidx[md["u"]], vidx[md["v"]], md["sign"]))
-    return sl.sub(sorted(keep_edges), markers)
-
-
 def _endpoint_refs(sl: Slice, eid: int) -> frozenset[int]:
     return frozenset(sl.vref[x] for x in sl.g.endpoints(eid))
 
@@ -320,13 +307,17 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> None:
     children = node.get("children") or []
 
     def child_slice(side: list[int], child: dict, base: Slice) -> tuple[Slice, tuple[int, int]]:
-        markers = child.get("markers") or []
-        for md in markers:
+        # the part checks have pinned each marker's sign; the boundary is
+        # two distinct vertices, so markers can be neither loops nor strays
+        markers = []
+        for md in child.get("markers") or []:
             _need(
                 {md["u"], md["v"]} == {sl.vref[bu], sl.vref[bv]},
                 "marker endpoints differ from the split boundary",
             )
-        sub = _sub_slice(base, side, markers)
+            u, v = (bu, bv) if md["u"] == sl.vref[bu] else (bv, bu)
+            markers.append((md["name"], u, v, md["sign"]))
+        sub = base.sub(sorted(side), markers)
         idx = sub.edge_index()
         pair = child.get("pair") or []
         _need(len(pair) == 2 and pair[0] != pair[1], "child: malformed pair")

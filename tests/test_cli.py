@@ -137,6 +137,20 @@ def test_cli_decide_deep_reduction_never_exits_untied(tmp_path):
         assert out.startswith("TIED")
 
 
+def test_cli_decide_internal_error_never_exits_untied(monkeypatch):
+    """An impossible state is an assertion; it must not read as UNTIED."""
+
+    def broken(*args, **kwargs):
+        raise AssertionError("untied leaf lacks an opposite-sign cycle pair")
+
+    monkeypatch.setattr("sgties.cli.decide_tied", broken)
+    rc, out, err = run("decide", K4C3, "--e1", "4", "--e2", "5")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "opposite-sign cycle pair" in err
+
+
 # --- certificates ---------------------------------------------------------------
 
 

@@ -25,12 +25,15 @@ from sgties import (
     decide_tied,
     delete_edges,
     find_common_cycle,
+    find_signed_path,
+    is_2_connected,
     is_3_connected,
     lift_witness,
     lovasz_three_edges,
     oracle_tied,
     parallel_class,
     random_recipe,
+    random_signed_graph,
     reduce,
     verdict_to_doc,
     verify_certificate,
@@ -159,6 +162,44 @@ def test_decide_budget_starves_witness_not_verdict():
     assert "budget" in v.witness_error
 
 
+@pytest.mark.parametrize(
+    "instance, kind, error",
+    [
+        (
+            lambda: (random_signed_graph(8, 14, 0.5, 0), 0, 4),
+            KIND_UNTIED,
+            "witness search budget exhausted at a leaf",
+        ),
+        (
+            lambda: (random_signed_graph(10, 19, 0.5, 37), 2, 16),
+            KIND_UNTIED,
+            "sibling cycle search budget exhausted",
+        ),
+        (
+            lambda: (random_signed_graph(6, 10, 0.5, 3), 8, 2),
+            KIND_UNTIED,
+            "marker path search budget exhausted",
+        ),
+        (
+            lambda: compose_tied_instance(random_recipe(0, 3), 0),
+            KIND_TIED,
+            "common-cycle search budget exhausted",
+        ),
+    ],
+    ids=["leaf", "sibling", "marker", "common-cycle"],
+)
+def test_decide_budget_error_names_the_starved_search(instance, kind, error):
+    """Each witness search reports its own shortfall; the verdict stands
+    and a tied one keeps its certificate."""
+    g, e1, e2 = instance()
+    v = decide_tied(g, e1, e2, budget=1)
+    assert (v.kind, v.witness, v.common_sign) == (kind, (), None)
+    assert v.witness_error == error
+    full = decide_tied(g, e1, e2)
+    assert (v.kind, v.certificate) == (full.kind, full.certificate)
+    assert full.witness and full.witness_error is None
+
+
 # --- reduction trees ---------------------------------------------------------
 
 
@@ -223,22 +264,48 @@ def test_reduce_preconditions():
 
 def test_reduce_leaves_above_small_leaf_are_3_connected():
     """The leaf evaluation trusts the reduction: a leaf above SMALL_LEAF
-    vertices is one where no 2-separation was found."""
-    big = 0
+    vertices is one where no 2-separation was found, no leaf's pair is
+    mutually parallel, and every replaced side joins its boundary by a
+    path of each of its markers' signs (so lifting only fails on budget)."""
+    roots = []
     for seed in range(40):
         g, e1, e2 = compose_tied_instance(random_recipe(seed, max_depth=3), seed)
         drop = (parallel_class(g, e1) | parallel_class(g, e2)) - {e1, e2}
         h, emap = delete_edges(g, sorted(drop))
         assert h.endpoints(emap[e1]) != h.endpoints(emap[e2])
-        stack = [reduce(h, emap[e1], emap[e2])]
+        roots.append((h, emap[e1], emap[e2]))
+    # random pairs where one edge joins a 2-cut, which a part-1 split
+    # must keep on the other edge's side
+    for seed in range(100):
+        g = random_signed_graph(8, 14, 0.5, seed)
+        for e1, e2 in ((1, 5), (0, 13)):
+            drop = (parallel_class(g, e1) | parallel_class(g, e2)) - {e1, e2}
+            h, emap = delete_edges(g, sorted(drop))
+            if h.endpoints(emap[e1]) != h.endpoints(emap[e2]) and is_2_connected(h):
+                roots.append((h, emap[e1], emap[e2]))
+    big = replaced = 0
+    for root in roots:
+        stack = [reduce(*root)]
         while stack:
             node = stack.pop()
-            if isinstance(node, ReductionSplit):
-                stack.extend(ch.node for ch in node.children)
-            elif node.sl.g.n > SMALL_LEAF:
-                big += 1
-                assert is_3_connected(node.sl.g)
+            if isinstance(node, ReductionLeaf):
+                assert node.sl.g.endpoints(node.e1) != node.sl.g.endpoints(node.e2)
+                if node.sl.g.n > SMALL_LEAF:
+                    big += 1
+                    assert is_3_connected(node.sl.g)
+                continue
+            stack.extend(ch.node for ch in node.children)
+            if node.part == 1:
+                continue
+            vidx = node.discard.vert_index()
+            for md in node.children[0].markers:
+                replaced += 1
+                res = find_signed_path(
+                    node.discard.g, vidx[md["u"]], vidx[md["v"]], md["sign"]
+                )
+                assert res.complete and res.path is not None
     assert big > 20
+    assert replaced > 20
 
 
 def test_reduce_marker_names_are_fresh_per_call():
