@@ -93,6 +93,7 @@ from .gen import (
     compose_tied_instance,
     enumerate_small,
     generate,
+    ladder,
     random_3_connected,
     random_recipe,
     random_signed_graph,

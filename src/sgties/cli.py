@@ -206,7 +206,7 @@ def cmd_lovasz(args) -> int:
     return 1
 
 
-SEEDED_KINDS = ("random", "random_3connected", "composed_tied")
+SEEDED_KINDS = ("random", "random_3connected", "composed_tied", "ladder")
 
 
 def _gen_spec(args, seed: int) -> GenSpec:
@@ -319,9 +319,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         required=True,
-        choices=["random", "random_3connected", "exhaustive", "composed_tied", "gadget"],
+        choices=[
+            "random", "random_3connected", "exhaustive", "composed_tied", "ladder", "gadget"
+        ],
     )
-    p.add_argument("--n", type=int, default=6, help="vertices (or n_max)")
+    p.add_argument("--n", type=int, default=6, help="vertices (or n_max, or ladder rungs)")
     p.add_argument("--m", type=int, default=10, help="edges (or m_max)")
     p.add_argument("--p-neg", dest="p_neg", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)

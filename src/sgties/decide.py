@@ -18,10 +18,16 @@ Untied witnesses found at a leaf are lifted back through the splits by
 replacing marker edges with boundary-to-boundary paths of the marker's
 sign inside the replaced side.
 
-Witness searches are budgeted; the decision is not.  A search that runs
-out of budget raises BudgetExhausted, which passes unchanged through
-evaluation and lifting; decide_tied catches it in one place and keeps
-the proven verdict, with the exception's text as its witness_error.
+Witness searches are budgeted; the decision is not.  Two of them are
+linear, built by two-path flow: the common cycle that shows a tied
+verdict's sign, and the sibling's common cycle that lifts a witness
+through a part-1 split.  Two stay exhaustive depth-first searches: the
+opposite-sign cycle pair at an untied 3-connected leaf, and the signed
+boundary path that replaces a marker at a part-2/3 split.  A search
+that runs out of budget raises BudgetExhausted, which passes unchanged
+through evaluation and lifting; decide_tied catches it in one place and
+keeps the proven verdict, with the exception's text as its
+witness_error.
 
 All certificate references use original edge ids and marker names; see
 the certificate module for the document schema.
@@ -556,11 +562,16 @@ def _lift(split: ReductionSplit, child_idx: int, w: _Witness, limit: int) -> _Wi
 
 
 def _lift_part23(split: ReductionSplit, w: _Witness, limit: int) -> _Witness:
+    # both cycles may pass through one marker; search its path once
+    paths: dict[str, _RefCycle] = {}
     lifted = []
     for rc in w:
         for md in split.children[0].markers:
-            if md["name"] in rc[0]:
-                rc = _splice_path(rc, md["name"], _marker_path(split, md, limit))
+            name = md["name"]
+            if name in rc[0]:
+                if name not in paths:
+                    paths[name] = _marker_path(split, md, limit)
+                rc = _splice_path(rc, name, paths[name])
         lifted.append(rc)
     return lifted[0], lifted[1]
 
@@ -654,10 +665,11 @@ def decide_tied(
 ) -> Verdict:
     """Decide whether two edges are tied, with a verifiable certificate.
 
-    Tied verdicts carry a certificate tree plus (budget permitting) one
-    common cycle exhibiting the shared sign; untied verdicts carry a
-    positive and a negative common cycle.  ``budget`` caps each
-    individual witness search, never the decision itself.
+    Tied verdicts carry a certificate tree plus one common cycle
+    exhibiting the shared sign, built by two-path flow, so only a budget
+    below 4m withholds it; untied verdicts carry a positive and a
+    negative common cycle.  ``budget`` caps each individual witness
+    search, never the decision itself.
     """
     _check_pair(g, e1, e2)
     if g.endpoints(e1) == g.endpoints(e2):

@@ -96,6 +96,34 @@ def random_3_connected(
     return SignedGraph.build(n, items)
 
 
+def ladder(
+    rungs: int, seed: int, doubled: bool = False
+) -> tuple[SignedGraph, EdgeId, EdgeId]:
+    """Seeded ladder with random signs; the pair is the first and last rung.
+
+    Edge ids: rungs 0..k-1 (rung i joins i and k+i), then the top rail
+    (i, i+1), then the bottom rail (k+i, k+i+1), then, when ``doubled``,
+    a copy of one rail edge with the opposite sign.  Every cycle of a
+    ladder uses exactly two rungs, so the outer cycle is the only
+    common cycle of a plain ladder's pair and its sign is the common
+    sign; the doubled rail edge gives a second outer cycle of the other
+    sign, so that pair is untied.  The rungs between make the reduction
+    a chain of 2k−4 nested part-1 splits.
+    """
+    if rungs < 2:
+        raise BadParams(f"a ladder needs at least 2 rungs, got {rungs}")
+    rng = random.Random(seed)
+    k = rungs
+    pairs = [(i, k + i) for i in range(k)]
+    pairs += [(i, i + 1) for i in range(k - 1)]
+    pairs += [(k + i, k + i + 1) for i in range(k - 1)]
+    items = [(u, v, NEGATIVE if rng.random() < 0.5 else POSITIVE) for u, v in pairs]
+    if doubled:
+        u, v, s = items[k + rng.randrange(2 * (k - 1))]
+        items.append((u, v, -s))
+    return SignedGraph.build(2 * k, items), 0, k - 1
+
+
 # --- composed tied instances ------------------------------------------------
 
 
@@ -434,8 +462,8 @@ def _signature_reps(
 class GenSpec:
     """A reproducible generation request; equal specs give equal output."""
 
-    kind: str  # random | random_3connected | exhaustive | composed_tied | gadget
-    n: int = 0
+    kind: str  # random | random_3connected | exhaustive | composed_tied | ladder | gadget
+    n: int = 0  # vertices, n_max, or ladder rungs
     m: int = 0
     p_neg: float = 0.0
     seed: int = 0
@@ -474,6 +502,9 @@ def generate(
     elif spec.kind == "composed_tied":
         recipe = spec.recipe if spec.recipe is not None else random_recipe(spec.seed)
         g, e1, e2 = compose_tied_instance(recipe, spec.seed)
+        yield g, (e1, e2)
+    elif spec.kind == "ladder":
+        g, e1, e2 = ladder(spec.n, spec.seed)
         yield g, (e1, e2)
     elif spec.kind == "gadget":
         if spec.gadget not in GADGETS:

@@ -1,4 +1,4 @@
-"""Brute-force ground truth and certificate verification.
+"""Brute-force ground truth, common-cycle search and certificate verification.
 
 The oracle enumerates every simple cycle containing both distinguished
 edges by case analysis on how their endpoints meet: a mutually parallel
@@ -6,7 +6,11 @@ pair has exactly one common cycle (their 2-cycle); edges sharing one
 vertex v need a path between their far endpoints avoiding v; disjoint
 edges need two vertex-disjoint paths pairing up their endpoints, in one
 of two patterns.  Every qualifying cycle is produced exactly once, so
-the report doubles as a reference count.
+the report doubles as a reference count.  The enumeration, and every
+search for a common cycle of a given sign, is depth first and
+exponential in the worst case.  A common cycle of either sign follows
+the same case analysis but needs only one such path or pair of paths,
+which find_common_cycle builds by unit-capacity flow in linear time.
 
 verify_certificate replays a tied certificate bottom-up against the
 input graph using only primitive checks (cut arithmetic, sign
@@ -30,12 +34,13 @@ from .core import (
     Sign,
     SignedGraph,
     Slice,
+    VertexId,
     parallel_class,
     sign_product,
     switch,
 )
 from .errors import BudgetExhausted, SameEdge, SgError
-from .search import DEFAULT_BUDGET, SearchBudget, iter_paths
+from .search import DEFAULT_BUDGET, SearchBudget, disjoint_paths, iter_paths
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -63,31 +68,51 @@ class CommonCycleReport:
     complete: bool
 
 
-def _iter_common_cycles(
-    g: SignedGraph, e1: EdgeId, e2: EdgeId, budget: SearchBudget
-) -> Iterator[Cycle]:
+_Ends = tuple[VertexId, ...]
+
+
+def _meeting(
+    g: SignedGraph, e1: EdgeId, e2: EdgeId
+) -> tuple[Optional[Cycle], frozenset[VertexId], _Ends, _Ends]:
+    """How the pair's edges meet: (2-cycle, shared vertices, sources, targets).
+
+    A mutually parallel pair gives its 2-cycle, the only candidate, since
+    a simple cycle cannot visit their shared endpoints twice.  Otherwise
+    every common cycle is e1, e2 and vertex-disjoint paths avoiding the
+    shared vertices that join the sources to the targets: one path
+    between the far ends when the edges share a vertex, two paths from
+    (u1, v1) to (u2, v2) in either pairing when they are disjoint.
+    """
     if e1 == e2:
         raise SameEdge(f"need two distinct edges, got {e1} twice")
     d1, d2 = g.edge(e1), g.edge(e2)
     ends1, ends2 = d1.endpoints(), d2.endpoints()
-    banned = frozenset((e1, e2))
     if ends1 == ends2:
-        # mutually parallel: a simple cycle cannot visit their shared
-        # endpoints twice, so the 2-cycle is the only candidate
-        yield Cycle.from_edges(g, (e1, e2))
-        return
+        return Cycle.from_edges(g, (e1, e2)), frozenset(), (), ()
     shared = ends1 & ends2
-    if len(shared) == 1:
+    if shared:
         (v,) = shared
-        a = d1.other(v)
-        b = d2.other(v)
+        return None, shared, (d1.other(v),), (d2.other(v),)
+    return None, shared, (d1.u, d1.v), (d2.u, d2.v)
+
+
+def _iter_common_cycles(
+    g: SignedGraph, e1: EdgeId, e2: EdgeId, budget: SearchBudget
+) -> Iterator[Cycle]:
+    two_cycle, shared, sources, targets = _meeting(g, e1, e2)
+    if two_cycle is not None:
+        yield two_cycle
+        return
+    banned = frozenset((e1, e2))
+    if shared:
         for edges, _ in iter_paths(
-            g, a, b, banned_vertices=frozenset((v,)), banned_edges=banned, budget=budget
+            g, sources[0], targets[0],
+            banned_vertices=shared, banned_edges=banned, budget=budget,
         ):
             yield Cycle.from_edge_set(g, frozenset(edges) | banned)
         return
-    a1, b1 = d1.u, d1.v
-    for t1, t2 in ((d2.u, d2.v), (d2.v, d2.u)):
+    a1, b1 = sources
+    for t1, t2 in (targets, targets[::-1]):
         # first path from a1 to t1, second from b1 to t2, disjoint
         for pe, pv in iter_paths(
             g,
@@ -134,16 +159,44 @@ def find_common_cycle(
     sign: Optional[Sign] = None,
     budget: Optional[SearchBudget] = None,
 ) -> tuple[Optional[Cycle], bool]:
-    """First common cycle (optionally of a required sign), lazily.
+    """A common cycle, optionally of a required sign.
+
+    Without a sign the cycle is built in linear time (at most 4m budget
+    units): a mutually parallel pair gives its 2-cycle, edges sharing a
+    vertex v one path between their far ends in G−v, and disjoint edges
+    two vertex-disjoint paths from {u1, v1} to {u2, v2}, found by
+    unit-capacity flow; by Menger's theorem these exist exactly when a
+    common cycle does.  With a sign, common cycles are enumerated
+    depth first until one has it, which is exponential in the worst
+    case.
 
     Returns (cycle, completeness); cycle None with complete True is a
     proof of absence, with complete False just a budget failure.
     """
     b = budget if budget is not None else SearchBudget()
+    if sign is None:
+        return _common_cycle_by_flow(g, e1, e2, b)
     for c in _iter_common_cycles(g, e1, e2, b):
-        if sign is None or sign_product(g, c.edges) == sign:
+        if sign_product(g, c.edges) == sign:
             return c, True
     return None, not b.exhausted
+
+
+def _common_cycle_by_flow(
+    g: SignedGraph, e1: EdgeId, e2: EdgeId, budget: SearchBudget
+) -> tuple[Optional[Cycle], bool]:
+    two_cycle, shared, sources, targets = _meeting(g, e1, e2)
+    if two_cycle is not None:
+        return two_cycle, True
+    banned = frozenset((e1, e2))
+    k = len(sources)
+    paths = disjoint_paths(
+        g, sources, targets, k,
+        banned_vertices=shared, banned_edges=banned, budget=budget,
+    )
+    if len(paths) < k:
+        return None, not budget.exhausted
+    return Cycle.from_edge_set(g, banned.union(*(pe for pe, _ in paths))), True
 
 
 def oracle_tied(

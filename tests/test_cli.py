@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from sgties import LoopRejected, ParseError, SignedGraph, random_signed_graph
+from sgties import LoopRejected, ParseError, SignedGraph, ladder, random_signed_graph
 from sgties.cli import main, parse, parse_text, serialize, serialize_text
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -282,6 +282,15 @@ def test_cli_gen_gadget_records_pair_in_comment():
     rc, out, _ = run("gen", "--kind", "gadget", "--gadget", "target")
     assert out.startswith("# e1=4 e2=5\n")
     assert parse_text(out).m == 6
+
+
+def test_cli_gen_ladder_batch():
+    rc, out, _ = run("gen", "--kind", "ladder", "--n", "7", "--seed", "3", "--limit", "2")
+    assert rc == 0
+    want = "".join(
+        serialize_text(ladder(7, seed)[0], comment="e1=0 e2=6") for seed in (3, 4)
+    )
+    assert out == want
 
 
 def test_cli_gen_to_files(tmp_path):

@@ -21,6 +21,7 @@ from sgties import (
     is_3_connected,
     side_vertices,
 )
+from sgties.search import SearchBudget, disjoint_paths
 
 
 def to_nx(g: SignedGraph) -> nx.Graph:
@@ -235,3 +236,48 @@ def test_small_graphs_have_no_proper_separation():
     assert find_proper_2_separation(helpers.triangle()) is None
     g = SignedGraph.build(2, [(0, 1, 1), (0, 1, -1), (0, 1, 1)])
     assert find_proper_2_separation(g) is None
+
+
+def test_disjoint_paths_reach_the_max_flow_of_the_split_graph():
+    """Menger: the number of paths equals the maximum flow through unit
+    vertex capacities, with banned vertices and edges left out, and the
+    paths are genuine, start at distinct sources, end at distinct
+    targets and share no vertex.  With k = 3 the later augmentations
+    often have to reroute earlier paths."""
+    rng = random.Random(5)
+    full = 0
+    for _ in range(1500):
+        n = rng.randint(7, 16)
+        g = random_multigraph(rng, n, rng.randint(n, 2 * n))
+        k = rng.randint(1, 3)
+        picked = rng.sample(range(n), 2 * k + 1)
+        srcs, tgts = picked[:k], picked[k : 2 * k]
+        bv = frozenset(picked[2 * k :])
+        be = frozenset(rng.sample(range(g.m), 2))
+        b = SearchBudget()
+        paths = disjoint_paths(
+            g, srcs, tgts, k, banned_vertices=bv, banned_edges=be, budget=b
+        )
+        assert b.spent <= 2 * k * g.m
+        seen = set()
+        for edges, verts in paths:
+            assert verts[0] in srcs and verts[-1] in tgts
+            assert not set(edges) & be
+            for i, eid in enumerate(edges):
+                assert g.endpoints(eid) == {verts[i], verts[i + 1]}
+            assert not seen & set(verts) and not bv & set(verts)
+            seen |= set(verts)
+        ref = nx.DiGraph()
+        for eid, e in enumerate(g.edges):
+            if eid not in be:
+                ref.add_edge((e.u, 1), (e.v, 0), capacity=1)
+                ref.add_edge((e.v, 1), (e.u, 0), capacity=1)
+        for v in set(range(n)) - bv:
+            ref.add_edge((v, 0), (v, 1), capacity=1)
+        ref.add_edges_from((("S", (s, 0)) for s in srcs), capacity=1)
+        ref.add_edges_from((((t, 1), "T") for t in tgts), capacity=1)
+        flow = nx.maximum_flow_value(ref, "S", "T")
+        assert len(paths) == flow
+        full += flow == k == 3
+    assert full > 100
+

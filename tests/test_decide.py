@@ -1,6 +1,7 @@
 import pytest
 
 import helpers
+import sgties.decide
 from sgties import (
     BudgetExhausted,
     KIND_TIED,
@@ -28,6 +29,7 @@ from sgties import (
     find_signed_path,
     is_2_connected,
     is_3_connected,
+    ladder,
     lift_witness,
     lovasz_three_edges,
     oracle_tied,
@@ -198,6 +200,65 @@ def test_decide_budget_error_names_the_starved_search(instance, kind, error):
     full = decide_tied(g, e1, e2)
     assert (v.kind, v.certificate) == (full.kind, full.certificate)
     assert full.witness and full.witness_error is None
+
+
+@pytest.mark.parametrize(
+    "args, pair, searches, witness",
+    [
+        ((6, 10, 0.5, 31), (1, 8), 1, [(0, 4, 3, 1, 8, 9), (0, 2, 1, 8, 9)]),
+        (
+            (8, 14, 0.5, 24),
+            (5, 12),
+            3,
+            [(2, 5, 10, 7, 12, 9), (0, 2, 5, 10, 7, 12, 3)],
+        ),
+    ],
+    ids=["part2", "part3"],
+)
+def test_part23_lift_searches_each_marker_path_once(monkeypatch, args, pair, searches, witness):
+    """Both witness cycles pass through one marker of a part-2/3 split
+    (twice m0 under a part-2 root; m3, m2 and twice m0 under a part-3
+    root), so the path standing in for it is searched once and spliced
+    into both; the pinned pair is the one the twice-searching lift gave."""
+    calls = []
+    original = sgties.decide._marker_path
+
+    def counting(split, md, limit):
+        calls.append((id(split), md["name"]))
+        return original(split, md, limit)
+
+    monkeypatch.setattr(sgties.decide, "_marker_path", counting)
+    g = random_signed_graph(*args)
+    v = decide_tied(g, *pair)
+    assert len(calls) == len(set(calls)) == searches
+    assert [c.edges for c in v.witness] == witness
+
+
+def _outer_cycle_sign(g, rungs):
+    s = g.sign(0) * g.sign(rungs - 1)
+    for eid in range(rungs, 3 * rungs - 2):
+        s *= g.sign(eid)
+    return s
+
+
+def test_long_ladder_is_tied_with_its_outer_cycle_sign():
+    """80 rungs nest 156 part-1 splits; the common cycle is the outer one."""
+    g, e1, e2 = ladder(80, 5)
+    v = decide_tied(g, e1, e2)
+    assert (v.kind, v.witness_error) == (KIND_TIED, None)
+    assert v.common_sign == _outer_cycle_sign(g, 80)
+    (c,) = v.witness
+    assert len(c.edges) == 2 * 80
+    assert verify_certificate(g, e1, e2, verdict_to_doc(v, e1, e2)) == (True, "ok")
+
+
+def test_doubled_ladder_is_untied_with_a_verified_pair():
+    """The sibling cycle at each part-1 lift is the rest of the outer cycle."""
+    g, e1, e2 = ladder(40, 5, doubled=True)
+    v = decide_tied(g, e1, e2)
+    assert v.witness_error is None
+    assert_untied_witness(g, v, e1, e2)
+    assert verify_certificate(g, e1, e2, verdict_to_doc(v, e1, e2)) == (True, "ok")
 
 
 # --- reduction trees ---------------------------------------------------------

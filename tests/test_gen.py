@@ -12,10 +12,12 @@ from sgties import (
     Leaf,
     Splice,
     compose_tied_instance,
+    enumerate_common_cycles,
     enumerate_small,
     generate,
     is_2_connected,
     is_3_connected,
+    ladder,
     oracle_tied,
     parallel_class,
     random_3_connected,
@@ -241,6 +243,31 @@ def test_enumerate_small_validation():
         list(enumerate_small(3, -1))
 
 
+@pytest.mark.parametrize("rungs", [2, 3, 6])
+def test_ladder_pair_is_tied_by_the_outer_cycle(rungs):
+    for seed in range(5):
+        g, e1, e2 = ladder(rungs, seed)
+        assert (g.n, g.m, e1, e2) == (2 * rungs, 3 * rungs - 2, 0, rungs - 1)
+        assert is_2_connected(g)
+        rep = enumerate_common_cycles(g, e1, e2)
+        (outer,) = rep.cycles
+        assert sorted(outer.edges) == [e1, e2] + list(range(rungs, g.m))
+        d, f1, f2 = ladder(rungs, seed, doubled=True)
+        assert (f1, f2) == (e1, e2) and d.m == g.m + 1
+        assert d.edges[: g.m] == g.edges
+        extra = d.edge(g.m)
+        twin = next(i for i in range(rungs, g.m) if g.endpoints(i) == extra.endpoints())
+        assert extra.sign == -g.sign(twin)
+        assert not oracle_tied(d, e1, e2).tied
+
+
+def test_ladder_is_seeded_and_validated():
+    assert ladder(12, 7) == ladder(12, 7)
+    assert ladder(12, 7) != ladder(12, 8)
+    with pytest.raises(BadParams):
+        ladder(1, 0)
+
+
 # --- GenSpec dispatch ----------------------------------------------------------
 
 
@@ -275,6 +302,11 @@ def test_generate_composed_with_explicit_recipe():
 def test_generate_exhaustive_streams_all():
     got = [g for g, pair in generate(GenSpec(kind="exhaustive", n=3, m=3, simple=True))]
     assert len(got) == 12
+
+
+def test_generate_ladder():
+    (g, pair), = list(generate(GenSpec(kind="ladder", n=5, seed=2)))
+    assert (g, *pair) == ladder(5, 2)
 
 
 def test_generate_unknown_kind():

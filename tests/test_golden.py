@@ -2,7 +2,10 @@
 
 Each case is a fixed, seeded instance; the test hashes the JSON of its
 verdict document (keys sorted) and compares with a recorded digest, so
-any change to verdicts, witnesses or certificates fails here.  The list
+any change to verdicts, witnesses or certificates fails here.  A second
+table pins each document with its witness removed, so a change that
+only picks other witness cycles re-pins the first table and leaves the
+second untouched.  The list
 is chosen to reach every certificate node kind and a witness lifted
 through each split part; the coverage test keeps it that way.
 """
@@ -69,19 +72,19 @@ CASES = {
     ),
     "composed/d2s10": (
         lambda: _composed(2, 10),
-        "b04da500a4616d9f63cb5de949442bec6d4629246b92dfa012f2d13d96359a77",
+        "fa77268c71b475e49fd414c0c30084547783c907cabf6c7b613cfba6b68115b6",
     ),
     "composed/d3s0": (
         lambda: _composed(3, 0),
-        "16265b5dc2fe19ed5a4bf2d9e386e6da8b36b26c0d2960edb3cde9d5732803bf",
+        "efd5d24e8ccef6a40573ac3b0ade63c237212204341cd292c09514ea4054c882",
     ),
     "composed/d4s6": (
         lambda: _composed(4, 6),
-        "54514c089c15268c6cc55fe248d3b60c53e61c21ac5f49ef0ac42234d7211f3a",
+        "8f2d8c63a9eccfea052d9b7b1b1ecf5c547bb7760e09cd02c4bb713006ea9f41",
     ),
     "flat/tied-s0": (
         lambda: _flat(0.0, 0),
-        "97d6de6cab0445b09f19e3b9b117fea4f177e1f7f77a2207c88304b65b8896fe",
+        "70fa5b74c184fcd7d27f1774b3b8d61fc82692cb595c3d7d0c662d8b9c292eac",
     ),
     "flat/untied-s0": (
         lambda: _flat(0.5, 0),
@@ -105,7 +108,7 @@ CASES = {
     ),
     "random/untied-part1": (
         lambda: _random(8, 14, 38, 12, 11),
-        "54f8627c8abc64d3e84c210f0ba21c3520621754fbe31894ac9f5473b70a7a5d",
+        "a865340e4a2ce349b6ad08e664f2cb8a768eca7f74c7978701d4b20250da2023",
     ),
     "random/untied-part2": (
         lambda: _random(5, 7, 57, 4, 6),
@@ -115,6 +118,27 @@ CASES = {
         lambda: _random(9, 15, 17, 12, 4),
         "f6d22e45de199e59e6f9cc9086e180a363cca5fe01ff0030826cbae03d0bb14a",
     ),
+}
+
+# label -> sha256 of the same JSON with the "witness" key removed, so the
+# verdict, sign and certificate stay pinned when only a witness changes
+BODIES = {
+    "composed/d2s10": "1eac9bd57c9a1570956d90eb5f725bfb0d57cc62aa17ae36d13b2c54e55247fe",
+    "composed/d3s0": "06ce18fd0e48091d2b2740ab4e2f6d2b0ad79347d9baec2e192bc08f50a06b22",
+    "composed/d4s6": "c11f2c4b5b4d717808b96c36fe93f4b631c6760ab933b8090c1d79532dee3f77",
+    "corpus/hat": "3551303928ab6990ff0f392cc5449c12531b05990d105b82b1b4d5292d3388f2",
+    "corpus/hedgehog": "dbab81f026228aa4c8456d6f186b75ad73b8c108d7f99a2754bb4ca610ec9498",
+    "corpus/k4-case3": "6809da3077bd8fb5f227aebe80bcf45b620bad9a5490faa3b56ad2cce4e77ab0",
+    "corpus/target": "52f627bdd3d82b03f055a4d397a59ac8a198388339de85d0392a276bda862d6c",
+    "flat/tied-s0": "c931e82edff2780d3fb5577534fc0062e9397d8f17ba08081c9ddd966c3c83af",
+    "flat/untied-s0": "383068f79340976b89b51dd5ca899f394d75d95531853ce4eda5ae77d29294c4",
+    "random/blocks": "5f655ad70ad49ff828d38f528c8d1a7933d162e2d6a1a0d733bd7fcc65c8a767",
+    "random/child-removed": "eabb17c80816e2e48589c0e37dda486239729e26be35742ec6b40c63477f9856",
+    "random/enum": "97369f6a2e4752a5b56f5b8fc4f6fd3fe7dded63536099eee6eda4c999e7df03",
+    "random/parallel-pair": "9c87be40d1d621863132c16f48950e346a0dacf33039000a02c6311d5cb83433",
+    "random/untied-part1": "195624033001e12562c367fe79eb0983c80617d7dff3674207cafba50db744af",
+    "random/untied-part2": "b686ea8c6f264c615de9b1137c143f8dc36c855e5cf47fa91fa3d7a9700c1c05",
+    "random/untied-part3": "bb88c9045e35f1f3071f356e9ad9ca8516016398af40727a1b76a1726b73a655",
 }
 
 # untied cases whose witnesses are lifted through a root split of this part
@@ -157,10 +181,20 @@ def _kinds(node, out):
     return out
 
 
+def _digest(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_verdict_document_is_pinned(label):
-    text = json.dumps(_doc(label), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == CASES[label][1]
+    assert _digest(_doc(label)) == CASES[label][1]
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_verdict_document_body_is_pinned(label):
+    doc = _doc(label)
+    del doc["witness"]
+    assert _digest(doc) == BODIES[label]
 
 
 def test_cases_reach_every_node_kind():

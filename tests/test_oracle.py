@@ -20,6 +20,7 @@ from sgties import (
     decide_tied,
     enumerate_common_cycles,
     find_common_cycle,
+    ladder,
     oracle_tied,
     random_3_connected,
     random_recipe,
@@ -121,6 +122,47 @@ def test_find_common_cycle_absence_proof():
     c, done = find_common_cycle(g, 0, 5, sign=-1, budget=SearchBudget(limit=1))
     assert c is None
     assert not done
+
+
+def test_unsigned_common_cycle_exists_exactly_when_enumeration_finds_one():
+    """The flow construction against the enumerator, over every way
+    two edges can meet: mutually parallel, sharing one vertex, disjoint."""
+    meets = {"parallel": 0, "shared": 0, "disjoint": 0}
+    for seed in range(2400):
+        rng = random.Random(seed)
+        n = rng.randint(2, 9)
+        m = rng.randint(2, 2 * n + 2)
+        g = random_signed_graph(n, m, 0.5, seed)
+        e1, e2 = rng.sample(range(m), 2)
+        ends1, ends2 = g.endpoints(e1), g.endpoints(e2)
+        meets[
+            "parallel" if ends1 == ends2 else "shared" if ends1 & ends2 else "disjoint"
+        ] += 1
+        rep = enumerate_common_cycles(g, e1, e2)
+        c, done = find_common_cycle(g, e1, e2)
+        assert done and rep.complete
+        if rep.cycles:
+            assert c in rep.cycles, seed
+        else:
+            assert c is None, seed
+    assert min(meets.values()) >= 500
+
+
+def test_unsigned_common_cycle_reports_a_starved_budget():
+    g, e1, e2 = ladder(10, 0)
+    for pair in ((e1, e2), (0, 10)):  # disjoint rungs; a rung and a rail edge
+        assert find_common_cycle(g, *pair, budget=SearchBudget(1)) == (None, False)
+
+
+@pytest.mark.parametrize("rungs", [10, 40, 80])
+def test_unsigned_common_cycle_spends_a_linear_budget(rungs):
+    """Two augmentations scan each adjacency list at most twice; the
+    depth-first search spent its whole 10**6 here from 20 rungs on."""
+    g, e1, e2 = ladder(rungs, rungs)
+    b = SearchBudget()
+    c, done = find_common_cycle(g, e1, e2, budget=b)
+    assert done and len(c.edges) == 2 * rungs  # the outer cycle
+    assert b.spent <= 4 * g.m
 
 
 def test_oracle_tied_kinds():
