@@ -56,21 +56,20 @@ class Verdict:
     kind "untied":       witness = (positive cycle, negative cycle),
                          both containing the pair.
     kind "tied":         common_sign is the shared sign of all common
-                         cycles (None if unknown within budget),
-                         witness = (one common cycle,) when found,
-                         certificate = replayable proof tree.
+                         cycles, witness = (one common cycle of that
+                         sign,), certificate = replayable proof tree.
     kind "tied_vacuous": no cycle contains both edges; certificate
                          records why (different blocks).
 
-    witness_error is set when the verdict is proven but a witness
-    search ran out of budget; the verdict itself still stands.
+    decide_tied always sets the sign and witness of a tied verdict; one
+    read from a document may lack them, and verify_certificate then
+    checks its certificate alone.
     """
 
     kind: str
     common_sign: Optional[Sign] = None
     witness: tuple[Cycle, ...] = ()
     certificate: Optional[dict] = None
-    witness_error: Optional[str] = None
     reason: Optional[str] = None
 
     @property
@@ -185,30 +184,45 @@ def verdict_to_doc(v: Verdict, e1: EdgeId, e2: EdgeId) -> dict:
         "witness": [cycle_to_doc(c) for c in v.witness],
         "certificate": v.certificate,
     }
-    if v.witness_error is not None:
-        doc["witness_error"] = v.witness_error
     if v.reason is not None:
         doc["reason"] = v.reason
     return doc
 
 
+def _field(d: dict, key: str, kind: type, where: str):
+    if key not in d:
+        raise BadParams(f"{where} lacks the field {key!r}")
+    if not isinstance(d[key], kind):
+        raise BadParams(f"{where} has a non-{kind.__name__} field {key!r}")
+    return d[key]
+
+
 def verdict_from_doc(doc: dict) -> tuple[Verdict, EdgeId, EdgeId]:
-    """Parse a verdict document back into a Verdict and its edge pair."""
+    """Parse a verdict document back into a Verdict and its edge pair.
+
+    Raises BadParams naming the first required field that is missing or
+    of the wrong type.
+    """
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise BadParams(f"not a {FORMAT} document")
     kind = doc.get("kind")
     if kind not in (KIND_TIED, KIND_UNTIED, KIND_VACUOUS):
         raise BadParams(f"unknown verdict kind {kind!r}")
+    cycles = doc.get("witness", [])
+    if not isinstance(cycles, list) or not all(isinstance(c, dict) for c in cycles):
+        raise BadParams("witness is not a list of cycles")
     witness = tuple(
-        Cycle(tuple(c["edges"]), tuple(c["vertices"]))
-        for c in doc.get("witness", ())
+        Cycle(
+            tuple(_field(c, "edges", list, f"witness cycle {i}")),
+            tuple(_field(c, "vertices", list, f"witness cycle {i}")),
+        )
+        for i, c in enumerate(cycles, start=1)
     )
     v = Verdict(
         kind=kind,
         common_sign=doc.get("common_sign"),
         witness=witness,
         certificate=doc.get("certificate"),
-        witness_error=doc.get("witness_error"),
         reason=doc.get("reason"),
     )
-    return v, doc["e1"], doc["e2"]
+    return v, _field(doc, "e1", int, "document"), _field(doc, "e2", int, "document")

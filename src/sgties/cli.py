@@ -7,8 +7,10 @@ without a separate id map.  Blank lines and lines starting with "#" are
 ignored.
 
 Exit codes everywhere: 0 for tied/success, 1 for untied or another
-negative outcome, 2 for any error.  SG_BUDGET (an integer) overrides
-the default search budget; an explicit --budget flag wins over both.
+negative outcome, 2 for any error.  Only the oracle's exhaustive
+enumeration is budgeted: SG_BUDGET (an integer) overrides its default
+budget, and an explicit --budget flag wins over both.  decide takes no
+budget; every verdict it prints comes with its witnesses.
 """
 
 from __future__ import annotations
@@ -117,9 +119,8 @@ def _fmt_cycle(edges) -> str:
 
 
 def _budget_value(args) -> int:
-    flag = getattr(args, "budget", None)
-    if flag is not None:
-        return flag
+    if args.budget is not None:
+        return args.budget
     env = os.environ.get("SG_BUDGET")
     if env:
         try:
@@ -132,8 +133,6 @@ def _budget_value(args) -> int:
 def _tied_label(v: Verdict) -> str:
     if v.kind == KIND_VACUOUS:
         return "vacuous"
-    if v.common_sign is None:
-        return "unknown-sign"
     return sign_char(v.common_sign)
 
 
@@ -142,7 +141,7 @@ def _tied_label(v: Verdict) -> str:
 
 def cmd_decide(args) -> int:
     g = parse(args.file)
-    v = decide_tied(g, args.e1, args.e2, budget=_budget_value(args))
+    v = decide_tied(g, args.e1, args.e2)
     if v.tied:
         print(f"TIED {_tied_label(v)}")
     else:
@@ -150,8 +149,6 @@ def cmd_decide(args) -> int:
     if args.witness:
         for c in v.witness:
             print(f"cycle {sign_char(sign_product(g, c.edges))} {_fmt_cycle(c.edges)}")
-    if v.witness_error:
-        print(f"note: {v.witness_error}", file=sys.stderr)
     if args.certificate:
         doc = verdict_to_doc(v, args.e1, args.e2)
         with open(args.certificate, "w", encoding="utf-8") as fh:
@@ -291,7 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_pair(p)
     p.add_argument("--certificate", metavar="OUT", help="write certificate JSON here")
     p.add_argument("--witness", action="store_true", help="print witness cycles")
-    p.add_argument("--budget", type=int, help="witness search budget")
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("balance", help="balance check with switch or witness")

@@ -4,9 +4,10 @@ iter_paths enumerates simple paths depth first; the balance layer
 (signed path search) and the oracle (exhaustive common-cycle
 enumeration) share it, and it is exponential in the worst case.
 disjoint_paths finds k vertex-disjoint paths between two vertex sets
-by unit-capacity flow in O(k·m); the common-cycle search asks for at
-most two.  Everything here is exact and deterministic; the budget only
-caps how much work is done.
+by unit-capacity flow in O(k·m); the common-cycle search and the
+decision procedure's witness constructions ask for at most two.
+Everything here is exact and deterministic; the budget only caps how
+much work is done.
 """
 
 from __future__ import annotations
@@ -126,8 +127,10 @@ def disjoint_paths(
     back only when no k such paths exist, or when the budget ran out
     (check ``budget.exhausted``).  Each augmentation scans every
     adjacency list at most once, one budget unit per entry, so a call
-    spends at most 2·k·m.  Sources and targets must be disjoint.
-    Paths are listed in the order of their sources.
+    spends at most 2·k·m.  A path meets the sources only at its start
+    and the targets only at its end, so a path from a source that is
+    also a target has no edges.  Paths are listed in the order of their
+    sources.
     """
     srcs = [s for s in dict.fromkeys(sources) if s not in banned_vertices]
     tgts = {t for t in targets if t not in banned_vertices}

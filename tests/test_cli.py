@@ -184,6 +184,32 @@ def test_cli_verify_garbage_json(tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda doc: doc.pop("e1"), "error: document lacks the field 'e1'"),
+        (
+            lambda doc: doc["witness"][1].pop("vertices"),
+            "error: witness cycle 2 lacks the field 'vertices'",
+        ),
+        (
+            lambda doc: doc["witness"][0].update(edges=5),
+            "error: witness cycle 1 has a non-list field 'edges'",
+        ),
+    ],
+    ids=["e1", "vertices", "edges-type"],
+)
+def test_cli_verify_names_a_missing_or_mistyped_field(tmp_path, damage, message):
+    cert = tmp_path / "cert.json"
+    run("decide", HAT, "--e1", "2", "--e2", "3", "--certificate", str(cert))
+    doc = json.loads(cert.read_text())
+    damage(doc)
+    cert.write_text(json.dumps(doc))
+    rc, out, err = run("verify", HAT, str(cert))
+    assert (rc, out) == (2, "")
+    assert err.splitlines() == [message]
+
+
 def test_cli_untied_certificate_verifies(tmp_path):
     cert = tmp_path / "cert.json"
     rc, _, _ = run("decide", HAT, "--e1", "2", "--e2", "3", "--certificate", str(cert))
@@ -317,8 +343,7 @@ def test_cli_gen_rejects_bad_params():
 
 @pytest.fixture
 def deep_untied(tmp_path):
-    """Untied across a 2-separation: witnesses must be lifted, and the
-    lifting path searches are what small budgets starve."""
+    """Untied across a 2-separation: the witnesses are lifted through it."""
     signs = [1] * 10
     signs[0] = -1
     p = tmp_path / "deep.sg"
@@ -328,18 +353,36 @@ def deep_untied(tmp_path):
 
 def test_cli_budget_env(monkeypatch, deep_untied):
     monkeypatch.setenv("SG_BUDGET", "2")
-    rc, out, err = run("decide", deep_untied, "--e1", "4", "--e2", "9", "--witness")
-    assert rc == 1
-    assert out.splitlines() == ["UNTIED"]
-    assert "budget" in err
+    rc, out, _ = run("oracle", deep_untied, "--e1", "4", "--e2", "9")
+    assert rc == 0
+    assert out.split()[-1] == "complete=false"
 
 
 def test_cli_budget_flag_beats_env(monkeypatch, deep_untied):
     monkeypatch.setenv("SG_BUDGET", "2")
-    rc, out, err = run(
-        "decide", deep_untied, "--e1", "4", "--e2", "9", "--witness",
-        "--budget", "100000",
-    )
+    rc, out, _ = run("oracle", deep_untied, "--e1", "4", "--e2", "9", "--budget", "100000")
+    assert rc == 0
+    assert out.split()[-1] == "complete=true"
+    monkeypatch.delenv("SG_BUDGET")
+    assert run("oracle", deep_untied, "--e1", "4", "--e2", "9") == (rc, out, "")
+
+
+def test_cli_budget_rejects_nonsense(monkeypatch):
+    monkeypatch.setenv("SG_BUDGET", "zero")
+    rc, _, err = run("oracle", HAT, "--e1", "2", "--e2", "3")
+    assert rc == 2
+    assert err.startswith("error:")
+
+
+def test_cli_decide_takes_no_budget_flag():
+    with pytest.raises(SystemExit) as exc:
+        run("decide", HAT, "--e1", "2", "--e2", "3", "--budget", "5")
+    assert exc.value.code == 2
+
+
+def test_cli_decide_ignores_the_budget_variable(monkeypatch, deep_untied):
+    monkeypatch.setenv("SG_BUDGET", "2")
+    rc, out, err = run("decide", deep_untied, "--e1", "4", "--e2", "9", "--witness")
     assert rc == 1
     lines = out.splitlines()
     assert lines[0] == "UNTIED"
@@ -349,16 +392,9 @@ def test_cli_budget_flag_beats_env(monkeypatch, deep_untied):
 
 
 def test_cli_tiny_budget_never_hides_small_witnesses(monkeypatch):
-    # the hat decision is a leaf enumeration; its witnesses ride along
-    # for free no matter how small the witness budget is
+    # the budget variable reaches only the oracle; decide prints the
+    # hat's witnesses whatever it holds
     monkeypatch.setenv("SG_BUDGET", "2")
     rc, out, err = run("decide", HAT, "--e1", "2", "--e2", "3", "--witness")
     assert rc == 1
     assert out.splitlines() == ["UNTIED", "cycle + [0,2,3]", "cycle - [1,2,3]"]
-
-
-def test_cli_budget_rejects_nonsense(monkeypatch):
-    monkeypatch.setenv("SG_BUDGET", "zero")
-    rc, _, err = run("decide", HAT, "--e1", "2", "--e2", "3")
-    assert rc == 2
-    assert err.startswith("error:")

@@ -242,16 +242,19 @@ def test_disjoint_paths_reach_the_max_flow_of_the_split_graph():
     """Menger: the number of paths equals the maximum flow through unit
     vertex capacities, with banned vertices and edges left out, and the
     paths are genuine, start at distinct sources, end at distinct
-    targets and share no vertex.  With k = 3 the later augmentations
-    often have to reroute earlier paths."""
+    targets, meet no other source or target and share no vertex.  A
+    source that is also a target may stand as a path of its own.  With
+    k = 3 the later augmentations often have to reroute earlier paths."""
     rng = random.Random(5)
-    full = 0
-    for _ in range(1500):
+    full = overlap = 0
+    for i in range(1500):
         n = rng.randint(7, 16)
         g = random_multigraph(rng, n, rng.randint(n, 2 * n))
         k = rng.randint(1, 3)
         picked = rng.sample(range(n), 2 * k + 1)
         srcs, tgts = picked[:k], picked[k : 2 * k]
+        if i % 4 == 0:
+            tgts[0] = srcs[-1]
         bv = frozenset(picked[2 * k :])
         be = frozenset(rng.sample(range(g.m), 2))
         b = SearchBudget()
@@ -262,6 +265,8 @@ def test_disjoint_paths_reach_the_max_flow_of_the_split_graph():
         seen = set()
         for edges, verts in paths:
             assert verts[0] in srcs and verts[-1] in tgts
+            assert not set(verts[1:]) & set(srcs) and not set(verts[:-1]) & set(tgts)
+            overlap += not edges
             assert not set(edges) & be
             for i, eid in enumerate(edges):
                 assert g.endpoints(eid) == {verts[i], verts[i + 1]}
@@ -280,4 +285,5 @@ def test_disjoint_paths_reach_the_max_flow_of_the_split_graph():
         assert len(paths) == flow
         full += flow == k == 3
     assert full > 100
+    assert overlap > 100
 

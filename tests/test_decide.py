@@ -1,9 +1,10 @@
+import random
+
 import pytest
 
 import helpers
 import sgties.decide
 from sgties import (
-    BudgetExhausted,
     KIND_TIED,
     KIND_UNTIED,
     KIND_VACUOUS,
@@ -25,6 +26,7 @@ from sgties import (
     cycle_through_three,
     decide_tied,
     delete_edges,
+    enumerate_common_cycles,
     find_common_cycle,
     find_signed_path,
     is_2_connected,
@@ -34,6 +36,7 @@ from sgties import (
     lovasz_three_edges,
     oracle_tied,
     parallel_class,
+    random_3_connected,
     random_recipe,
     random_signed_graph,
     reduce,
@@ -154,78 +157,31 @@ def test_decide_is_deterministic():
     assert verdict_to_doc(a, 4, 9) == verdict_to_doc(b, 4, 9)
 
 
-def test_decide_budget_starves_witness_not_verdict():
-    signs = [1] * 10
-    signs[0] = -1
-    g = helpers.two_k4_on_boundary(signs)
-    v = decide_tied(g, 4, 9, budget=2)
-    assert v.kind == KIND_UNTIED
-    assert v.witness == ()
-    assert "budget" in v.witness_error
-
-
-@pytest.mark.parametrize(
-    "instance, kind, error",
-    [
-        (
-            lambda: (random_signed_graph(8, 14, 0.5, 0), 0, 4),
-            KIND_UNTIED,
-            "witness search budget exhausted at a leaf",
-        ),
-        (
-            lambda: (random_signed_graph(10, 19, 0.5, 37), 2, 16),
-            KIND_UNTIED,
-            "sibling cycle search budget exhausted",
-        ),
-        (
-            lambda: (random_signed_graph(6, 10, 0.5, 3), 8, 2),
-            KIND_UNTIED,
-            "marker path search budget exhausted",
-        ),
-        (
-            lambda: compose_tied_instance(random_recipe(0, 3), 0),
-            KIND_TIED,
-            "common-cycle search budget exhausted",
-        ),
-    ],
-    ids=["leaf", "sibling", "marker", "common-cycle"],
-)
-def test_decide_budget_error_names_the_starved_search(instance, kind, error):
-    """Each witness search reports its own shortfall; the verdict stands
-    and a tied one keeps its certificate."""
-    g, e1, e2 = instance()
-    v = decide_tied(g, e1, e2, budget=1)
-    assert (v.kind, v.witness, v.common_sign) == (kind, (), None)
-    assert v.witness_error == error
-    full = decide_tied(g, e1, e2)
-    assert (v.kind, v.certificate) == (full.kind, full.certificate)
-    assert full.witness and full.witness_error is None
-
-
 @pytest.mark.parametrize(
     "args, pair, searches, witness",
     [
-        ((6, 10, 0.5, 31), (1, 8), 1, [(0, 4, 3, 1, 8, 9), (0, 2, 1, 8, 9)]),
+        ((6, 10, 0.5, 11), (7, 8), 1, [(0, 6, 5, 8, 7), (0, 6, 4, 8, 7)]),
         (
             (8, 14, 0.5, 24),
             (5, 12),
             3,
-            [(2, 5, 10, 7, 12, 9), (0, 2, 5, 10, 7, 12, 3)],
+            [(0, 2, 5, 4, 7, 12, 3), (0, 2, 5, 10, 7, 12, 3)],
         ),
     ],
     ids=["part2", "part3"],
 )
 def test_part23_lift_searches_each_marker_path_once(monkeypatch, args, pair, searches, witness):
     """Both witness cycles pass through one marker of a part-2/3 split
-    (twice m0 under a part-2 root; m3, m2 and twice m0 under a part-3
-    root), so the path standing in for it is searched once and spliced
-    into both; the pinned pair is the one the twice-searching lift gave."""
+    (twice m0 under a part-2 root; twice m2, then m0 and m1 under a
+    part-3 root), so the path standing in for it is searched once and
+    spliced into both; a lift that searched per cycle would count 2 and
+    4."""
     calls = []
     original = sgties.decide._marker_path
 
-    def counting(split, md, limit):
+    def counting(split, md):
         calls.append((id(split), md["name"]))
-        return original(split, md, limit)
+        return original(split, md)
 
     monkeypatch.setattr(sgties.decide, "_marker_path", counting)
     g = random_signed_graph(*args)
@@ -245,7 +201,7 @@ def test_long_ladder_is_tied_with_its_outer_cycle_sign():
     """80 rungs nest 156 part-1 splits; the common cycle is the outer one."""
     g, e1, e2 = ladder(80, 5)
     v = decide_tied(g, e1, e2)
-    assert (v.kind, v.witness_error) == (KIND_TIED, None)
+    assert v.kind == KIND_TIED
     assert v.common_sign == _outer_cycle_sign(g, 80)
     (c,) = v.witness
     assert len(c.edges) == 2 * 80
@@ -256,9 +212,77 @@ def test_doubled_ladder_is_untied_with_a_verified_pair():
     """The sibling cycle at each part-1 lift is the rest of the outer cycle."""
     g, e1, e2 = ladder(40, 5, doubled=True)
     v = decide_tied(g, e1, e2)
-    assert v.witness_error is None
     assert_untied_witness(g, v, e1, e2)
     assert verify_certificate(g, e1, e2, verdict_to_doc(v, e1, e2)) == (True, "ok")
+
+
+# --- untied witnesses built by flow and fans -----------------------------------
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the untied leaves whose second cycle needed self-reduction."""
+    calls = []
+    original = sgties.decide._self_reduce
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sgties.decide, "_self_reduce", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [430892094, 222406854, 529756440, 1385408903])
+def test_large_untied_leaf_gets_its_pair_from_one_ear(fallbacks, seed):
+    """3-connected n=80 leaves where a depth-first search of the
+    opposite-sign cycle ran out of a 10^6 budget: the flow cycle plus
+    one ear through the unbalanced rest of the graph gives the pair."""
+    g = random_3_connected(80, 80, 0.5, seed)
+    e1, e2 = 0, g.m - 1
+    v = decide_tied(g, e1, e2)
+    assert_untied_witness(g, v, e1, e2)
+    assert verify_certificate(g, e1, e2, verdict_to_doc(v, e1, e2)) == (True, "ok")
+    assert fallbacks == []
+
+
+def test_leaf_without_a_single_ear_falls_back_to_self_reduction(fallbacks):
+    """In the target gadget the pair is a perfect matching of K4: the flow
+    cycle's halves are single edges and both chords cross between them,
+    so the other common cycle differs from it by two crossing ears."""
+    gi = build_target()
+    v = decide_tied(gi.graph, gi.e1, gi.e2)
+    assert_untied_witness(gi.graph, v, gi.e1, gi.e2)
+    assert verify_certificate(gi.graph, gi.e1, gi.e2, v) == (True, "ok")
+    assert len(fallbacks) == 1
+
+
+def test_untied_witnesses_are_opposite_sign_common_cycles(fallbacks):
+    """Over every way two edges can meet, an untied verdict's cycles are
+    genuine common cycles of opposite signs, as the enumerator lists
+    them, and tied verdicts agree with it."""
+    meets = {"parallel": 0, "shared": 0, "disjoint": 0}
+    untied = 0
+    for seed in range(2400):
+        rng = random.Random(seed)
+        n = rng.randint(5, 8)
+        m = rng.randint(n, 2 * n + 2)
+        g = random_signed_graph(n, m, 0.5, seed)
+        e1, e2 = rng.sample(range(m), 2)
+        ends1, ends2 = g.endpoints(e1), g.endpoints(e2)
+        meets[
+            "parallel" if ends1 == ends2 else "shared" if ends1 & ends2 else "disjoint"
+        ] += 1
+        rep = enumerate_common_cycles(g, e1, e2)
+        v = decide_tied(g, e1, e2)
+        assert v.tied == (not (rep.positive_count and rep.negative_count)), seed
+        if not v.tied:
+            untied += 1
+            assert_untied_witness(g, v, e1, e2)
+            assert all(c in rep.cycles for c in v.witness), seed
+    assert min(meets.values()) >= 100
+    assert untied >= 500
+    assert 0 < len(fallbacks) < untied // 10
 
 
 # --- reduction trees ---------------------------------------------------------
@@ -327,7 +351,7 @@ def test_reduce_leaves_above_small_leaf_are_3_connected():
     """The leaf evaluation trusts the reduction: a leaf above SMALL_LEAF
     vertices is one where no 2-separation was found, no leaf's pair is
     mutually parallel, and every replaced side joins its boundary by a
-    path of each of its markers' signs (so lifting only fails on budget)."""
+    path of each of its markers' signs (so every marker can be lifted)."""
     roots = []
     for seed in range(40):
         g, e1, e2 = compose_tied_instance(random_recipe(seed, max_depth=3), seed)
@@ -464,19 +488,6 @@ def test_lift_witness_through_part1_split():
     for c, want in ((p, 1), (n, -1)):
         assert cycle_sign(g, c) == want
         assert 4 in c and 9 in c
-
-
-def test_lift_witness_budget():
-    signs = [1] * 10
-    signs[0] = -1
-    g = helpers.two_k4_on_boundary(signs)
-    tree = reduce(g, 4, 9)
-    child = next(ch for ch in tree.children if ch.pair_refs[0] == 4)
-    leaf = child.node
-    pos, _ = find_common_cycle(leaf.sl.g, leaf.e1, leaf.e2, sign=1)
-    neg, _ = find_common_cycle(leaf.sl.g, leaf.e1, leaf.e2, sign=-1)
-    with pytest.raises(BudgetExhausted):
-        lift_witness(tree, (pos, neg), budget=1)
 
 
 # --- three edges --------------------------------------------------------------

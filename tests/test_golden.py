@@ -60,7 +60,7 @@ CASES = {
     ),
     "corpus/hedgehog": (
         lambda: _corpus("hedgehog"),
-        "9f8ac5c2d6397e87e95bc2a22743e9e28966ced025790fc0a9fb451909493246",
+        "c777e2bf7b66556b93c28a44a31ab587156a8e550d8e839a710bc70ea028075f",
     ),
     "corpus/k4-case3": (
         lambda: _corpus("k4-case3"),
@@ -88,7 +88,7 @@ CASES = {
     ),
     "flat/untied-s0": (
         lambda: _flat(0.5, 0),
-        "6045a676f53fa48d87c3947508c973b7f4806781b8d14ef94f59bc6629d3e8fb",
+        "116dec24e1d22e93ea63e7f5380ee4d22997b2dd335efb8d3ad017ea116cc1dc",
     ),
     "random/parallel-pair": (
         lambda: _random(5, 5, 2, 0, 2),
@@ -116,7 +116,7 @@ CASES = {
     ),
     "random/untied-part3": (
         lambda: _random(9, 15, 17, 12, 4),
-        "f6d22e45de199e59e6f9cc9086e180a363cca5fe01ff0030826cbae03d0bb14a",
+        "50f9e24a62b4584cfc0899020dd57283bbe89a71abff7d98ce742842587d0e4c",
     ),
 }
 
