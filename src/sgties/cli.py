@@ -86,9 +86,16 @@ def parse_text(text: str) -> SignedGraph:
     return SignedGraph.build(n, items)
 
 
-def parse(path: str) -> SignedGraph:
+def _read_utf8(path: str, what: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_text(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{what} {path} is not UTF-8 text ({exc.reason})")
+
+
+def parse(path: str) -> SignedGraph:
+    return parse_text(_read_utf8(path, "graph file"))
 
 
 def serialize_text(g: SignedGraph, *, comment: Optional[str] = None) -> str:
@@ -142,6 +149,14 @@ def _tied_label(v: Verdict) -> str:
 def cmd_decide(args) -> int:
     g = parse(args.file)
     v = decide_tied(g, args.e1, args.e2)
+    if args.certificate:
+        # written before the verdict is printed, so a failed write leaves
+        # stdout empty; one compact dumps call runs the C encoder
+        text = json.dumps(
+            verdict_to_doc(v, args.e1, args.e2), sort_keys=True, separators=(",", ":")
+        )
+        with open(args.certificate, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
     if v.tied:
         print(f"TIED {_tied_label(v)}")
     else:
@@ -149,11 +164,6 @@ def cmd_decide(args) -> int:
     if args.witness:
         for c in v.witness:
             print(f"cycle {sign_char(sign_product(g, c.edges))} {_fmt_cycle(c.edges)}")
-    if args.certificate:
-        doc = verdict_to_doc(v, args.e1, args.e2)
-        with open(args.certificate, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return 0 if v.tied else 1
 
 
@@ -257,8 +267,7 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     g = parse(args.file)
-    with open(args.cert, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = json.loads(_read_utf8(args.cert, "certificate file"))
     _, e1, e2 = verdict_from_doc(doc)
     ok, reason = verify_certificate(g, e1, e2, doc)
     if ok:

@@ -184,8 +184,8 @@ def add_edge(g: SignedGraph, u: int, v: int, s: int) -> tuple[SignedGraph, EdgeI
 
 def parallel_class(g: SignedGraph, e: EdgeId) -> frozenset[EdgeId]:
     """All edge ids sharing e's endpoint pair (including e itself)."""
-    ends = g.endpoints(e)
-    return frozenset(i for i, ed in enumerate(g.edges) if ed.endpoints() == ends)
+    ed = g.edge(e)
+    return frozenset(i for i, w in g.adjacency[ed.u] if w == ed.v)
 
 
 def switch(g: SignedGraph, s: Iterable[VertexId]) -> SignedGraph:

@@ -50,9 +50,9 @@ from . import certificate as cert
 from .balance import SignedPath, find_signed_path, is_balanced
 from .certificate import Verdict
 from .connectivity import (
+    _proper_2_separation,
     blocks,
     components,
-    find_proper_2_separation,
     is_2_connected,
     is_3_connected,
 )
@@ -182,9 +182,12 @@ def _check_pair(g: SignedGraph, e1: EdgeId, e2: EdgeId) -> None:
 
 
 def _reduce(sl: Slice, e1: int, e2: int, names: Iterator[int]) -> ReductionTree:
+    # sl is 2-connected: reduce checks its input, _block_tree passes a
+    # block, and a side plus its markers, less the edges parallel to the
+    # pair, stays 2-connected; so the separation search skips that proof
     if sl.g.n <= SMALL_LEAF:
         return ReductionLeaf(sl, e1, e2)
-    sep = find_proper_2_separation(sl.g)
+    sep = _proper_2_separation(sl.g)
     if sep is None:
         return ReductionLeaf(sl, e1, e2)
     bu, bv = sep.boundary

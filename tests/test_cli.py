@@ -6,7 +6,15 @@ from pathlib import Path
 import pytest
 
 import helpers
-from sgties import LoopRejected, ParseError, SignedGraph, ladder, random_signed_graph
+from sgties import (
+    LoopRejected,
+    ParseError,
+    SignedGraph,
+    decide_tied,
+    ladder,
+    random_signed_graph,
+    verdict_to_doc,
+)
 from sgties.cli import main, parse, parse_text, serialize, serialize_text
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -163,6 +171,63 @@ def test_cli_certificate_round_trip(tmp_path):
     rc, out, _ = run("verify", K4C3, str(cert))
     assert rc == 0
     assert out == "OK\n"
+
+
+@pytest.mark.parametrize(
+    "path, e1, e2", [(K4C3, 4, 5), (HAT, 2, 3)], ids=["tied", "untied"]
+)
+def test_cli_certificate_is_one_compact_sorted_line(tmp_path, path, e1, e2):
+    cert = tmp_path / "cert.json"
+    run("decide", path, "--e1", str(e1), "--e2", str(e2), "--certificate", str(cert))
+    doc = verdict_to_doc(decide_tied(parse(path), e1, e2), e1, e2)
+    want = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert cert.read_text(encoding="utf-8") == want
+
+
+def test_cli_long_ladder_certificate_is_small_and_verifies(tmp_path):
+    """160 rungs nest 316 splits.  Indentation made every nested line pay
+    for its depth (about 70 MB here); the compact line is about 0.43 MB."""
+    k = 160
+    g, e1, e2 = ladder(k, 1)
+    outer = g.sign(e1) * g.sign(e2)
+    for eid in range(k, 3 * k - 2):
+        outer *= g.sign(eid)
+    p, cert = tmp_path / "ladder.sg", tmp_path / "cert.json"
+    serialize(g, str(p))
+    rc, out, err = run(
+        "decide", str(p), "--e1", str(e1), "--e2", str(e2), "--certificate", str(cert)
+    )
+    assert (rc, out, err) == (0, "TIED -\n" if outer < 0 else "TIED +\n", "")
+    assert cert.stat().st_size < 500_000
+    assert run("verify", str(p), str(cert)) == (0, "OK\n", "")
+
+
+def test_cli_decide_unwritable_certificate_prints_no_verdict(tmp_path):
+    """The document is written before the verdict is printed, so a
+    failed write never shows a verdict next to exit code 2."""
+    bad = tmp_path / "no-such-dir" / "cert.json"
+    rc, out, err = run("decide", K4C3, "--e1", "4", "--e2", "5", "--certificate", str(bad))
+    assert (rc, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("which", ["graph", "certificate"])
+def test_cli_non_utf8_file_is_a_parse_error(tmp_path, which):
+    good = tmp_path / "cert.json"
+    run("decide", K4C3, "--e1", "4", "--e2", "5", "--certificate", str(good))
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfesg 4 6\n")
+    if which == "graph":
+        results = [
+            run("decide", str(bad), "--e1", "4", "--e2", "5"),
+            run("verify", str(bad), str(good)),
+        ]
+    else:
+        results = [run("verify", K4C3, str(bad))]
+    for rc, out, err in results:
+        assert (rc, out) == (2, "")
+        assert err == f"error: {which} file {bad} is not UTF-8 text (invalid start byte)\n"
 
 
 def test_cli_verify_rejects_tampering(tmp_path):

@@ -23,6 +23,7 @@ from sgties import (
     delete_vertex,
     new_graph,
     parallel_class,
+    random_signed_graph,
     switch,
 )
 
@@ -85,6 +86,19 @@ def test_adjacency_lists_every_incidence():
 def test_parallel_class_includes_self():
     g = helpers.triangle()
     assert parallel_class(g, 1) == frozenset({1})
+
+
+def test_parallel_class_matches_a_full_edge_scan():
+    """Reading one endpoint's adjacency finds the same class as
+    comparing the endpoints of every edge."""
+    rng = random.Random(71)
+    for seed in range(1000):
+        n = rng.randrange(2, 7)
+        g = random_signed_graph(n, rng.randrange(1, 3 * n), 0.5, seed)
+        for e in range(g.m):
+            ends = g.endpoints(e)
+            scan = frozenset(i for i in range(g.m) if g.endpoints(i) == ends)
+            assert parallel_class(g, e) == scan
 
 
 def test_switch_empty_is_identity():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import helpers
+import sgties.connectivity
 import sgties.decide
 from sgties import (
     KIND_TIED,
@@ -17,6 +18,7 @@ from sgties import (
     SignedGraph,
     Slice,
     add_edge,
+    blocks,
     build_hat,
     build_hedgehog,
     build_target,
@@ -391,6 +393,71 @@ def test_reduce_leaves_above_small_leaf_are_3_connected():
                 assert res.complete and res.path is not None
     assert big > 20
     assert replaced > 20
+
+
+def _random_block_roots(count):
+    """Reduction inputs from seeded random pairs, preprocessed as
+    decide_tied does: edges parallel to the pair dropped, then the graph
+    cut down to the pair's block."""
+    roots, seed = [], 0
+    while len(roots) < count:
+        rng = random.Random(seed)
+        n = rng.randrange(5, 10)
+        g = random_signed_graph(n, rng.randrange(n, 2 * n + 1), 0.5, seed)
+        seed += 1
+        e1, e2 = rng.sample(range(g.m), 2)
+        if g.endpoints(e1) == g.endpoints(e2):
+            continue
+        drop = (parallel_class(g, e1) | parallel_class(g, e2)) - {e1, e2}
+        h, emap = delete_edges(g, sorted(drop))
+        block = blocks(h).block_of(emap[e1])
+        if emap[e2] not in block:
+            continue
+        blk = Slice.identity(h).sub(sorted(block))
+        idx = blk.edge_index()
+        roots.append((blk.g, idx[emap[e1]], idx[emap[e2]]))
+    return roots
+
+
+def test_every_reduction_slice_is_2_connected_with_a_parallel_free_pair():
+    """The reduction searches for separations without re-proving
+    2-connectivity at each level.  That rests on every slice it reaches
+    being 2-connected, and on no child's pair edge keeping a parallel
+    companion; both are checked at every node here."""
+    roots = _random_block_roots(200)
+    for rungs in (10, 40):
+        roots += [ladder(rungs, 3), ladder(rungs, 4, doubled=True)]
+    splits = 0
+    for root in roots:
+        stack = [reduce(*root)]
+        while stack:
+            node = stack.pop()
+            g = node.sl.g
+            assert is_2_connected(g)
+            for eid in (node.e1, node.e2):
+                assert parallel_class(g, eid) == frozenset((eid,))
+            if isinstance(node, ReductionSplit):
+                splits += 1
+                stack.extend(ch.node for ch in node.children)
+    assert splits > 300
+
+
+def test_ladder_decide_block_searches_are_pinned(monkeypatch):
+    """A 40-rung ladder nests 76 splits.  Each level costs only the
+    cut-pair search's calls to blocks; a 2-connectivity re-proof per
+    level would add about one call each."""
+    calls = []
+    real = sgties.connectivity.blocks
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for mod in (sgties.connectivity, sgties.decide):
+        monkeypatch.setattr(mod, "blocks", counting)
+    g, e1, e2 = ladder(40, 1)
+    assert decide_tied(g, e1, e2).kind == KIND_TIED
+    assert len(calls) == 117
 
 
 def test_reduce_marker_names_are_fresh_per_call():
