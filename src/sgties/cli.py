@@ -268,8 +268,8 @@ def cmd_gen(args) -> int:
 def cmd_verify(args) -> int:
     g = parse(args.file)
     doc = json.loads(_read_utf8(args.cert, "certificate file"))
-    _, e1, e2 = verdict_from_doc(doc)
-    ok, reason = verify_certificate(g, e1, e2, doc)
+    v, e1, e2 = verdict_from_doc(doc)
+    ok, reason = verify_certificate(g, e1, e2, v)
     if ok:
         print("OK")
         return 0

@@ -155,7 +155,8 @@ class Separation:
 
 
 def side_vertices(g: SignedGraph, side: frozenset[EdgeId]) -> frozenset[VertexId]:
-    return frozenset(x for e in side for x in g.endpoints(e))
+    ends = [g.edge(e) for e in side]
+    return frozenset([e.u for e in ends] + [e.v for e in ends])
 
 
 def _first_cut_pair(g: SignedGraph) -> Optional[tuple[VertexId, VertexId]]:

@@ -147,6 +147,8 @@ class Slice:
         Each marker is (name, local u, local v, sign); markers follow the
         kept edges in the given order and are referenced by name.  The
         vertices are those the kept edges and markers touch, in order.
+        Kept edges come from a valid graph and are copied unchecked;
+        markers are validated like any new edge.
         """
         kept = [self.g.edge(i) for i in keep]
         verts = sorted(
@@ -154,11 +156,13 @@ class Slice:
             | {x for _, u, v, _ in markers for x in (u, v)}
         )
         vmap = {old: new for new, old in enumerate(verts)}
-        items = [(vmap[e.u], vmap[e.v], e.sign) for e in kept]
-        items += [(vmap[u], vmap[v], s) for _, u, v, s in markers]
+        edges = [Edge(vmap[e.u], vmap[e.v], e.sign) for e in kept]
+        for _, u, v, s in markers:
+            _check_ends(len(verts), vmap[u], vmap[v])
+            edges.append(Edge(vmap[u], vmap[v], check_sign(s)))
         eref = [self.eref[i] for i in keep] + [name for name, _, _, _ in markers]
         return Slice(
-            SignedGraph.build(len(verts), items),
+            SignedGraph(len(verts), tuple(edges)),
             tuple(eref),
             tuple(self.vref[v] for v in verts),
         )

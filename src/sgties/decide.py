@@ -18,7 +18,9 @@ Evaluation settles the verdict and builds the certificate without
 looking for witnesses.  The witnesses of an untied verdict are then
 built at its first untied leaf and lifted back through the splits by
 replacing marker edges with boundary-to-boundary paths of the marker's
-sign inside the replaced side.
+sign inside the replaced side.  They travel as unordered sets of edge
+references: a lift swaps a marker for a path's edges, and each cycle is
+put back in cyclic order once, at the root.
 
 No witness is found by exhaustive search, so decide takes no budget and
 every verdict carries its evidence.  Common cycles (the one showing a
@@ -44,10 +46,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import certificate as cert
-from .balance import SignedPath, find_signed_path, is_balanced
+from .balance import find_signed_path, is_balanced
 from .certificate import Verdict
 from .connectivity import (
     _proper_2_separation,
@@ -67,7 +69,6 @@ from .core import (
     Slice,
     VertexId,
     delete_edges,
-    delete_vertex,
     parallel_class,
     sign_product,
     switch,
@@ -294,8 +295,7 @@ def _split_part23(
     names: Iterator[int],
 ) -> ReductionSplit:
     bu, bv = boundary
-    drop_ids = sides[3 - kept]
-    drop = sl.sub(drop_ids)
+    drop = sl.sub(sides[3 - kept])
     bal = is_balanced(drop.g)
     if bal.balanced:
         # part 2: switch the whole graph so the far side is all-positive,
@@ -303,7 +303,8 @@ def _split_part23(
         vidx = sl.vert_index()
         resign = tuple(sorted(vidx[drop.vref[v]] for v in bal.switch))
         work = Slice(switch(sl.g, set(resign)), sl.eref, sl.vref)
-        part, discard, doc = 2, work.sub(drop_ids), None
+        discard = Slice(switch(drop.g, bal.switch), drop.eref, drop.vref)
+        part, doc = 2, None
         signs = (POSITIVE,)
     else:
         # part 3: the far side holds a negative cycle, so a positive and a
@@ -365,14 +366,9 @@ def _check_cases(sl: Slice, e1: int, e2: int) -> LeafVerdict:
     return LeafVerdict(True, node["kind"], node)
 
 
-def _switch_refs(sl: Slice, signing, vmap=None) -> list[int]:
-    # vertices with negative potential, in original-vertex references;
-    # vmap translates ids of a derived graph back to sl's locals
-    out = []
-    for v, s in enumerate(signing):
-        if s == NEGATIVE:
-            out.append(sl.vref[v if vmap is None else vmap[v]])
-    return sorted(out)
+def _switch_refs(sl: Slice, signing) -> list[int]:
+    # vertices with negative potential, in original-vertex references
+    return sorted(sl.vref[v] for v, s in enumerate(signing) if s == NEGATIVE)
 
 
 def _try_case1(sl: Slice, e1: int, e2: int) -> Optional[dict]:
@@ -411,12 +407,12 @@ def _try_case2(sl: Slice, e1: int, e2: int) -> Optional[dict]:
     if len(shared) != 1:
         return None
     (v,) = shared
-    rest, vmap, _ = delete_vertex(g, v)
+    # v keeps potential +1 once isolated, so the switch set is that of G - v
+    rest, _ = delete_edges(g, (i for i, _ in g.adjacency[v]))
     bal = is_balanced(rest)
     if not bal.balanced:
         return None
-    back = {new: old for old, new in vmap.items()}
-    return cert.case2_node(sl.vref[v], _switch_refs(sl, bal.signing, back))
+    return cert.case2_node(sl.vref[v], _switch_refs(sl, bal.signing))
 
 
 def _try_case3(sl: Slice, e1: int, e2: int) -> Optional[dict]:
@@ -429,46 +425,15 @@ def _try_case3(sl: Slice, e1: int, e2: int) -> Optional[dict]:
 
 # --- evaluation and witness lifting ---------------------------------------
 
-# witnesses travel in reference space until the very end; a path has the
-# same shape as a cycle, with one more vertex than edges
-_RefCycle = tuple[tuple[Ref, ...], tuple[int, ...]]
-_Witness = tuple[_RefCycle, _RefCycle]
+# witnesses travel as unordered edge-reference sets until the very end
+_Witness = tuple[frozenset[Ref], frozenset[Ref]]
 # the splits above a leaf, root first, each with the index of the child
 # on the way down
 _Ancestry = tuple[tuple[ReductionSplit, int], ...]
 
 
-def _ref_cycle(sl: Slice, c: Union[Cycle, SignedPath]) -> _RefCycle:
-    return (
-        tuple(sl.eref[i] for i in c.edges),
-        tuple(sl.vref[x] for x in c.vertices),
-    )
-
-
-def _splice_path(rc: _RefCycle, name: str, path: _RefCycle) -> _RefCycle:
-    """Replace marker ``name`` in a cycle by a path with matching ends."""
-    edges, verts = rc
-    pe, pv = path
-    i = edges.index(name)
-    a, b = verts[i], verts[(i + 1) % len(edges)]
-    if pv[0] == b and pv[-1] == a:
-        pe = tuple(reversed(pe))
-        pv = tuple(reversed(pv))
-    assert pv[0] == a and pv[-1] == b, "marker path endpoints mismatch"
-    return (
-        edges[:i] + pe + edges[i + 1 :],
-        verts[: i + 1] + pv[1:-1] + verts[i + 1 :],
-    )
-
-
-def _cycle_minus_edge(rc: _RefCycle, name: str) -> _RefCycle:
-    """Open a cycle at one edge, returning the complementary path."""
-    edges, verts = rc
-    i = edges.index(name)
-    k = len(edges)
-    pe = tuple(edges[(i + 1 + j) % k] for j in range(k - 1))
-    pv = tuple(verts[(i + 1 + j) % k] for j in range(k))
-    return pe, pv
+def _refs(sl: Slice, ids: Iterable[EdgeId]) -> frozenset[Ref]:
+    return frozenset(sl.eref[i] for i in ids)
 
 
 def _block_tree(sl: Slice, e1: int, e2: int) -> Optional[ReductionTree]:
@@ -639,8 +604,11 @@ def _component_ear(
                 inner.append(eid)
     ks = Slice.identity(g).sub(sorted(inner))
     bal = is_balanced(ks.g)
-    if bal.negative_cycle is not None:
-        d = Cycle(*_ref_cycle(ks, bal.negative_cycle))
+    nc = bal.negative_cycle
+    if nc is not None:
+        d = Cycle(
+            tuple(ks.eref[i] for i in nc.edges), tuple(ks.vref[x] for x in nc.vertices)
+        )
         by_half: dict[int, set[VertexId]] = {}
         for _, _, x in attach:
             by_half.setdefault(place[x][0], set()).add(x)
@@ -669,7 +637,7 @@ def _component_ear(
     return None
 
 
-def _self_reduce(sl: Slice, e1: int, e2: int, sign: Sign) -> _RefCycle:
+def _self_reduce(sl: Slice, e1: int, e2: int, sign: Sign) -> frozenset[Ref]:
     """A common cycle of the given sign, by deleting every edge it can spare.
 
     Deleting edges never adds a common cycle, so an edge kept because
@@ -687,7 +655,7 @@ def _self_reduce(sl: Slice, e1: int, e2: int, sign: Sign) -> _RefCycle:
         idx = sub.edge_index()
         if sign in _common_signs(sub.g, idx[e1], idx[e2]):
             keep = trial
-    return _ref_cycle(sl, Cycle.from_edge_set(sl.g, keep))
+    return _refs(sl, keep)
 
 
 def _leaf_untied_witness(sl: Slice, e1: int, e2: int) -> _Witness:
@@ -702,15 +670,15 @@ def _leaf_untied_witness(sl: Slice, e1: int, e2: int) -> _Witness:
     other = -sign_product(sl.g, c.edges)
     ear = _ear(sl.g, e1, e2, c)
     if ear is None:
-        return _ref_cycle(sl, c), _self_reduce(sl, e1, e2, other)
+        return _refs(sl, c.edges), _self_reduce(sl, e1, e2, other)
     h = sl.sub(sorted(c.edges + ear))
     idx = h.edge_index()
     d, _ = find_common_cycle(h.g, idx[sl.eref[e1]], idx[sl.eref[e2]], sign=other)
     assert d is not None, "an ear of the other sign closes no common cycle"
-    return _ref_cycle(sl, c), _ref_cycle(h, d)
+    return _refs(sl, c.edges), _refs(h, d.edges)
 
 
-def _marker_path(split: ReductionSplit, md: dict) -> _RefCycle:
+def _marker_path(split: ReductionSplit, md: dict) -> frozenset[Ref]:
     """A boundary path of the marker's sign inside the discarded side.
 
     The path is searched in a piece whose only boundary path has the
@@ -741,21 +709,21 @@ def _marker_path(split: ReductionSplit, md: dict) -> _RefCycle:
     hidx = h.vert_index()
     res = find_signed_path(h.g, hidx[md["u"]], hidx[md["v"]], md["sign"])
     assert res.path is not None, "replaced side lacks a boundary path of the marker sign"
-    return _ref_cycle(h, res.path)
+    return _refs(h, res.path.edges)
 
 
 def _lift_part23(split: ReductionSplit, w: _Witness) -> _Witness:
     # both cycles may pass through one marker; search its path once
-    paths: dict[str, _RefCycle] = {}
+    paths: dict[str, frozenset[Ref]] = {}
     lifted = []
-    for rc in w:
+    for refs in w:
         for md in split.children[0].markers:
             name = md["name"]
-            if name in rc[0]:
+            if name in refs:
                 if name not in paths:
                     paths[name] = _marker_path(split, md)
-                rc = _splice_path(rc, name, paths[name])
-        lifted.append(rc)
+                refs = (refs - {name}) | paths[name]
+        lifted.append(refs)
     return lifted[0], lifted[1]
 
 
@@ -768,9 +736,9 @@ def _lift_part1(split: ReductionSplit, child_idx: int, w: _Witness) -> _Witness:
     p2 = pidx[sib_spec.pair_refs[1]]
     c2, _ = find_common_cycle(sib_sl.g, p1, p2, budget=_flow_budget(sib_sl.g))
     assert c2 is not None, "2-connected sibling lacks a common cycle"
-    path = _cycle_minus_edge(_ref_cycle(sib_sl, c2), sib_spec.markers[0]["name"])
+    path = _refs(sib_sl, c2.edges) - {sib_spec.markers[0]["name"]}
     own_marker = own_spec.markers[0]["name"]
-    return _splice_path(w[0], own_marker, path), _splice_path(w[1], own_marker, path)
+    return (w[0] - {own_marker}) | path, (w[1] - {own_marker}) | path
 
 
 def _lift_up(ancestry: _Ancestry, w: _Witness) -> _Witness:
@@ -791,12 +759,14 @@ def lift_witness(
     The witness cycles are given in the local edge ids of the leaf they
     were found at (for a single-leaf tree this is the root graph
     itself, and lifting is the identity).  Returns the pair ordered
-    (positive, negative) in the root graph's local ids.  Each split on
-    the way up costs linear time: a sibling's common cycle at a part-1
-    split is built by flow, a marker path at a part-2/3 split in a fan.
+    (positive, negative) in the root graph's local ids.  The cycles are
+    lifted as edge sets, as decide lifts its own witnesses, and ordered
+    once at the root.  Each split on the way up costs linear time: a
+    sibling's common cycle at a part-1 split is built by flow, a marker
+    path at a part-2/3 split in a fan.
     """
     leaf, ancestry = _locate_leaf(tree, leaf_witness)
-    w = (_ref_cycle(leaf.sl, leaf_witness[0]), _ref_cycle(leaf.sl, leaf_witness[1]))
+    w = (_refs(leaf.sl, leaf_witness[0].edges), _refs(leaf.sl, leaf_witness[1].edges))
     return _finalize_pair(tree.sl, _lift_up(ancestry, w))
 
 
@@ -829,10 +799,7 @@ def _valid_witness_at(leaf: ReductionLeaf, c: Cycle) -> bool:
 
 def _finalize_pair(root: Slice, witness: _Witness) -> tuple[Cycle, Cycle]:
     idx = root.edge_index()
-    out = []
-    for edges, _ in witness:
-        ids = tuple(idx[r] for r in edges)
-        out.append(Cycle.from_edges(root.g, ids))
+    out = [Cycle.from_edge_set(root.g, (idx[r] for r in refs)) for refs in witness]
     s0 = sign_product(root.g, out[0].edges)
     s1 = sign_product(root.g, out[1].edges)
     if {s0, s1} != {POSITIVE, NEGATIVE}:

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 import helpers
+import sgties.certificate
+import sgties.cli
 from sgties import (
     LoopRejected,
     ParseError,
@@ -273,6 +275,22 @@ def test_cli_verify_names_a_missing_or_mistyped_field(tmp_path, damage, message)
     rc, out, err = run("verify", HAT, str(cert))
     assert (rc, out) == (2, "")
     assert err.splitlines() == [message]
+
+
+def test_cli_verify_parses_the_document_once(tmp_path, monkeypatch):
+    cert = tmp_path / "cert.json"
+    run("decide", K4C3, "--e1", "4", "--e2", "5", "--certificate", str(cert))
+    calls = []
+    original = sgties.certificate.verdict_from_doc
+
+    def counting(doc):
+        calls.append(doc)
+        return original(doc)
+
+    monkeypatch.setattr(sgties.certificate, "verdict_from_doc", counting)
+    monkeypatch.setattr(sgties.cli, "verdict_from_doc", counting)
+    assert run("verify", K4C3, str(cert)) == (0, "OK\n", "")
+    assert len(calls) == 1
 
 
 def test_cli_untied_certificate_verifies(tmp_path):

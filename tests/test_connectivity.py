@@ -12,6 +12,7 @@ import pytest
 
 import helpers
 from sgties import (
+    BadEdge,
     NotTwoConnected,
     SignedGraph,
     blocks,
@@ -174,6 +175,13 @@ def test_separation_is_proper():
         assert v1 - {u, v}
         assert v2 - {u, v}
     assert found > 10
+
+
+def test_side_vertices_checks_edge_ids():
+    g = helpers.k4()
+    assert side_vertices(g, frozenset((0, 1))) == g.endpoints(0) | g.endpoints(1)
+    with pytest.raises(BadEdge):
+        side_vertices(g, frozenset((0, g.m)))
 
 
 def test_separation_picks_the_smallest_cut_pair_and_side():

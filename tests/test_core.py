@@ -213,6 +213,18 @@ def test_slice_sub_of_sub_maps_back_to_original_ids():
         assert list(second.vref) == sorted(second.vref)
 
 
+def test_slice_sub_validates_markers_and_kept_ids():
+    """Kept edges are copied from a valid graph unchecked, but each kept
+    id is bounds-checked and each marker is validated like a new edge."""
+    sl = Slice.identity(helpers.k4())
+    with pytest.raises(LoopRejected):
+        sl.sub([0, 1], [("m0", 0, 0, 1)])
+    with pytest.raises(BadParams):
+        sl.sub([0, 1], [("m0", 0, 1, 2)])
+    with pytest.raises(BadEdge):
+        sl.sub([0, sl.g.m])
+
+
 def test_delete_vertex_compacts_ids():
     g = helpers.prism()
     h, vmap, emap = delete_vertex(g, 2)

@@ -42,6 +42,7 @@ from sgties import (
     random_recipe,
     random_signed_graph,
     reduce,
+    switch,
     verdict_to_doc,
     verify_certificate,
 )
@@ -211,10 +212,22 @@ def test_long_ladder_is_tied_with_its_outer_cycle_sign():
 
 
 def test_doubled_ladder_is_untied_with_a_verified_pair():
-    """The sibling cycle at each part-1 lift is the rest of the outer cycle."""
+    """The sibling cycle at each part-1 lift is the rest of the outer cycle.
+
+    Both outer cycles run along rung 0, the top rail (40..78), rung 39
+    and the bottom rail back; the negative one takes the doubled copy
+    118 of rail edge 53.  Both are pinned edge for edge and vertex for
+    vertex through the 76 nested lifts."""
     g, e1, e2 = ladder(40, 5, doubled=True)
     v = decide_tied(g, e1, e2)
     assert_untied_witness(g, v, e1, e2)
+    outer = [0, *range(40, 79), 39, *range(117, 78, -1)]
+    assert [list(c.edges) for c in v.witness] == [
+        outer,
+        [118 if e == 53 else e for e in outer],
+    ]
+    ring = [40, *range(40), *range(79, 40, -1)]
+    assert [list(c.vertices) for c in v.witness] == [ring, ring]
     assert verify_certificate(g, e1, e2, verdict_to_doc(v, e1, e2)) == (True, "ok")
 
 
@@ -417,6 +430,26 @@ def _random_block_roots(count):
         idx = blk.edge_index()
         roots.append((blk.g, idx[emap[e1]], idx[emap[e2]]))
     return roots
+
+
+def test_part2_discard_is_the_far_side_of_the_switched_graph():
+    """A part-2 split switches its far side on its own; that slice equals
+    the far side cut out of the whole switched graph."""
+    part2 = 0
+    for root in _random_block_roots(200):
+        stack = [reduce(*root)]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ReductionLeaf):
+                continue
+            stack.extend(ch.node for ch in node.children)
+            if node.part == 2:
+                part2 += 1
+                sl = node.sl
+                work = Slice(switch(sl.g, node.resign), sl.eref, sl.vref)
+                far = node.side2 if node.kept == 1 else node.side1
+                assert node.discard == work.sub(far)
+    assert part2 > 20
 
 
 def test_every_reduction_slice_is_2_connected_with_a_parallel_free_pair():
