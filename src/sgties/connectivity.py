@@ -64,75 +64,74 @@ class BlockTree:
 def blocks(g: SignedGraph, removed: frozenset[VertexId] = frozenset()) -> BlockTree:
     """Biconnected components of g minus ``removed``, by iterative lowpoint search.
 
-    Parallel edges back to the discovery edge's endpoint count as genuine
-    back edges; only the single discovery edge id itself is skipped.
-    Edges at removed vertices belong to no block.
+    Each DFS frame is (vertex, entry edge id, adjacency iterator).  Only
+    the entry edge's own id is skipped: an id occurs once in each
+    endpoint's adjacency (loops are rejected at build), and parallel
+    edges back to the parent count as genuine back edges.  A tree edge is
+    pushed on the edge stack when it discovers a vertex, a back edge when
+    seen from its deeper end, so each edge is pushed once.  When a child v
+    closes with low[v] >= disc[parent], its block is the slice of the edge
+    stack from v's tree edge up, taken as one frozenset and deleted in one
+    step.  Edges at removed vertices belong to no block.
     """
-    disc = [-1] * g.n
+    n = g.n
+    adjacency = g.adjacency
+    disc = [-1] * n
     # a removed vertex looks discovered after every real one, so edges to
     # it are neither tree edges nor back edges
     for x in removed:
-        disc[x] = g.n
-    low = [0] * g.n
+        disc[x] = n
+    low = [0] * n
+    at = [0] * n  # edge-stack position of each vertex's tree edge
     cuts: set[int] = set()
     estack: list[int] = []
+    push = estack.append
     out: list[frozenset[int]] = []
     timer = 0
-    for root in range(g.n):
+    for root in range(n):
         if disc[root] != -1:
             continue
         root_children = 0
-        # frame: [vertex, entry edge id, adjacency index, entry skipped?]
-        stack = [[root, -1, 0, True]]
         disc[root] = low[root] = timer
         timer += 1
+        stack = [(root, -1, iter(adjacency[root]))]
         while stack:
-            frame = stack[-1]
-            v = frame[0]
-            adj = g.adjacency[v]
-            advanced = False
-            while frame[2] < len(adj):
-                eid, w = adj[frame[2]]
-                frame[2] += 1
-                if eid == frame[1] and not frame[3]:
-                    frame[3] = True  # skip the discovery edge exactly once
-                    continue
-                if disc[w] == -1:
-                    estack.append(eid)
+            v, entry, it = stack[-1]
+            dv = disc[v]
+            for eid, w in it:
+                dw = disc[w]
+                if dw == -1:
+                    at[w] = len(estack)
+                    push(eid)
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append([w, eid, 0, False])
-                    advanced = True
+                    stack.append((w, eid, iter(adjacency[w])))
                     break
-                if disc[w] < disc[v]:
-                    estack.append(eid)
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            if advanced:
-                continue
-            stack.pop()
-            if not stack:
-                break
-            p = stack[-1][0]
-            if low[v] < low[p]:
-                low[p] = low[v]
-            if low[v] >= disc[p]:
-                # v's subtree hangs off p: pop one block.
-                tree_eid = frame[1]
-                block: set[int] = set()
-                while estack:
-                    top = estack.pop()
-                    block.add(top)
-                    if top == tree_eid:
-                        break
-                out.append(frozenset(block))
-                if p == root:
-                    root_children += 1
-                else:
-                    cuts.add(p)
+                if dw < dv and eid != entry:
+                    push(eid)
+                    if dw < low[v]:
+                        low[v] = dw
+            else:
+                stack.pop()
+                if not stack:
+                    break
+                p = stack[-1][0]
+                lv = low[v]
+                if lv < low[p]:
+                    low[p] = lv
+                if lv >= disc[p]:
+                    # v's subtree hangs off p: pop one block.
+                    i = at[v]
+                    out.append(frozenset(estack[i:]))
+                    del estack[i:]
+                    if p == root:
+                        root_children += 1
+                    else:
+                        cuts.add(p)
         if root_children > 1:
             cuts.add(root)
-    out.sort(key=min)
+    if len(out) > 1:  # every G-u of a 3-connected scan has a lone block
+        out.sort(key=min)
     return BlockTree(tuple(out), frozenset(cuts))
 
 
@@ -200,12 +199,20 @@ def _proper_2_separation(g: SignedGraph) -> Optional[Separation]:
     pair = _first_cut_pair(g)
     if pair is None:
         return None
-    sides = []
-    for comp in components(g, frozenset(pair)):
-        sides.append(
-            frozenset(i for i, e in enumerate(g.edges) if e.u in comp or e.v in comp)
-        )
-    side1 = min(sides, key=lambda s: (len(s), sorted(s)))
+    # one edge pass: an edge joins the side of its non-boundary endpoint;
+    # edges joining the boundary pair join no component side, so side2
+    comps = components(g, frozenset(pair))
+    label = [-1] * g.n
+    for c, comp in enumerate(comps):
+        for x in comp:
+            label[x] = c
+    sides: list[list[EdgeId]] = [[] for _ in comps]
+    for i, e in enumerate(g.edges):
+        c = label[e.u] if label[e.u] >= 0 else label[e.v]
+        if c >= 0:
+            sides[c].append(i)
+    # each side lists its ids in ascending order, so it is its own sort key
+    side1 = frozenset(min(sides, key=lambda s: (len(s), s)))
     side2 = frozenset(range(g.m)) - side1
     return Separation(side1, side2, pair)
 

@@ -76,6 +76,61 @@ def test_blocks_vertex_sets_and_cuts_match_nx():
         assert sorted(bt.cut_vertices) == sorted(nx.articulation_points(ref))
 
 
+def test_blocks_edge_sets_order_and_cuts_match_nx():
+    """Edge-level oracle with removed vertices: each block of g minus
+    ``removed`` is a biconnected component of the simple graph minus
+    ``removed``, with every parallel copy joining its pair's block;
+    blocks come sorted by smallest edge id."""
+    rng = random.Random(53)
+    doubled = with_removed = 0
+    for _ in range(300):
+        n = rng.randrange(2, 10)
+        base = random_multigraph(rng, n, rng.randrange(1, 2 * n + 2))
+        items = [(e.u, e.v, e.sign) for e in base.edges]
+        for i in rng.sample(range(base.m), rng.randrange(0, min(3, base.m) + 1)):
+            u, v, s = items[i]
+            items.append((v, u, -s))  # a doubled edge, listed from its other end
+        g = SignedGraph.build(n, items)
+        removed = frozenset(rng.sample(range(n), rng.randrange(0, min(2, n - 1) + 1)))
+        doubled += g.m > base.m
+        with_removed += bool(removed)
+        ids: dict[tuple[int, int], list[int]] = {}
+        for e in range(g.m):
+            ids.setdefault(tuple(sorted(g.endpoints(e))), []).append(e)
+        ref = to_nx(g)
+        ref.remove_nodes_from(removed)
+        want = sorted(
+            (
+                frozenset(e for u, v in comp for e in ids[tuple(sorted((u, v)))])
+                for comp in nx.biconnected_component_edges(ref)
+            ),
+            key=min,
+        )
+        bt = blocks(g, removed)
+        assert bt.blocks == tuple(want)
+        assert bt.cut_vertices == frozenset(nx.articulation_points(ref))
+        for blk in bt.blocks:
+            assert not side_vertices(g, blk) & removed
+    assert doubled > 100 and with_removed > 100
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["cycle", "path"])
+def test_blocks_walk_deep_inputs_without_recursion(closed):
+    """A 20,000-vertex cycle or path under the default recursion limit:
+    the lowpoint walk keeps its own stack."""
+    n = 20_000
+    items = [(i, i + 1, 1) for i in range(n - 1)] + ([(n - 1, 0, 1)] if closed else [])
+    g = SignedGraph.build(n, items)
+    bt = blocks(g)
+    if closed:
+        assert bt.blocks == (frozenset(range(n)),)
+        assert bt.cut_vertices == frozenset()
+    else:
+        assert bt.blocks == tuple(frozenset({e}) for e in range(n - 1))
+        assert bt.cut_vertices == frozenset(range(1, n - 1))
+    assert is_2_connected(g) == closed
+
+
 def test_blocks_partition_the_edges():
     rng = random.Random(29)
     for _ in range(60):
@@ -223,6 +278,34 @@ def test_separation_picks_the_smallest_cut_pair_and_side():
         assert sep.side1 == min(sides, key=lambda s: (len(s), sorted(s)))
         assert sep.side2 == frozenset(range(g.m)) - sep.side1
     assert found > 20
+
+
+@pytest.mark.parametrize("joins", [0, 1, 3])
+def test_theta_separation_sides_match_the_per_component_scan(joins):
+    """A theta graph (paths of length 2-4 between vertices 0 and 1, edges
+    shuffled) splits at {0, 1}.  side1 is the smallest component side,
+    each side being the edges with an endpoint in one component of
+    G-{0, 1}; edges joining 0 and 1 stay in side2."""
+    rng = random.Random(59 + joins)
+    pairs, n = [], 2
+    for _ in range(12):
+        inner = list(range(n, n + rng.randrange(1, 4)))
+        n += len(inner)
+        walk = [0, *inner, 1]
+        pairs += list(zip(walk, walk[1:]))
+    pairs += [(1, 0)] * joins
+    rng.shuffle(pairs)
+    g = SignedGraph.build(n, [(u, v, rng.choice((1, -1))) for u, v in pairs])
+    sep = find_proper_2_separation(g)
+    assert sep.boundary == (0, 1)
+    sides = [
+        frozenset(i for i, e in enumerate(g.edges) if e.u in comp or e.v in comp)
+        for comp in components(g, frozenset((0, 1)))
+    ]
+    assert len(sides) == 12
+    assert sep.side1 == min(sides, key=lambda s: (len(s), sorted(s)))
+    assert sep.side2 == frozenset(range(g.m)) - sep.side1
+    assert {i for i in range(g.m) if g.endpoints(i) == {0, 1}} <= sep.side2
 
 
 def test_separation_is_deterministic():
