@@ -112,10 +112,13 @@ def child_doc(
     removed: list[Ref],
     node: dict,
 ) -> dict:
+    """One child of a split: its pair, the markers it adds, the edges
+    parallel to its pair that it drops (listed in reference order, as
+    every edge list of a document is) and its own node."""
     return {
         "pair": list(pair),
         "markers": list(markers),
-        "removed": list(removed),
+        "removed": sorted(removed, key=_ref_key),
         "node": node,
     }
 

@@ -80,7 +80,7 @@ from .errors import (
     SameEdge,
 )
 from .oracle import enumerate_common_cycles, find_common_cycle
-from .search import SearchBudget, disjoint_paths
+from .search import disjoint_paths
 
 # leaves this small skip the separation search entirely
 SMALL_LEAF = 4
@@ -218,7 +218,7 @@ def _normalize_child(
     drop = (parallel_class(sub.g, p1) | parallel_class(sub.g, p2)) - {p1, p2}
     if not drop:
         return sub, p1, p2, ()
-    removed = tuple(sorted((sub.eref[i] for i in drop), key=cert._ref_key))
+    removed = tuple(sub.eref[i] for i in drop)
     slim = sub.sub([i for i in range(sub.g.m) if i not in drop])
     idx = slim.edge_index()
     return slim, idx[sub.eref[p1]], idx[sub.eref[p2]], removed
@@ -366,11 +366,6 @@ def _check_cases(sl: Slice, e1: int, e2: int) -> LeafVerdict:
     return LeafVerdict(True, node["kind"], node)
 
 
-def _switch_refs(sl: Slice, signing) -> list[int]:
-    # vertices with negative potential, in original-vertex references
-    return sorted(sl.vref[v] for v, s in enumerate(signing) if s == NEGATIVE)
-
-
 def _try_case1(sl: Slice, e1: int, e2: int) -> Optional[dict]:
     g = sl.g
     # parallel classes, in order of their smallest edge id
@@ -394,9 +389,9 @@ def _try_case1(sl: Slice, e1: int, e2: int) -> Optional[dict]:
         if not bal.balanced:
             continue
         return cert.case1_node(
-            [sl.eref[i] for i in sorted(f)],
-            sorted(sl.vref[v] for v in comps[1]),
-            _switch_refs(sl, bal.signing),
+            [sl.eref[i] for i in f],
+            [sl.vref[v] for v in comps[1]],
+            [sl.vref[v] for v in bal.switch],
         )
     return None
 
@@ -412,7 +407,7 @@ def _try_case2(sl: Slice, e1: int, e2: int) -> Optional[dict]:
     bal = is_balanced(rest)
     if not bal.balanced:
         return None
-    return cert.case2_node(sl.vref[v], _switch_refs(sl, bal.signing))
+    return cert.case2_node(sl.vref[v], [sl.vref[x] for x in bal.switch])
 
 
 def _try_case3(sl: Slice, e1: int, e2: int) -> Optional[dict]:
@@ -420,7 +415,7 @@ def _try_case3(sl: Slice, e1: int, e2: int) -> Optional[dict]:
     bal = is_balanced(rest)
     if not bal.balanced:
         return None
-    return cert.case3_node(_switch_refs(sl, bal.signing))
+    return cert.case3_node([sl.vref[v] for v in bal.switch])
 
 
 # --- evaluation and witness lifting ---------------------------------------
@@ -469,7 +464,7 @@ def _evaluate(tree: ReductionTree) -> Union[dict, tuple[ReductionLeaf, _Ancestry
 def _split_doc(tree: ReductionSplit, child_nodes: list[dict]) -> dict:
     sl = tree.sl
     children = [
-        cert.child_doc(spec.pair_refs, list(spec.markers), list(spec.removed), node)
+        cert.child_doc(spec.pair_refs, list(spec.markers), spec.removed, node)
         for spec, node in zip(tree.children, child_nodes)
     ]
     return cert.split_node(
@@ -479,9 +474,7 @@ def _split_doc(tree: ReductionSplit, child_nodes: list[dict]) -> dict:
         [sl.eref[i] for i in tree.side2],
         children,
         kept=tree.kept,
-        switch=(
-            sorted(sl.vref[v] for v in tree.resign) if tree.resign is not None else None
-        ),
+        switch=[sl.vref[v] for v in tree.resign] if tree.resign is not None else None,
         neg_cycle=tree.neg_cycle_doc,
     )
 
@@ -519,14 +512,9 @@ def _common_signs(g: SignedGraph, e1: int, e2: int) -> frozenset[Sign]:
         return frozenset()
     if not isinstance(_evaluate(tree), dict):
         return frozenset((POSITIVE, NEGATIVE))
-    c, _ = find_common_cycle(g, e1, e2, budget=_flow_budget(g))
+    c, _ = find_common_cycle(g, e1, e2)
     assert c is not None, "no common cycle found despite a shared block"
     return frozenset((sign_product(g, c.edges),))
-
-
-def _flow_budget(g: SignedGraph) -> SearchBudget:
-    # a flow of at most two paths spends at most 4m (search.disjoint_paths)
-    return SearchBudget(4 * g.m)
 
 
 def _fan(
@@ -542,9 +530,7 @@ def _fan(
     cycle is negative, so these have opposite signs (the fan form of
     Menger's theorem).  None when no two such paths exist.
     """
-    paths = disjoint_paths(
-        g, sources, cycle.vertices, 2, banned_vertices=banned, budget=_flow_budget(g)
-    )
+    paths = disjoint_paths(g, sources, cycle.vertices, 2, banned_vertices=banned)
     if len(paths) < 2:
         return None
     return cycle.edges + paths[0][0] + paths[1][0]
@@ -630,9 +616,7 @@ def _component_ear(
         for x, (a, p) in xs.items():
             for y, (b, q) in ends.get((hx, -val), {}).items():
                 if x != y:
-                    ((inside, _),) = disjoint_paths(
-                        g, (p,), (q,), 1, banned_vertices=on_c, budget=_flow_budget(g)
-                    )
+                    ((inside, _),) = disjoint_paths(g, (p,), (q,), 1, banned_vertices=on_c)
                     return (a, b, *inside)
     return None
 
@@ -665,7 +649,7 @@ def _leaf_untied_witness(sl: Slice, e1: int, e2: int) -> _Witness:
     ear, which holds at most three common cycles, or found by
     self-reduction when no single ear changes the sign.
     """
-    c, _ = find_common_cycle(sl.g, e1, e2, budget=_flow_budget(sl.g))
+    c, _ = find_common_cycle(sl.g, e1, e2)
     assert c is not None, "a 2-connected leaf always has a common cycle"
     other = -sign_product(sl.g, c.edges)
     ear = _ear(sl.g, e1, e2, c)
@@ -693,9 +677,7 @@ def _marker_path(split: ReductionSplit, md: dict) -> frozenset[Ref]:
     vidx = discard.vert_index()
     ends = (vidx[md["u"]], vidx[md["v"]])
     if split.part == 2:
-        ((piece, _),) = disjoint_paths(
-            discard.g, ends[:1], ends[1:], 1, budget=_flow_budget(discard.g)
-        )
+        ((piece, _),) = disjoint_paths(discard.g, ends[:1], ends[1:], 1)
     else:
         nc = split.neg_cycle_doc
         assert nc is not None
@@ -728,16 +710,12 @@ def _lift_part23(split: ReductionSplit, w: _Witness) -> _Witness:
 
 
 def _lift_part1(split: ReductionSplit, child_idx: int, w: _Witness) -> _Witness:
-    own_spec = split.children[child_idx]
     sib_spec = split.children[1 - child_idx]
-    sib_sl = sib_spec.node.sl
-    pidx = sib_sl.edge_index()
-    p1 = pidx[sib_spec.pair_refs[0]]
-    p2 = pidx[sib_spec.pair_refs[1]]
-    c2, _ = find_common_cycle(sib_sl.g, p1, p2, budget=_flow_budget(sib_sl.g))
+    sib = sib_spec.node
+    c2, _ = find_common_cycle(sib.sl.g, sib.e1, sib.e2)
     assert c2 is not None, "2-connected sibling lacks a common cycle"
-    path = _refs(sib_sl, c2.edges) - {sib_spec.markers[0]["name"]}
-    own_marker = own_spec.markers[0]["name"]
+    path = _refs(sib.sl, c2.edges) - {sib_spec.markers[0]["name"]}
+    own_marker = split.children[child_idx].markers[0]["name"]
     return (w[0] - {own_marker}) | path, (w[1] - {own_marker}) | path
 
 
@@ -843,7 +821,7 @@ def decide_tied(g: SignedGraph, e1: EdgeId, e2: EdgeId) -> Verdict:
         leaf, ancestry = res
         w = _lift_up(ancestry, _leaf_untied_witness(leaf.sl, leaf.e1, leaf.e2))
         return Verdict(kind=cert.KIND_UNTIED, witness=_finalize_pair(Slice.identity(g), w))
-    c, _ = find_common_cycle(g, e1, e2, budget=_flow_budget(g))
+    c, _ = find_common_cycle(g, e1, e2)
     # the pair shares a 2-connected block, so a common cycle exists
     assert c is not None, "no common cycle found despite a shared block"
     return Verdict(

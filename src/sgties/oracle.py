@@ -12,9 +12,9 @@ exponential in the worst case.  A common cycle of either sign follows
 the same case analysis but needs only one such path or pair of paths,
 which find_common_cycle builds by unit-capacity flow in linear time.
 
-verify_certificate replays a tied certificate bottom-up against the
-input graph using only primitive checks (cut arithmetic, sign
-arithmetic, block recomputation, small re-enumeration), trusting
+verify_certificate replays a tied certificate from the root down
+against the input graph using only primitive checks (cut arithmetic,
+sign arithmetic, block recomputation, small re-enumeration), trusting
 nothing from the decision procedure that produced it.
 """
 
@@ -161,21 +161,23 @@ def find_common_cycle(
 ) -> tuple[Optional[Cycle], bool]:
     """A common cycle, optionally of a required sign.
 
-    Without a sign the cycle is built in linear time (at most 4m budget
-    units): a mutually parallel pair gives its 2-cycle, edges sharing a
-    vertex v one path between their far ends in G−v, and disjoint edges
-    two vertex-disjoint paths from {u1, v1} to {u2, v2}, found by
+    Without a sign the cycle is built in linear time: a mutually
+    parallel pair gives its 2-cycle, edges sharing a vertex v one path
+    between their far ends in G−v, and disjoint edges two
+    vertex-disjoint paths from {u1, v1} to {u2, v2}, found by
     unit-capacity flow; by Menger's theorem these exist exactly when a
-    common cycle does.  With a sign, common cycles are enumerated
-    depth first until one has it, which is exponential in the worst
-    case.
+    common cycle does.  The flow runs uncapped unless a budget is given,
+    and then spends at most 4m units.  With a sign, common cycles are
+    enumerated depth first until one has it, which is exponential in
+    the worst case, so that search always runs against a budget (the
+    default one when none is given).
 
     Returns (cycle, completeness); cycle None with complete True is a
     proof of absence, with complete False just a budget failure.
     """
-    b = budget if budget is not None else SearchBudget()
     if sign is None:
-        return _common_cycle_by_flow(g, e1, e2, b)
+        return _common_cycle_by_flow(g, e1, e2, budget)
+    b = budget if budget is not None else SearchBudget()
     for c in _iter_common_cycles(g, e1, e2, b):
         if sign_product(g, c.edges) == sign:
             return c, True
@@ -183,7 +185,7 @@ def find_common_cycle(
 
 
 def _common_cycle_by_flow(
-    g: SignedGraph, e1: EdgeId, e2: EdgeId, budget: SearchBudget
+    g: SignedGraph, e1: EdgeId, e2: EdgeId, budget: Optional[SearchBudget]
 ) -> tuple[Optional[Cycle], bool]:
     two_cycle, shared, sources, targets = _meeting(g, e1, e2)
     if two_cycle is not None:
@@ -195,7 +197,7 @@ def _common_cycle_by_flow(
         banned_vertices=shared, banned_edges=banned, budget=budget,
     )
     if len(paths) < k:
-        return None, not budget.exhausted
+        return None, budget is None or not budget.exhausted
     return Cycle.from_edge_set(g, banned.union(*(pe for pe, _ in paths))), True
 
 
@@ -319,11 +321,16 @@ def _apply_removed(sl: Slice, pair: tuple[int, int], removed) -> tuple[Slice, tu
     return sub, (idx[sl.eref[pair[0]]], idx[sl.eref[pair[1]]])
 
 
-def _replay_node(sl: Slice, e1: int, e2: int, node: dict) -> None:
+# one node still to replay: its slice, distinguished pair and document
+_Job = tuple[Slice, int, int, dict]
+
+
+def _replay_node(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
+    """Check one node; its children come back as jobs, in document order."""
     kind = node.get("kind")
     if kind == cert.NODE_SPLIT:
-        _replay_split(sl, e1, e2, node)
-    elif kind in (cert.NODE_CASE1, cert.NODE_CASE2, cert.NODE_CASE3):
+        return _replay_split(sl, e1, e2, node)
+    if kind in (cert.NODE_CASE1, cert.NODE_CASE2, cert.NODE_CASE3):
         _replay_case(sl, e1, e2, node)
     elif kind == cert.NODE_ENUM:
         _replay_enum(sl, e1, e2, node)
@@ -338,9 +345,10 @@ def _replay_node(sl: Slice, e1: int, e2: int, node: dict) -> None:
         )
     else:
         raise _Fail(f"unexpected node kind {kind!r}")
+    return []
 
 
-def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> None:
+def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
     part = node.get("part")
     _need(part in (1, 2, 3), f"split: unknown part {part!r}")
     bu, bv = _resolve_verts(sl, node["boundary"], "split boundary")
@@ -359,7 +367,7 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> None:
     sides = {1: side1, 2: side2}
     children = node.get("children") or []
 
-    def child_slice(side: list[int], child: dict, base: Slice) -> tuple[Slice, tuple[int, int]]:
+    def child_job(side: list[int], child: dict, base: Slice) -> _Job:
         # the part checks have pinned each marker's sign; the boundary is
         # two distinct vertices, so markers can be neither loops nor strays
         markers = []
@@ -376,7 +384,10 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> None:
         _need(len(pair) == 2 and pair[0] != pair[1], "child: malformed pair")
         for r in pair:
             _need(r in idx, f"child pair reference {r!r} missing from child")
-        return _apply_removed(sub, (idx[pair[0]], idx[pair[1]]), child.get("removed"))
+        slim, (p1, p2) = _apply_removed(
+            sub, (idx[pair[0]], idx[pair[1]]), child.get("removed")
+        )
+        return slim, p1, p2, child["node"]
 
     if part == 1:
         _need(len(children) == 2, "part 1 needs two children")
@@ -394,10 +405,10 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> None:
             _need(own in set(sides[cnum]), "part 1: child edge on the wrong side")
             real.append(own)
         _need(set(real) == {e1, e2}, "part 1: children do not cover the pair")
-        for cnum, child in enumerate(children, start=1):
-            sub, pair = child_slice(sides[cnum], child, sl)
-            _replay_node(sub, pair[0], pair[1], child["node"])
-        return
+        return [
+            child_job(sides[cnum], child, sl)
+            for cnum, child in enumerate(children, start=1)
+        ]
 
     kept = node.get("kept")
     _need(kept in (1, 2), f"split: bad kept side {kept!r}")
@@ -447,8 +458,7 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> None:
             "part 3: markers must carry both signs",
         )
         base = sl
-    sub, pair = child_slice(keep_side, child, base)
-    _replay_node(sub, pair[0], pair[1], child["node"])
+    return [child_job(keep_side, child, base)]
 
 
 def _leaf_preconditions(sl: Slice, e1: int, e2: int, what: str) -> None:
@@ -533,9 +543,11 @@ def verify_certificate(
     """Independently check a verdict against the graph.
 
     Returns (ok, reason).  Untied verdicts are checked through their
-    witness cycles; tied verdicts by replaying the certificate tree;
-    vacuous verdicts by recomputing the block decomposition.  Never
-    raises on malformed input; the reason names the first failure.
+    witness cycles; tied verdicts by replaying the certificate tree,
+    node by node from a worklist in document order, so that tree depth
+    is bounded by memory and not by the recursion limit; vacuous
+    verdicts by recomputing the block decomposition.  Never raises on
+    malformed input; the reason names the first failure.
     """
     try:
         if isinstance(v, dict):
@@ -586,7 +598,9 @@ def verify_certificate(
             "preprocess: recorded block mismatch",
         )
         idx = sli.edge_index()
-        _replay_node(sli, idx[e1], idx[e2], node["inner"])
+        jobs = [(sli, idx[e1], idx[e2], node["inner"])]
+        while jobs:
+            jobs.extend(reversed(_replay_node(*jobs.pop())))
         return True, "ok"
     except (_Fail, SgError) as exc:
         return False, str(exc)

@@ -1,13 +1,14 @@
-"""Budgeted path searches: depth-first enumeration and disjoint paths.
+"""Path searches: budgeted depth-first enumeration and linear disjoint paths.
 
 iter_paths enumerates simple paths depth first; the balance layer
 (signed path search) and the oracle (exhaustive common-cycle
-enumeration) share it, and it is exponential in the worst case.
-disjoint_paths finds k vertex-disjoint paths between two vertex sets
-by unit-capacity flow in O(k·m); the common-cycle search and the
-decision procedure's witness constructions ask for at most two.
-Everything here is exact and deterministic; the budget only caps how
-much work is done.
+enumeration) share it.  It is exponential in the worst case, so it
+always runs against a budget.  disjoint_paths finds k vertex-disjoint
+paths between two vertex sets by unit-capacity flow in O(k·m); the
+common-cycle search and the decision procedure's witness constructions
+ask for at most two.  A flow runs uncapped unless its caller passes a
+budget.  Everything here is exact and deterministic; a budget only caps
+how much work is done.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ class SearchBudget:
     """Mutable step counter capping path searches.
 
     One unit is charged per adjacency entry a search considers.  The
-    depth-first enumeration may need exponentially many units; a
-    disjoint-path search needs at most 2·k·m.  Once ``spent`` passes
-    ``limit`` the search stops early and the caller must treat its
-    result as incomplete.
+    depth-first enumeration always takes a budget, since it may need
+    exponentially many units; a disjoint-path search takes one only when
+    its caller wants it counted or capped, and then needs at most
+    2·k·m.  Once ``spent`` passes ``limit`` the search stops early and
+    the caller must treat its result as incomplete.
     """
 
     limit: int = DEFAULT_BUDGET
@@ -115,7 +117,7 @@ def disjoint_paths(
     *,
     banned_vertices: frozenset[VertexId] = frozenset(),
     banned_edges: frozenset[EdgeId] = frozenset(),
-    budget: SearchBudget,
+    budget: Optional[SearchBudget] = None,
 ) -> list[Path]:
     """Up to k vertex-disjoint source-to-target paths, as (edges, vertices).
 
@@ -124,13 +126,14 @@ def disjoint_paths(
     breadth-first augmentations over the residual graph.  Each path
     starts at its own source, ends at its own target and shares no
     vertex with another.  By Menger's theorem fewer than k paths come
-    back only when no k such paths exist, or when the budget ran out
+    back only when no k such paths exist, or when a given budget ran out
     (check ``budget.exhausted``).  Each augmentation scans every
-    adjacency list at most once, one budget unit per entry, so a call
-    spends at most 2·k·m.  A path meets the sources only at its start
-    and the targets only at its end, so a path from a source that is
-    also a target has no edges.  Paths are listed in the order of their
-    sources.
+    adjacency list at most once, so a call considers at most 2·k·m
+    entries.  With no budget it neither caps nor counts them; a given
+    budget is charged one unit per entry.  A path meets the sources only
+    at its start and the targets only at its end, so a path from a
+    source that is also a target has no edges.  Paths are listed in the
+    order of their sources.
     """
     srcs = [s for s in dict.fromkeys(sources) if s not in banned_vertices]
     tgts = {t for t in targets if t not in banned_vertices}
@@ -164,12 +167,12 @@ def _augmenting_path(
     succ: _Flow,
     banned_vertices: frozenset[VertexId],
     banned_edges: frozenset[EdgeId],
-    budget: SearchBudget,
+    budget: Optional[SearchBudget],
 ) -> Optional[list[_Arc]]:
     """Breadth-first search of the residual graph for one augmenting path.
 
     Returns its arcs from the target's out node back to the source
-    side, or None when no path exists or the budget ran out.
+    side, or None when no path exists or a given budget ran out.
     """
     back: dict[int, tuple[int, int]] = {}  # node -> (previous node, edge id)
     queue: deque[int] = deque()
@@ -203,7 +206,7 @@ def _augmenting_path(
             for eid, w in g.adjacency[v]:
                 if eid in banned_edges:
                     continue
-                if not budget.charge():
+                if budget is not None and not budget.charge():
                     return None
                 # the flow's edge out of v is full; its edge into v leads
                 # back to w, whose in node v's in node reaches anyway

@@ -175,6 +175,38 @@ def test_cli_certificate_round_trip(tmp_path):
     assert out == "OK\n"
 
 
+def test_cli_calls_in_one_process_share_one_parser(tmp_path, monkeypatch):
+    """The parser is built once per process.  Each call must still print
+    what it prints alone, with no option left over from the call before,
+    and reach a handler wrapped after the parser was built."""
+    cert = str(tmp_path / "cert.json")
+    pair = ("--e1", "2", "--e2", "3")
+    calls = [
+        ("decide", HAT, *pair, "--witness", "--certificate", cert),
+        ("decide", HAT, *pair),
+        ("verify", HAT, cert),
+    ]
+    alone = []
+    for argv in calls:
+        sgties.cli._build_parser.cache_clear()
+        alone.append(run(*argv))
+    assert alone[0][1].startswith("UNTIED\ncycle + ")
+    assert alone[1] == (1, "UNTIED\n", "")
+    assert alone[2] == (0, "OK\n", "")
+    sgties.cli._build_parser.cache_clear()
+    assert [run(*argv) for argv in calls] == alone
+    assert sgties.cli._build_parser.cache_info().misses == 1
+    seen = []
+
+    def wrapped(args):
+        seen.append(args.command)
+        return 0
+
+    monkeypatch.setattr(sgties.cli, "cmd_verify", wrapped)
+    assert run(*calls[2]) == (0, "", "")
+    assert seen == ["verify"]
+
+
 @pytest.mark.parametrize(
     "path, e1, e2", [(K4C3, 4, 5), (HAT, 2, 3)], ids=["tied", "untied"]
 )

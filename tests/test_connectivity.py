@@ -335,7 +335,8 @@ def test_disjoint_paths_reach_the_max_flow_of_the_split_graph():
     paths are genuine, start at distinct sources, end at distinct
     targets, meet no other source or target and share no vertex.  A
     source that is also a target may stand as a path of its own.  With
-    k = 3 the later augmentations often have to reroute earlier paths."""
+    k = 3 the later augmentations often have to reroute earlier paths.
+    With no budget the flow runs uncapped and finds the same paths."""
     rng = random.Random(5)
     full = overlap = 0
     for i in range(1500):
@@ -353,6 +354,8 @@ def test_disjoint_paths_reach_the_max_flow_of_the_split_graph():
             g, srcs, tgts, k, banned_vertices=bv, banned_edges=be, budget=b
         )
         assert b.spent <= 2 * k * g.m
+        uncapped = disjoint_paths(g, srcs, tgts, k, banned_vertices=bv, banned_edges=be)
+        assert uncapped == paths
         seen = set()
         for edges, verts in paths:
             assert verts[0] in srcs and verts[-1] in tgts

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -165,6 +166,24 @@ def test_unsigned_common_cycle_spends_a_linear_budget(rungs):
     assert b.spent <= 4 * g.m
 
 
+def test_unsigned_common_cycle_without_a_budget_charges_none(monkeypatch):
+    """The flow runs uncapped unless its caller passes a budget, so no
+    default cap can make the linear construction give up."""
+
+    def charge(self, amount=1):
+        raise AssertionError("an unbudgeted flow charged a budget")
+
+    monkeypatch.setattr(SearchBudget, "charge", charge)
+    for rungs in (10, 80):
+        g, e1, e2 = ladder(rungs, rungs)
+        c, done = find_common_cycle(g, e1, e2)
+        assert done and len(c.edges) == 2 * rungs
+        c, done = find_common_cycle(g, 0, rungs)  # a rung and a rail edge
+        assert done and c is not None
+    # edges of two blocks meeting at a cut vertex: absence, proven
+    assert find_common_cycle(helpers.two_triangles_shared_vertex(), 0, 4) == (None, True)
+
+
 def test_oracle_tied_kinds():
     assert oracle_tied(helpers.k4(), 0, 5).kind == KIND_TIED
     hat = build_hat()
@@ -252,6 +271,20 @@ def test_verify_accepts_dict_or_verdict():
     v = decide_tied(g, 0, 5)
     assert verify_certificate(g, 0, 5, v)[0]
     assert verify_certificate(g, 0, 5, verdict_to_doc(v, 0, 5))[0]
+
+
+def test_verify_replays_a_deep_certificate_at_the_default_recursion_limit():
+    """A 250-rung ladder nests 496 part-1 splits.  Deciding it needs a
+    raised recursion limit; replaying its document walks a worklist and
+    needs none."""
+    g, e1, e2 = ladder(250, 0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verify_certificate(g, e1, e2, doc) == (True, "ok")
 
 
 # --- rejection reasons ----------------------------------------------------
