@@ -65,7 +65,6 @@ from .decide import (
     ReductionTree,
     check_leaf,
     decide_tied,
-    lift_witness,
     lovasz_three_edges,
     reduce,
 )

@@ -29,7 +29,7 @@ Node kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import Cycle, EdgeId, Ref, Sign
 from .errors import BadParams
@@ -77,12 +77,8 @@ class Verdict:
         return self.kind in (KIND_TIED, KIND_VACUOUS)
 
 
-def cycle_doc(edges: list[Ref], vertices: list[int]) -> dict:
+def cycle_doc(edges: Sequence[Ref], vertices: Sequence[int]) -> dict:
     return {"edges": list(edges), "vertices": list(vertices)}
-
-
-def cycle_to_doc(c: Cycle) -> dict:
-    return {"edges": list(c.edges), "vertices": list(c.vertices)}
 
 
 def parallel_pair_node(sign: Sign) -> dict:
@@ -184,7 +180,7 @@ def verdict_to_doc(v: Verdict, e1: EdgeId, e2: EdgeId) -> dict:
         "e1": e1,
         "e2": e2,
         "common_sign": v.common_sign,
-        "witness": [cycle_to_doc(c) for c in v.witness],
+        "witness": [cycle_doc(c.edges, c.vertices) for c in v.witness],
         "certificate": v.certificate,
     }
     if v.reason is not None:

@@ -85,9 +85,6 @@ class SignedGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edge(self, e: EdgeId) -> Edge:
         if not 0 <= e < len(self.edges):
             raise BadEdge(f"edge id {e} out of range 0..{len(self.edges) - 1}")

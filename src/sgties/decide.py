@@ -74,7 +74,6 @@ from .core import (
     switch,
 )
 from .errors import (
-    BadParams,
     NotTwoConnected,
     PreconditionViolated,
     SameEdge,
@@ -95,12 +94,21 @@ class ReductionLeaf:
     e2: EdgeId
 
 
+# a marker edge: (name, u, v, sign), its ends in a slice's local ids
+_Marker = tuple[str, VertexId, VertexId, Sign]
+
+
 @dataclass(frozen=True)
 class ChildSpec:
-    """One child subproblem of a split, in certificate reference space."""
+    """One child subproblem of a split.
+
+    ``pair_refs`` and ``removed`` are certificate references; ``markers``
+    are the ``(name, u, v, sign)`` edges the child's slice was built
+    with, their ends in the parent slice's local vertex ids.
+    """
 
     pair_refs: tuple[Ref, Ref]
-    markers: tuple[dict, ...]  # {"name","u","v","sign"} docs
+    markers: tuple[_Marker, ...]
     removed: tuple[Ref, ...]  # parallel-to-pair edges dropped from the child
     node: "ReductionTree"
 
@@ -114,7 +122,8 @@ class ReductionSplit:
     and is replaced (after a whole-graph switch making it all-positive)
     by one positive marker.  part 3: the far side is unbalanced and is
     replaced by a positive and a negative marker.  ``discard`` keeps the
-    replaced side (switched, for part 2) so witnesses can be lifted.
+    replaced side (switched, for part 2) so witnesses can be lifted, and
+    ``neg_cycle`` is the part-3 side's negative cycle in its local ids.
     """
 
     sl: Slice
@@ -127,7 +136,7 @@ class ReductionSplit:
     children: tuple[ChildSpec, ...]
     kept: Optional[int] = None  # parts 2/3: 1 or 2
     resign: Optional[tuple[VertexId, ...]] = None  # part 2: local switch set
-    neg_cycle_doc: Optional[dict] = None  # part 3: reference-space cycle doc
+    neg_cycle: Optional[Cycle] = None  # part 3: in discard's local ids
     discard: Optional[Slice] = None
 
 
@@ -228,7 +237,7 @@ def _make_child(
     sl: Slice,
     side: tuple[int, ...],
     pair: tuple[Ref, Ref],
-    markers: tuple[tuple[str, int, int, Sign], ...],
+    markers: tuple[_Marker, ...],
     names: Iterator[int],
 ) -> ChildSpec:
     """Build one child slice, normalize it, and recurse.
@@ -239,15 +248,11 @@ def _make_child(
     sub = sl.sub(side, markers)
     idx = sub.edge_index()
     slim, p1, p2, removed = _normalize_child(sub, idx[pair[0]], idx[pair[1]])
-    node = _reduce(slim, p1, p2, names)
-    marker_docs = tuple(
-        cert.marker_doc(name, sl.vref[u], sl.vref[v], s) for name, u, v, s in markers
-    )
     return ChildSpec(
         pair_refs=(slim.eref[p1], slim.eref[p2]),
-        markers=marker_docs,
+        markers=markers,
         removed=removed,
-        node=node,
+        node=_reduce(slim, p1, p2, names),
     )
 
 
@@ -304,17 +309,12 @@ def _split_part23(
         resign = tuple(sorted(vidx[drop.vref[v]] for v in bal.switch))
         work = Slice(switch(sl.g, set(resign)), sl.eref, sl.vref)
         discard = Slice(switch(drop.g, bal.switch), drop.eref, drop.vref)
-        part, doc = 2, None
+        part = 2
         signs = (POSITIVE,)
     else:
         # part 3: the far side holds a negative cycle, so a positive and a
         # negative marker stand in for it
-        nc = bal.negative_cycle
-        assert nc is not None
         work, part, discard, resign = sl, 3, drop, None
-        doc = cert.cycle_doc(
-            [drop.eref[i] for i in nc.edges], [drop.vref[x] for x in nc.vertices]
-        )
         signs = (POSITIVE, NEGATIVE)
     markers = tuple((f"m{next(names)}", bu, bv, s) for s in signs)
     child = _make_child(work, sides[kept], (sl.eref[e1], sl.eref[e2]), markers, names)
@@ -329,7 +329,7 @@ def _split_part23(
         children=(child,),
         kept=kept,
         resign=resign,
-        neg_cycle_doc=doc,
+        neg_cycle=bal.negative_cycle,
         discard=discard,
     )
 
@@ -464,9 +464,20 @@ def _evaluate(tree: ReductionTree) -> Union[dict, tuple[ReductionLeaf, _Ancestry
 def _split_doc(tree: ReductionSplit, child_nodes: list[dict]) -> dict:
     sl = tree.sl
     children = [
-        cert.child_doc(spec.pair_refs, list(spec.markers), spec.removed, node)
+        cert.child_doc(
+            spec.pair_refs,
+            [cert.marker_doc(n, sl.vref[u], sl.vref[v], s) for n, u, v, s in spec.markers],
+            spec.removed,
+            node,
+        )
         for spec, node in zip(tree.children, child_nodes)
     ]
+    nc, d = tree.neg_cycle, tree.discard
+    nc_doc = None
+    if nc is not None and d is not None:
+        nc_doc = cert.cycle_doc(
+            [d.eref[i] for i in nc.edges], [d.vref[x] for x in nc.vertices]
+        )
     return cert.split_node(
         tree.part,
         (sl.vref[tree.boundary[0]], sl.vref[tree.boundary[1]]),
@@ -475,7 +486,7 @@ def _split_doc(tree: ReductionSplit, child_nodes: list[dict]) -> dict:
         children,
         kept=tree.kept,
         switch=[sl.vref[v] for v in tree.resign] if tree.resign is not None else None,
-        neg_cycle=tree.neg_cycle_doc,
+        neg_cycle=nc_doc,
     )
 
 
@@ -662,34 +673,32 @@ def _leaf_untied_witness(sl: Slice, e1: int, e2: int) -> _Witness:
     return _refs(sl, c.edges), _refs(h, d.edges)
 
 
-def _marker_path(split: ReductionSplit, md: dict) -> frozenset[Ref]:
+def _marker_path(split: ReductionSplit, marker: _Marker) -> frozenset[Ref]:
     """A boundary path of the marker's sign inside the discarded side.
 
-    The path is searched in a piece whose only boundary path has the
-    sign, or which holds exactly two, of opposite signs.  Part 2: the
-    side is all-positive after its switch, so the piece is one BFS path.
-    Part 3: the piece is the fan from the boundary to the recorded
-    negative cycle; the side plus a boundary edge is 2-connected, so it
-    exists.
+    ``marker`` is one of the kept child's ``(name, u, v, sign)`` tuples,
+    its ends in the split slice's local ids.  The path is searched in a
+    piece whose only boundary path has the sign, or which holds exactly
+    two, of opposite signs.  Part 2: the side is all-positive after its
+    switch, so the piece is one BFS path.  Part 3: the piece is the fan
+    from the boundary to the side's ``neg_cycle``; the side plus a
+    boundary edge is 2-connected, so it exists.
     """
+    _, u, v, sign = marker
+    ru, rv = split.sl.vref[u], split.sl.vref[v]
     discard = split.discard
     assert discard is not None
     vidx = discard.vert_index()
-    ends = (vidx[md["u"]], vidx[md["v"]])
+    ends = (vidx[ru], vidx[rv])
     if split.part == 2:
         ((piece, _),) = disjoint_paths(discard.g, ends[:1], ends[1:], 1)
     else:
-        nc = split.neg_cycle_doc
-        assert nc is not None
-        eidx = discard.edge_index()
-        d = Cycle(
-            tuple(eidx[r] for r in nc["edges"]), tuple(vidx[x] for x in nc["vertices"])
-        )
-        piece = _fan(discard.g, ends, d)
+        assert split.neg_cycle is not None
+        piece = _fan(discard.g, ends, split.neg_cycle)
         assert piece is not None, "replaced side has no fan from its boundary"
     h = discard.sub(sorted(piece))
     hidx = h.vert_index()
-    res = find_signed_path(h.g, hidx[md["u"]], hidx[md["v"]], md["sign"])
+    res = find_signed_path(h.g, hidx[ru], hidx[rv], sign)
     assert res.path is not None, "replaced side lacks a boundary path of the marker sign"
     return _refs(h, res.path.edges)
 
@@ -699,11 +708,11 @@ def _lift_part23(split: ReductionSplit, w: _Witness) -> _Witness:
     paths: dict[str, frozenset[Ref]] = {}
     lifted = []
     for refs in w:
-        for md in split.children[0].markers:
-            name = md["name"]
+        for marker in split.children[0].markers:
+            name = marker[0]
             if name in refs:
                 if name not in paths:
-                    paths[name] = _marker_path(split, md)
+                    paths[name] = _marker_path(split, marker)
                 refs = (refs - {name}) | paths[name]
         lifted.append(refs)
     return lifted[0], lifted[1]
@@ -714,8 +723,9 @@ def _lift_part1(split: ReductionSplit, child_idx: int, w: _Witness) -> _Witness:
     sib = sib_spec.node
     c2, _ = find_common_cycle(sib.sl.g, sib.e1, sib.e2)
     assert c2 is not None, "2-connected sibling lacks a common cycle"
-    path = _refs(sib.sl, c2.edges) - {sib_spec.markers[0]["name"]}
-    own_marker = split.children[child_idx].markers[0]["name"]
+    ((sib_marker, *_),) = sib_spec.markers
+    ((own_marker, *_),) = split.children[child_idx].markers
+    path = _refs(sib.sl, c2.edges) - {sib_marker}
     return (w[0] - {own_marker}) | path, (w[1] - {own_marker}) | path
 
 
@@ -729,59 +739,12 @@ def _lift_up(ancestry: _Ancestry, w: _Witness) -> _Witness:
     return w
 
 
-def lift_witness(
-    tree: ReductionTree, leaf_witness: tuple[Cycle, Cycle]
-) -> tuple[Cycle, Cycle]:
-    """Lift a leaf's opposite-sign cycle pair to the tree's root graph.
-
-    The witness cycles are given in the local edge ids of the leaf they
-    were found at (for a single-leaf tree this is the root graph
-    itself, and lifting is the identity).  Returns the pair ordered
-    (positive, negative) in the root graph's local ids.  The cycles are
-    lifted as edge sets, as decide lifts its own witnesses, and ordered
-    once at the root.  Each split on the way up costs linear time: a
-    sibling's common cycle at a part-1 split is built by flow, a marker
-    path at a part-2/3 split in a fan.
-    """
-    leaf, ancestry = _locate_leaf(tree, leaf_witness)
-    w = (_refs(leaf.sl, leaf_witness[0].edges), _refs(leaf.sl, leaf_witness[1].edges))
-    return _finalize_pair(tree.sl, _lift_up(ancestry, w))
-
-
-def _locate_leaf(
-    tree: ReductionTree, witness: tuple[Cycle, Cycle]
-) -> tuple[ReductionLeaf, _Ancestry]:
-    stack: list[tuple[ReductionTree, _Ancestry]] = [(tree, ())]
-    while stack:
-        node, anc = stack.pop()
-        if isinstance(node, ReductionLeaf):
-            if all(_valid_witness_at(node, c) for c in witness):
-                return node, anc
-            continue
-        for i in reversed(range(len(node.children))):
-            stack.append((node.children[i].node, anc + ((node, i),)))
-    raise BadParams("witness cycles match no leaf of this tree")
-
-
-def _valid_witness_at(leaf: ReductionLeaf, c: Cycle) -> bool:
-    try:
-        rebuilt = Cycle.from_edges(leaf.sl.g, c.edges)
-    except Exception:
-        return False
-    return (
-        set(rebuilt.vertices) == set(c.vertices)
-        and leaf.e1 in c.edges
-        and leaf.e2 in c.edges
-    )
-
-
 def _finalize_pair(root: Slice, witness: _Witness) -> tuple[Cycle, Cycle]:
     idx = root.edge_index()
     out = [Cycle.from_edge_set(root.g, (idx[r] for r in refs)) for refs in witness]
     s0 = sign_product(root.g, out[0].edges)
     s1 = sign_product(root.g, out[1].edges)
-    if {s0, s1} != {POSITIVE, NEGATIVE}:
-        raise BadParams("witness cycles are not an opposite-sign pair")
+    assert {s0, s1} == {POSITIVE, NEGATIVE}, "lifted witnesses share a sign"
     if s0 == NEGATIVE:
         out.reverse()
     return out[0], out[1]

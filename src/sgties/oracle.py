@@ -40,11 +40,9 @@ from .core import (
     switch,
 )
 from .errors import BudgetExhausted, SameEdge, SgError
-from .search import DEFAULT_BUDGET, SearchBudget, disjoint_paths, iter_paths
+from .search import SearchBudget, disjoint_paths, iter_paths
 
 __all__ = [
-    "DEFAULT_BUDGET",
-    "SearchBudget",
     "CommonCycleReport",
     "enumerate_common_cycles",
     "find_common_cycle",
@@ -392,6 +390,7 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
     if part == 1:
         _need(len(children) == 2, "part 1 needs two children")
         real = []
+        eidx = sl.edge_index()
         for cnum, child in enumerate(children, start=1):
             markers = child.get("markers") or []
             _need(len(markers) == 1, "part 1: each child carries one marker")
@@ -399,7 +398,6 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
             pair = child.get("pair") or []
             _need(len(pair) == 2, "child: malformed pair")
             _need(pair[1] == markers[0]["name"], "part 1: pair must end with the marker")
-            eidx = sl.edge_index()
             _need(pair[0] in eidx, f"part 1: unknown child edge {pair[0]!r}")
             own = eidx[pair[0]]
             _need(own in set(sides[cnum]), "part 1: child edge on the wrong side")

@@ -29,12 +29,10 @@ from sgties import (
     decide_tied,
     delete_edges,
     enumerate_common_cycles,
-    find_common_cycle,
     find_signed_path,
     is_2_connected,
     is_3_connected,
     ladder,
-    lift_witness,
     lovasz_three_edges,
     oracle_tied,
     parallel_class,
@@ -182,9 +180,9 @@ def test_part23_lift_searches_each_marker_path_once(monkeypatch, args, pair, sea
     calls = []
     original = sgties.decide._marker_path
 
-    def counting(split, md):
-        calls.append((id(split), md["name"]))
-        return original(split, md)
+    def counting(split, marker):
+        calls.append((id(split), marker[0]))
+        return original(split, marker)
 
     monkeypatch.setattr(sgties.decide, "_marker_path", counting)
     g = random_signed_graph(*args)
@@ -324,9 +322,9 @@ def test_reduce_two_k4_part1():
     assert pairs == [(4, "m0"), (9, "m1")]
     for ch in tree.children:
         assert isinstance(ch.node, ReductionLeaf)
-        (mk,) = ch.markers
-        assert mk["sign"] == 1
-        assert {mk["u"], mk["v"]} == {0, 1}
+        ((_, u, v, sign),) = ch.markers
+        assert sign == 1
+        assert {tree.sl.vref[u], tree.sl.vref[v]} == {0, 1}
         assert ch.removed == ()
 
 
@@ -336,10 +334,10 @@ def test_reduce_part2_balanced_far_side():
     assert tree.part == 2
     assert tree.kept in (1, 2)
     assert tree.resign == ()  # far side already all positive
-    assert tree.neg_cycle_doc is None
+    assert tree.neg_cycle is None
     (ch,) = tree.children
-    (mk,) = ch.markers
-    assert mk["sign"] == 1
+    ((_, _, _, sign),) = ch.markers
+    assert sign == 1
 
 
 def test_reduce_part3_unbalanced_far_side():
@@ -348,9 +346,9 @@ def test_reduce_part3_unbalanced_far_side():
     g = helpers.two_k4_on_boundary(signs)
     tree = reduce(g, 4, 0)
     assert tree.part == 3
-    assert tree.neg_cycle_doc is not None
+    assert tree.neg_cycle is not None
     (ch,) = tree.children
-    assert sorted(mk["sign"] for mk in ch.markers) == [-1, 1]
+    assert sorted(sign for _, _, _, sign in ch.markers) == [-1, 1]
     assert isinstance(ch.node, ReductionLeaf)
 
 
@@ -398,10 +396,10 @@ def test_reduce_leaves_above_small_leaf_are_3_connected():
             if node.part == 1:
                 continue
             vidx = node.discard.vert_index()
-            for md in node.children[0].markers:
+            for _, u, v, sign in node.children[0].markers:
                 replaced += 1
                 res = find_signed_path(
-                    node.discard.g, vidx[md["u"]], vidx[md["v"]], md["sign"]
+                    node.discard.g, vidx[node.sl.vref[u]], vidx[node.sl.vref[v]], sign
                 )
                 assert res.complete and res.path is not None
     assert big > 20
@@ -497,7 +495,7 @@ def test_reduce_marker_names_are_fresh_per_call():
     g = helpers.two_k4_on_boundary()
     t1 = reduce(g, 4, 9)
     t2 = reduce(g, 4, 9)
-    names = lambda t: [mk["name"] for ch in t.children for mk in ch.markers]
+    names = lambda t: [mk[0] for ch in t.children for mk in ch.markers]
     assert names(t1) == names(t2) == ["m0", "m1"]
 
 
@@ -559,35 +557,23 @@ def test_check_leaf_requires_3_connected():
 # --- witness lifting ----------------------------------------------------------
 
 
-def test_lift_witness_identity_on_a_leaf():
-    g = helpers.k4([1, -1, 1, 1, 1, 1])
-    tree = reduce(g, 0, 5)
-    pos, _ = find_common_cycle(g, 0, 5, sign=1)
-    neg, _ = find_common_cycle(g, 0, 5, sign=-1)
-    p, n = lift_witness(tree, (neg, pos))  # order does not matter going in
-    assert cycle_sign(g, p) == 1
-    assert cycle_sign(g, n) == -1
-    assert {frozenset(p.edges), frozenset(n.edges)} == {
-        frozenset(pos.edges),
-        frozenset(neg.edges),
-    }
-
-
 def test_lift_witness_through_part1_split():
+    """The left child of a part-1 root is untied; decide lifts its leaf
+    witnesses through the split, splicing in the sibling's common cycle
+    for the marker."""
     signs = [1] * 10
     signs[0] = -1  # makes the left child untied
     g = helpers.two_k4_on_boundary(signs)
     tree = reduce(g, 4, 9)
     assert isinstance(tree, ReductionSplit)
-    child = next(ch for ch in tree.children if ch.pair_refs[0] == 4)
-    leaf = child.node
-    pos, _ = find_common_cycle(leaf.sl.g, leaf.e1, leaf.e2, sign=1)
-    neg, _ = find_common_cycle(leaf.sl.g, leaf.e1, leaf.e2, sign=-1)
-    assert pos is not None and neg is not None
-    p, n = lift_witness(tree, (pos, neg))
+    assert tree.part == 1
+    v = decide_tied(g, 4, 9)
+    assert v.kind == KIND_UNTIED
+    p, n = v.witness
     for c, want in ((p, 1), (n, -1)):
         assert cycle_sign(g, c) == want
         assert 4 in c and 9 in c
+    assert verify_certificate(g, 4, 9, v)[0]
 
 
 # --- three edges --------------------------------------------------------------
