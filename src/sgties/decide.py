@@ -121,9 +121,12 @@ class ReductionSplit:
     one side plus a positive marker.  part 2: the far side is balanced
     and is replaced (after a whole-graph switch making it all-positive)
     by one positive marker.  part 3: the far side is unbalanced and is
-    replaced by a positive and a negative marker.  ``discard`` keeps the
-    replaced side (switched, for part 2) so witnesses can be lifted, and
-    ``neg_cycle`` is the part-3 side's negative cycle in its local ids.
+    replaced by a positive and a negative marker.  ``kept`` comes from
+    ``_reduce``; ``resign``, ``neg_cycle`` and ``discard`` are
+    ``_split_part23``'s decision on the far side, all None in part 1.
+    ``discard`` keeps the replaced side (switched, for part 2) so
+    witnesses can be lifted, and ``neg_cycle`` is the part-3 side's
+    negative cycle in its local ids.
     """
 
     sl: Slice
@@ -192,6 +195,13 @@ def _check_pair(g: SignedGraph, e1: EdgeId, e2: EdgeId) -> None:
 
 
 def _reduce(sl: Slice, e1: int, e2: int, names: Iterator[int]) -> ReductionTree:
+    """Reduce a slice at its first proper 2-separation, or stop at a leaf.
+
+    A split plans its children as (side, head of the pair), all cut from
+    one base slice with markers of the same signs: ``sl`` and one
+    positive marker in part 1, ``_split_part23``'s choice in parts 2/3.
+    Each child's marker names are drawn just before its recursion.
+    """
     # sl is 2-connected: reduce checks its input, _block_tree passes a
     # block, and a side plus its markers, less the edges parallel to the
     # pair, stays 2-connected; so the separation search skips that proof
@@ -210,14 +220,27 @@ def _reduce(sl: Slice, e1: int, e2: int, names: Iterator[int]) -> ReductionTree:
             want = s1 if other in s1 else s2
             (s1 if own in s1 else s2).discard(own)
             want.add(own)
-    side1 = tuple(sorted(s1))
-    side2 = tuple(sorted(s2))
-    sides = {1: side1, 2: side2}
-    in1 = (e1 in s1, e2 in s1)
-    if in1[0] != in1[1]:
-        return _split_part1(sl, e1, e2, (bu, bv), sides, names)
-    kept = 1 if in1[0] else 2
-    return _split_part23(sl, e1, e2, (bu, bv), sides, kept, names)
+    sides = {1: tuple(sorted(s1)), 2: tuple(sorted(s2))}
+    kept = None
+    if (e1 in s1) != (e2 in s1):
+        # part 1: each side keeps its own distinguished edge, paired with
+        # a positive marker that stands in for the other side
+        part, base, signs, resign, neg_cycle, discard = 1, sl, (POSITIVE,), None, None, None
+        head1, head2 = (e1, e2) if e1 in s1 else (e2, e1)
+        plan = ((1, head1), (2, head2))
+    else:
+        kept = 1 if e1 in s1 else 2
+        part, base, signs, resign, neg_cycle, discard = _split_part23(sl, sides[3 - kept])
+        plan = ((kept, e1),)
+    children = []
+    for snum, head in plan:
+        markers = tuple((f"m{next(names)}", bu, bv, s) for s in signs)
+        tail = markers[0][0] if part == 1 else sl.eref[e2]
+        children.append(_make_child(base, sides[snum], (sl.eref[head], tail), markers, names))
+    return ReductionSplit(
+        sl, e1, e2, part, (bu, bv), sides[1], sides[2], tuple(children),
+        kept, resign, neg_cycle, discard,
+    )
 
 
 def _normalize_child(
@@ -243,95 +266,44 @@ def _make_child(
     """Build one child slice, normalize it, and recurse.
 
     ``pair`` names the child's distinguished edges by reference: an
-    original edge id or one of the new markers.
+    original edge id or one of the new markers.  Normalization drops
+    only edges parallel to the pair, never the pair itself.
     """
     sub = sl.sub(side, markers)
     idx = sub.edge_index()
     slim, p1, p2, removed = _normalize_child(sub, idx[pair[0]], idx[pair[1]])
     return ChildSpec(
-        pair_refs=(slim.eref[p1], slim.eref[p2]),
+        pair_refs=pair,
         markers=markers,
         removed=removed,
         node=_reduce(slim, p1, p2, names),
     )
 
 
-def _split_part1(
-    sl: Slice,
-    e1: int,
-    e2: int,
-    boundary: tuple[int, int],
-    sides: dict[int, tuple[int, ...]],
-    names: Iterator[int],
-) -> ReductionSplit:
-    bu, bv = boundary
-    children = []
-    for snum in (1, 2):
-        own = e1 if e1 in sides[snum] else e2
-        name = f"m{next(names)}"
-        children.append(
-            _make_child(
-                sl,
-                sides[snum],
-                (sl.eref[own], name),
-                ((name, bu, bv, POSITIVE),),
-                names,
-            )
-        )
-    return ReductionSplit(
-        sl=sl,
-        e1=e1,
-        e2=e2,
-        part=1,
-        boundary=boundary,
-        side1=sides[1],
-        side2=sides[2],
-        children=tuple(children),
-    )
+def _split_part23(sl: Slice, far: tuple[int, ...]) -> tuple[
+    int, Slice, tuple[Sign, ...], Optional[tuple[VertexId, ...]], Optional[Cycle], Slice
+]:
+    """How the far side of a split, the one without the pair, is replaced.
 
-
-def _split_part23(
-    sl: Slice,
-    e1: int,
-    e2: int,
-    boundary: tuple[int, int],
-    sides: dict[int, tuple[int, ...]],
-    kept: int,
-    names: Iterator[int],
-) -> ReductionSplit:
-    bu, bv = boundary
-    drop = sl.sub(sides[3 - kept])
+    Returns ``(part, base, signs, resign, neg_cycle, discard)``: the
+    part, the slice the kept side is cut from, the signs of the markers
+    that stand in for the far side, the part-2 switch set (local ids of
+    ``sl``), the part-3 negative cycle (in ``discard``'s ids) and the
+    far side itself, switched for part 2, kept for lifting.
+    """
+    drop = sl.sub(far)
     bal = is_balanced(drop.g)
-    if bal.balanced:
-        # part 2: switch the whole graph so the far side is all-positive,
-        # then stand it in with a single positive marker
-        vidx = sl.vert_index()
-        resign = tuple(sorted(vidx[drop.vref[v]] for v in bal.switch))
-        work = Slice(switch(sl.g, set(resign)), sl.eref, sl.vref)
-        discard = Slice(switch(drop.g, bal.switch), drop.eref, drop.vref)
-        part = 2
-        signs = (POSITIVE,)
-    else:
+    if not bal.balanced:
         # part 3: the far side holds a negative cycle, so a positive and a
         # negative marker stand in for it
-        work, part, discard, resign = sl, 3, drop, None
-        signs = (POSITIVE, NEGATIVE)
-    markers = tuple((f"m{next(names)}", bu, bv, s) for s in signs)
-    child = _make_child(work, sides[kept], (sl.eref[e1], sl.eref[e2]), markers, names)
-    return ReductionSplit(
-        sl=sl,
-        e1=e1,
-        e2=e2,
-        part=part,
-        boundary=boundary,
-        side1=sides[1],
-        side2=sides[2],
-        children=(child,),
-        kept=kept,
-        resign=resign,
-        neg_cycle=bal.negative_cycle,
-        discard=discard,
-    )
+        return 3, sl, (POSITIVE, NEGATIVE), None, bal.negative_cycle, drop
+    # part 2: switch the whole graph so the far side is all-positive,
+    # then stand it in with a single positive marker
+    vidx = sl.vert_index()
+    resign = tuple(sorted(vidx[drop.vref[v]] for v in bal.switch))
+    work = Slice(switch(sl.g, set(resign)), sl.eref, sl.vref)
+    discard = Slice(switch(drop.g, bal.switch), drop.eref, drop.vref)
+    return 2, work, (POSITIVE,), resign, None, discard
 
 
 # --- leaf checks ----------------------------------------------------------

@@ -297,20 +297,16 @@ def _switched_positive(
         _need(s == POSITIVE, f"{what}: signing violated at edge {eid}")
 
 
-def _endpoint_refs(sl: Slice, eid: int) -> frozenset[int]:
-    return frozenset(sl.vref[x] for x in sl.g.endpoints(eid))
-
-
 def _apply_removed(sl: Slice, pair: tuple[int, int], removed) -> tuple[Slice, tuple[int, int]]:
     """Drop recorded parallel-to-pair edges from a slice."""
     if not removed:
         return sl, pair
     ids = _resolve_edges(sl, removed, "removed")
-    pair_ends = {_endpoint_refs(sl, pair[0]), _endpoint_refs(sl, pair[1])}
+    pair_ends = {sl.g.endpoints(pair[0]), sl.g.endpoints(pair[1])}
     for eid in ids:
         _need(eid not in pair, "removed: lists a distinguished edge")
         _need(
-            _endpoint_refs(sl, eid) in pair_ends,
+            sl.g.endpoints(eid) in pair_ends,
             f"removed: edge {sl.eref[eid]!r} is not parallel to the pair",
         )
     drop = set(ids)
@@ -347,6 +343,13 @@ def _replay_node(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
 
 
 def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
+    """Check a split node; its children come back as jobs.
+
+    Each part plans its children as (side, base slice, sorted marker
+    signs): part 1 both sides of ``sl``, part 2 the kept side of ``sl``
+    after the recorded switch, part 3 the kept side of ``sl``.  One loop
+    cuts every child out of its base, the one place a side is cut out.
+    """
     part = node.get("part")
     _need(part in (1, 2, 3), f"split: unknown part {part!r}")
     bu, bv = _resolve_verts(sl, node["boundary"], "split boundary")
@@ -364,12 +367,60 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
     _need(v1 - {bu, bv} and v2 - {bu, bv}, "split: separation is not proper")
     sides = {1: side1, 2: side2}
     children = node.get("children") or []
-
-    def child_job(side: list[int], child: dict, base: Slice) -> _Job:
-        # the part checks have pinned each marker's sign; the boundary is
-        # two distinct vertices, so markers can be neither loops nor strays
+    if part == 1:
+        _need(len(children) == 2, "part 1 needs two children")
+        plan = [(side1, sl, [POSITIVE]), (side2, sl, [POSITIVE])]
+    else:
+        kept = node.get("kept")
+        _need(kept in (1, 2), f"split: bad kept side {kept!r}")
+        keep_side = sides[kept]
+        drop_side = sides[3 - kept]
+        _need(
+            e1 in set(keep_side) and e2 in set(keep_side),
+            "split: kept side must contain both distinguished edges",
+        )
+        _need(len(children) == 1, "parts 2 and 3 take a single child")
+        _need(
+            (children[0].get("pair") or []) == [sl.eref[e1], sl.eref[e2]],
+            "split: child pair must repeat the distinguished pair",
+        )
+        if part == 2:
+            raw = node.get("switch")
+            _need(isinstance(raw, list), "part 2: missing resign switch")
+            switch_local = set(_resolve_verts(sl, raw, "resign switch"))
+            h = switch(sl.g, switch_local)
+            for eid in drop_side:
+                _need(
+                    h.sign(eid) == POSITIVE,
+                    "part 2: discarded side is not all-positive after the switch",
+                )
+            plan = [(keep_side, Slice(h, sl.eref, sl.vref), [POSITIVE])]
+        else:
+            nc = node.get("neg_cycle")
+            _need(isinstance(nc, dict), "part 3: missing negative cycle")
+            ids = _resolve_edges(sl, nc.get("edges") or [], "neg_cycle")
+            _need(set(ids) <= set(drop_side), "part 3: cycle leaves the discarded side")
+            cyc = Cycle.from_edge_set(sl.g, frozenset(ids))
+            _need(
+                sign_product(sl.g, cyc.edges) == NEGATIVE,
+                "part 3: recorded cycle is not negative",
+            )
+            _need(
+                {sl.vref[x] for x in cyc.vertices} == set(nc.get("vertices") or []),
+                "part 3: cycle vertices mismatch",
+            )
+            plan = [(keep_side, sl, [NEGATIVE, POSITIVE])]
+    jobs, heads = [], set()
+    for (side, base, signs), child in zip(plan, children):
+        mds = child.get("markers") or []
+        _need(
+            sorted(md["sign"] for md in mds) == signs,
+            f"part {part}: child markers must carry the signs {signs}",
+        )
+        # the boundary is two distinct vertices, so markers can be
+        # neither loops nor strays
         markers = []
-        for md in child.get("markers") or []:
+        for md in mds:
             _need(
                 {md["u"], md["v"]} == {sl.vref[bu], sl.vref[bv]},
                 "marker endpoints differ from the split boundary",
@@ -380,83 +431,18 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
         idx = sub.edge_index()
         pair = child.get("pair") or []
         _need(len(pair) == 2 and pair[0] != pair[1], "child: malformed pair")
+        if part == 1:
+            _need(pair[1] == mds[0]["name"], "part 1: pair must end with the marker")
+            heads.add(pair[0])
         for r in pair:
             _need(r in idx, f"child pair reference {r!r} missing from child")
         slim, (p1, p2) = _apply_removed(
             sub, (idx[pair[0]], idx[pair[1]]), child.get("removed")
         )
-        return slim, p1, p2, child["node"]
-
+        jobs.append((slim, p1, p2, child["node"]))
     if part == 1:
-        _need(len(children) == 2, "part 1 needs two children")
-        real = []
-        eidx = sl.edge_index()
-        for cnum, child in enumerate(children, start=1):
-            markers = child.get("markers") or []
-            _need(len(markers) == 1, "part 1: each child carries one marker")
-            _need(markers[0]["sign"] == POSITIVE, "part 1: marker must be positive")
-            pair = child.get("pair") or []
-            _need(len(pair) == 2, "child: malformed pair")
-            _need(pair[1] == markers[0]["name"], "part 1: pair must end with the marker")
-            _need(pair[0] in eidx, f"part 1: unknown child edge {pair[0]!r}")
-            own = eidx[pair[0]]
-            _need(own in set(sides[cnum]), "part 1: child edge on the wrong side")
-            real.append(own)
-        _need(set(real) == {e1, e2}, "part 1: children do not cover the pair")
-        return [
-            child_job(sides[cnum], child, sl)
-            for cnum, child in enumerate(children, start=1)
-        ]
-
-    kept = node.get("kept")
-    _need(kept in (1, 2), f"split: bad kept side {kept!r}")
-    keep_side = sides[kept]
-    drop_side = sides[3 - kept]
-    _need(
-        e1 in set(keep_side) and e2 in set(keep_side),
-        "split: kept side must contain both distinguished edges",
-    )
-    _need(len(children) == 1, "parts 2 and 3 take a single child")
-    child = children[0]
-    _need(
-        (child.get("pair") or []) == [sl.eref[e1], sl.eref[e2]],
-        "split: child pair must repeat the distinguished pair",
-    )
-    markers = child.get("markers") or []
-    if part == 2:
-        raw = node.get("switch")
-        _need(isinstance(raw, list), "part 2: missing resign switch")
-        switch_local = set(_resolve_verts(sl, raw, "resign switch"))
-        h = switch(sl.g, switch_local)
-        for eid in drop_side:
-            _need(
-                h.sign(eid) == POSITIVE,
-                "part 2: discarded side is not all-positive after the switch",
-            )
-        _need(len(markers) == 1, "part 2 adds one marker")
-        _need(markers[0]["sign"] == POSITIVE, "part 2: marker must be positive")
-        base = Slice(h, sl.eref, sl.vref)
-    else:
-        nc = node.get("neg_cycle")
-        _need(isinstance(nc, dict), "part 3: missing negative cycle")
-        ids = _resolve_edges(sl, nc.get("edges") or [], "neg_cycle")
-        _need(set(ids) <= set(drop_side), "part 3: cycle leaves the discarded side")
-        cyc = Cycle.from_edge_set(sl.g, frozenset(ids))
-        _need(
-            sign_product(sl.g, cyc.edges) == NEGATIVE,
-            "part 3: recorded cycle is not negative",
-        )
-        _need(
-            {sl.vref[x] for x in cyc.vertices} == set(nc.get("vertices") or []),
-            "part 3: cycle vertices mismatch",
-        )
-        _need(len(markers) == 2, "part 3 adds two markers")
-        _need(
-            {markers[0]["sign"], markers[1]["sign"]} == {POSITIVE, NEGATIVE},
-            "part 3: markers must carry both signs",
-        )
-        base = sl
-    return [child_job(keep_side, child, base)]
+        _need(heads == {sl.eref[e1], sl.eref[e2]}, "part 1: children do not cover the pair")
+    return jobs
 
 
 def _leaf_preconditions(sl: Slice, e1: int, e2: int, what: str) -> None:

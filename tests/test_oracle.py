@@ -10,8 +10,11 @@ from sgties import (
     KIND_TIED,
     KIND_UNTIED,
     KIND_VACUOUS,
+    Leaf,
     SameEdge,
     SearchBudget,
+    SignedGraph,
+    Splice,
     build_hat,
     build_hedgehog,
     build_target,
@@ -359,3 +362,60 @@ def test_verify_names_bad_markers(mutate):
     assert verify_certificate(g, e1, e2, doc)[0]
     mutate(_first_split(doc["certificate"])["children"][0]["markers"][0])
     assert "marker" in _reason(g, e1, e2, doc)
+
+
+def _marker_count_case(part):
+    if part == 3:
+        return compose_tied_instance(Splice(Leaf("case1"), balanced=False), 0)
+    return (helpers.two_k4_on_boundary(), 4, 9 if part == 1 else 0)
+
+
+@pytest.mark.parametrize("change", ["extra", "dropped"])
+@pytest.mark.parametrize("part", [1, 2, 3])
+def test_verify_names_a_wrong_marker_count(part, change):
+    g, e1, e2 = _marker_count_case(part)
+    doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+    assert verify_certificate(g, e1, e2, doc)[0]
+    split = _first_split(doc["certificate"])
+    assert split["part"] == part
+    markers = split["children"][0]["markers"]
+    if change == "extra":
+        markers.append(dict(markers[0], name="extra"))
+    else:
+        markers.pop()
+    assert "marker" in _reason(g, e1, e2, doc)
+
+
+def _flip_pairs():
+    for seed in range(100):
+        yield compose_tied_instance(random_recipe(seed, 3), seed)
+    for seed in range(600):
+        rng = random.Random(seed)
+        n = rng.randint(4, 8)
+        m = rng.randint(n, 2 * n + 2)
+        yield (random_signed_graph(n, m, 0.5, seed), *rng.sample(range(m), 2))
+
+
+def test_verify_rejects_a_tied_certificate_replayed_on_a_flipped_sign():
+    """A tied certificate, without its witness and sign, replayed on the
+    graph with one edge's sign flipped, may verify only when the flipped
+    pair is still tied."""
+    tied = accepted = rejected = 0
+    for g, e1, e2 in _flip_pairs():
+        doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+        if doc["kind"] != KIND_TIED:
+            continue
+        tied += 1
+        doc["witness"], doc["common_sign"] = [], None
+        for flip in range(g.m):
+            h = SignedGraph.build(
+                g.n,
+                [(e.u, e.v, -e.sign if i == flip else e.sign) for i, e in enumerate(g.edges)],
+            )
+            if verify_certificate(h, e1, e2, doc)[0]:
+                accepted += 1
+                assert oracle_tied(h, e1, e2).kind == KIND_TIED, (g, e1, e2, flip)
+            else:
+                rejected += 1
+    assert tied > 300
+    assert accepted > 1000 and rejected > 1000
