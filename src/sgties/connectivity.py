@@ -5,15 +5,20 @@ blocks (a doubled edge is a 2-connected block) but never for vertex cuts.
 ``components`` and ``blocks`` take a set of removed vertices and walk the
 graph as if those vertices and their edges were absent.
 
-2-cuts rest on one fact: in a 2-connected graph, {u, v} is a vertex cut
-exactly when v is a cut vertex of G-u.  One lowpoint search of G-u per
-vertex u finds the lexicographically smallest 2-cut, or proves there is
-none, in O(n(n+m)) time.
+Whether a 2-connected graph has a 2-cut at all is one linear pass,
+``_separation_pair`` (Hopcroft & Tarjan's path search, cut down to
+detection).  Which 2-cut a separation uses is pinned by a scan: in a
+2-connected graph, {u, v} is a vertex cut exactly when v is a cut vertex
+of G-u, so one lowpoint search of G-u per vertex u, in increasing u,
+finds the lexicographically smallest 2-cut.  The linear pass bounds
+that scan by the smaller end of a 2-cut it names, so a graph with no
+2-cut costs two walks and one pass, and a graph whose smallest 2-cut
+starts at vertex u costs about u walks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import EdgeId, SignedGraph, VertexId
 from .errors import NotTwoConnected
@@ -158,14 +163,202 @@ def side_vertices(g: SignedGraph, side: frozenset[EdgeId]) -> frozenset[VertexId
     return frozenset([e.u for e in ends] + [e.v for e in ends])
 
 
+def _separation_pair(g: SignedGraph) -> Optional[tuple[VertexId, VertexId]]:
+    """Some vertex 2-cut (u < v) of a 2-connected graph with n >= 4, or None.
+
+    Hopcroft & Tarjan's triconnectivity search (1973, as corrected by
+    Gutwenger & Mutzel 2000), cut down to detection: it stops at the
+    first separation pair and splits nothing, in O(n+m) and without
+    recursion.  It runs on the graph with parallel edges collapsed,
+    since they never make a vertex cut.  Every 2-cut {a, b} of a
+    2-connected graph is an ancestor-descendant pair of any DFS tree,
+    a above b, and the search meets one in one of three ways:
+
+    - the two neighbours of a vertex of degree 2;
+    - type 1: a tree edge b->w with lowpt1(w) = a and lowpt2(w) >= b,
+      so T(w) hangs on a and b alone, and some vertex lies outside
+      T(w) and the pair;
+    - type 2: a is not the root, b lies below a child r != b of a, no
+      frond from T(r) outside T(b) goes above a, and no child subtree
+      of b has fronds both above a and strictly between a and b.  The
+      path search finds these.
+
+    One DFS from vertex 0, taking each vertex's edges in id order,
+    numbers the vertices in preorder (numbers are 1-based, 0 means
+    "none"), takes lowpt1/lowpt2 and checks type 1.  Each vertex's arcs
+    (tree edges to children, fronds to ancestors) are then bucket-sorted
+    by phi: 3 lowpt1(w) for a tree arc v->w with lowpt2(w) < v,
+    3 lowpt1(w) + 2 for one with lowpt2(w) >= v, 3 w + 1 for a frond
+    v->w.  A second walk in that order renumbers the vertices so that
+    each subtree holds a range whose first child's subtree is at the
+    top, splits the walk into paths (a path ends at a frond, so every
+    arc but a vertex's first starts one), and notes high(v), the new
+    number of the source of the first frond into v.  The path search
+    replays that walk with a stack of triples (h, a, b), each a
+    candidate type-2 pair {a, b} whose split-off part spans the new
+    numbers a..h; the first triple that closes at a = v with b not a
+    child of v is the answer.
+    """
+    n = g.n
+    adjacency = g.adjacency
+    num = [0] * n
+    at = [0] * (n + 1)  # the vertex with each preorder number
+    parent = [-1] * n
+    low1 = [0] * n
+    low2 = [0] * n
+    nd = [1] * n
+    # every arc lands in its phi bucket as soon as its key is known:
+    # bucket 3x+1 holds the sources of fronds into the vertex numbered
+    # x, buckets 3x and 3x+2 the heads of tree arcs with lowpt1 = x
+    bucket: list[list[int]] = [[] for _ in range(3 * n + 3)]
+    num[0] = low1[0] = low2[0] = 1
+    count = 1
+    stack = [(0, iter(adjacency[0]))]
+    while stack:
+        v, it = stack[-1]
+        nv = num[v]
+        pv = parent[v]
+        for _, w in it:
+            nw = num[w]
+            if not nw:
+                count += 1
+                num[w] = low1[w] = low2[w] = count
+                at[count] = w
+                parent[w] = v
+                stack.append((w, iter(adjacency[w])))
+                break
+            if nw < nv and w != pv:
+                bucket[3 * nw + 1].append(v)
+                if nw < low1[v]:
+                    low2[v] = low1[v]
+                    low1[v] = nw
+                elif low1[v] < nw < low2[v]:
+                    low2[v] = nw
+        else:
+            stack.pop()
+            if not stack:
+                break
+            np_ = num[pv]
+            l1, l2 = low1[v], low2[v]
+            if l1 < np_ <= l2 and nd[v] < n - 2:
+                a = at[l1]  # type 1
+                return (a, pv) if a < pv else (pv, a)
+            bucket[3 * l1 + (2 if l2 >= np_ else 0)].append(v)
+            if l1 < low1[pv]:
+                low2[pv] = min(low1[pv], l2)
+                low1[pv] = l1
+            elif l1 == low1[pv]:
+                if l2 < low2[pv]:
+                    low2[pv] = l2
+            elif l1 < low2[pv]:
+                low2[pv] = l1
+            nd[pv] += nd[v]
+    arcs: list[list[int]] = [[] for _ in range(n)]
+    into = [0] * n  # fronds into each vertex
+    for k, heads in enumerate(bucket):
+        if k % 3 == 1:
+            w = at[k // 3]
+            for v in heads:
+                out = arcs[v]
+                if not out or out[-1] != w:  # parallel fronds arrive in a row
+                    out.append(w)
+                    into[w] += 1
+        else:
+            for w in heads:
+                arcs[parent[w]].append(w)
+    for v in range(n):
+        if len(arcs[v]) + into[v] + (v > 0) == 2:
+            ends = set(arcs[v]).union(bucket[3 * num[v] + 1])
+            if v:
+                ends.add(parent[v])
+            a, b = ends
+            return (a, b) if a < b else (b, a)
+    # The path finder walk keeps what the search acts on: (v, a, h) for
+    # an arc out of v that starts a path and would push (h, a, v), and
+    # (v, None, starts) for the return to v over a tree arc.
+    new = [0] * n
+    high = [0] * n
+    new[0] = 1
+    top = n
+    steps: list[tuple[int, Optional[int], int]] = []
+    walk = [(0, iter(arcs[0]), True)]
+    while walk:
+        v, it, _ = walk[-1]
+        first = arcs[v][0] if v else -1  # the root's first arc starts a path too
+        nv = new[v]
+        for w in it:
+            if parent[w] == v:
+                new[w] = top - nd[w] + 1
+                if w != first:
+                    steps.append((v, new[at[low1[w]]], new[w] + nd[w] - 1))
+                walk.append((w, iter(arcs[w]), w != first))
+                break
+            if not high[w]:
+                high[w] = nv
+            if w != first:
+                steps.append((v, new[w], -nv))  # a frond: -h
+        else:
+            _, _, starts = walk.pop()
+            if walk:
+                top -= 1
+                steps.append((walk[-1][0], None, starts))
+    eos = (n + 1, 0, -1)  # end-of-stack mark: h above and a below every vertex
+    ts = [eos]
+    for v, a, h in steps:
+        if a is None:
+            nv = new[v]
+            while ts[-1][1] == nv and nv != 1:
+                b = ts[-1][2]
+                if parent[b] != v:
+                    return (v, b) if v < b else (b, v)  # type 2
+                ts.pop()
+            if h:  # the arc started a path: drop its triples
+                while ts.pop() is not eos:
+                    pass
+            hv = high[v]
+            while ts[-1][1] != nv and ts[-1][2] != v and hv > ts[-1][0]:
+                ts.pop()
+            continue
+        y, b = 0, -1
+        while ts[-1][1] > a:
+            th, _, b = ts.pop()
+            if th > y:
+                y = th
+        if h < 0:  # a frond
+            ts.append((-h, a, v) if b == -1 else (y, a, b))
+        else:
+            ts.append((h, a, v) if b == -1 else (max(y, h), a, b))
+            ts.append(eos)
+    return None
+
+
 def _first_cut_pair(g: SignedGraph) -> Optional[tuple[VertexId, VertexId]]:
-    """Lexicographically smallest 2-cut (u < v) of a 2-connected graph.
+    """Lexicographically smallest 2-cut (u < v) of a 2-connected graph, n >= 4.
 
     The first u whose G-u has a cut vertex has only cut vertices above
     it: a cut vertex w < u of G-u would make u a cut vertex of G-w, and
-    the scan would have stopped at w.
+    the scan would have stopped at w.  The scan walks u = 0 and u = 1,
+    where nested chains such as ladders stop; past them one linear
+    ``_separation_pair`` pass either proves there is no 2-cut or names
+    one, and the smallest vertex of any 2-cut is at most its smaller
+    end, which bounds the rest of the scan.
     """
-    for u in range(g.n):
+    found = _first_cut_from(g, (0, 1))
+    if found is not None:
+        return found
+    pair = _separation_pair(g)
+    if pair is None:
+        return None
+    found = _first_cut_from(g, range(2, pair[0] + 1))
+    assert found is not None, f"{pair} is not a 2-cut"
+    return found
+
+
+def _first_cut_from(
+    g: SignedGraph, us: Iterable[VertexId]
+) -> Optional[tuple[VertexId, VertexId]]:
+    """(u, smallest cut vertex of G-u) for the first u in ``us`` with one."""
+    for u in us:
         cuts = blocks(g, frozenset((u,))).cut_vertices
         if cuts:
             return u, min(cuts)
@@ -176,9 +369,10 @@ def find_proper_2_separation(g: SignedGraph) -> Optional[Separation]:
     """Deterministic proper 2-separation of a 2-connected graph, if any.
 
     The boundary is the lexicographically smallest vertex pair whose
-    removal disconnects g, found as the first cut vertex of some G-u in
-    O(n(n+m)); side1 is the smallest single-component side (fewest
-    edges, then smallest ids).  Returns None exactly when no cut pair
+    removal disconnects g, found as the first cut vertex of some G-u by
+    ``_first_cut_pair``: O((u+1)(n+m)) when that pair starts at vertex
+    u, and O(n+m) when there is none; side1 is the smallest
+    single-component side (fewest edges, then smallest ids).  Returns None exactly when no cut pair
     exists, i.e. when g is 3-connected or too small to separate properly.
 
     This is the guarded entry: it first proves g 2-connected and raises
@@ -218,5 +412,5 @@ def _proper_2_separation(g: SignedGraph) -> Optional[Separation]:
 
 
 def is_3_connected(g: SignedGraph) -> bool:
-    """At least 4 vertices and no vertex cut of size <= 2."""
-    return g.n >= 4 and is_2_connected(g) and _first_cut_pair(g) is None
+    """At least 4 vertices and no vertex cut of size <= 2, in O(n+m)."""
+    return g.n >= 4 and is_2_connected(g) and _separation_pair(g) is None

@@ -356,8 +356,9 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
     _need(bu != bv, "split: boundary vertices coincide")
     side1 = _resolve_edges(sl, node["side1"], "side1")
     side2 = _resolve_edges(sl, node["side2"], "side2")
+    # distinct ids of the slice, as many as it has edges, cover it once
     _need(
-        not (set(side1) & set(side2)) and len(side1) + len(side2) == sl.g.m,
+        len(set(side1 + side2)) == len(side1) + len(side2) == sl.g.m,
         "split: sides do not partition the edges",
     )
     _need(len(side1) >= 1 and len(side2) >= 1, "split: empty side")

@@ -13,7 +13,7 @@ import itertools
 import random
 from collections import Counter
 
-from sgties import SignedGraph
+from sgties import SignedGraph, blocks
 
 SUBSET_LIMIT = 16  # 2^16 subsets is the most the brute force should chew
 
@@ -179,3 +179,18 @@ def random_2_connected(rng: random.Random, n: int, extra: int) -> SignedGraph:
             v += 1
         items.append((u, v, rng.choice((1, -1))))
     return SignedGraph.build(n, items)
+
+
+def first_cut_pair_by_scan(g: SignedGraph):
+    """Lexicographically smallest 2-cut (u < v) of a 2-connected graph, or
+    None: the first cut vertex of G-u over every u in turn, O(n(n+m)).
+
+    The first u whose G-u has a cut vertex has only cut vertices above
+    it: a cut vertex w < u of G-u would make u a cut vertex of G-w, and
+    the scan would have stopped at w.
+    """
+    for u in range(g.n):
+        cuts = blocks(g, frozenset((u,))).cut_vertices
+        if cuts:
+            return u, min(cuts)
+    return None

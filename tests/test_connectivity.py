@@ -6,22 +6,31 @@ while edge-level invariants are checked directly.
 """
 
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
 
 import helpers
+import sgties.connectivity
+import sgties.decide
 from sgties import (
     BadEdge,
     NotTwoConnected,
     SignedGraph,
     blocks,
     components,
+    compose_tied_instance,
+    decide_tied,
     find_proper_2_separation,
     is_2_connected,
     is_3_connected,
+    ladder,
+    random_3_connected,
+    random_recipe,
     side_vertices,
 )
+from sgties.connectivity import _first_cut_pair, _separation_pair
 from sgties.search import SearchBudget, disjoint_paths
 
 
@@ -327,6 +336,184 @@ def test_small_graphs_have_no_proper_separation():
     assert find_proper_2_separation(helpers.triangle()) is None
     g = SignedGraph.build(2, [(0, 1, 1), (0, 1, -1), (0, 1, 1)])
     assert find_proper_2_separation(g) is None
+
+
+def _shuffled(rng: random.Random, g: SignedGraph) -> SignedGraph:
+    """g with its vertices renamed at random and its edges reordered, so
+    that DFS order is not id order."""
+    perm = rng.sample(range(g.n), g.n)
+    items = [(perm[e.u], perm[e.v], e.sign) for e in g.edges]
+    rng.shuffle(items)
+    return SignedGraph.build(g.n, items)
+
+
+def _ring_with_chords(rng: random.Random, n: int, doubled: bool) -> SignedGraph:
+    """A cycle through all n vertices in random order plus up to n random
+    chords, which may be parallel; ``doubled`` adds 1-4 opposite-sign
+    copies of edges, listed from their other end."""
+    ring = rng.sample(range(n), n)
+    items = [(ring[i - 1], ring[i], 1) for i in range(n)]
+    for _ in range(rng.randint(0, n)):
+        u = rng.randrange(n)
+        v = (u + rng.randrange(1, n)) % n
+        items.append((u, v, 1))
+    if doubled:
+        items += [(v, u, -s) for u, v, s in rng.sample(items, rng.randint(1, 4))]
+    rng.shuffle(items)
+    return SignedGraph.build(n, items)
+
+
+def _subdivided(rng: random.Random, g: SignedGraph) -> SignedGraph:
+    items = [(e.u, e.v, e.sign) for e in g.edges]
+    u, v, s = items.pop(rng.randrange(len(items)))
+    return SignedGraph.build(g.n + 1, items + [(u, g.n, s), (g.n, v, 1)])
+
+
+def _small_n(rng: random.Random, lo: int, hi: int) -> int:
+    """Mostly small sizes, now and then up to hi."""
+    return min(hi, lo + int(rng.expovariate(1 / 3)))
+
+
+def _k4_ring(k: int, rng: random.Random) -> SignedGraph:
+    """k K4 blocks in a ring, block i on {s(i-1), s(i), x(i), y(i)}, each
+    s shared by two neighbouring blocks.  Every pair of s vertices is a
+    2-cut, and 0 = x(0), 1 = y(0) lie in none.  The edges listed first,
+    in order, make the path 0, s(0), x(1), y(1), s(1), ..., s(k-1), 1
+    the tree of the DFS from vertex 0 in edge-id order.  Each suffix of
+    that path reaches back to both 0 and s(0), so no subtree hangs on a
+    2-cut alone and every 2-cut of this tree is of type 2."""
+    ids = list(range(2, 3 * k))
+    rng.shuffle(ids)
+    s = ids[:k]
+    x = [0] + ids[k : 2 * k - 1]
+    y = [1] + ids[2 * k - 1 :]
+    path = [0, s[0]]
+    for i in range(1, k):
+        path += [x[i], y[i], s[i]]
+    path.append(1)
+    pairs = list(zip(path, path[1:]))
+    for i in range(k):
+        quad = (s[i - 1], s[i], x[i], y[i])
+        pairs += [
+            (a, b)
+            for j, a in enumerate(quad)
+            for b in quad[j + 1 :]
+            if (a, b) not in pairs and (b, a) not in pairs
+        ]
+    return SignedGraph.build(3 * k, [(a, b, rng.choice((1, -1))) for a, b in pairs])
+
+
+def _reduction_slices(rng: random.Random, count: int):
+    """Every graph the reduction searches for a 2-cut while it decides
+    ``count`` composed tied instances."""
+    seen: list[SignedGraph] = []
+    real = sgties.decide._proper_2_separation
+
+    def recording(g):
+        seen.append(g)
+        return real(g)
+
+    sgties.decide._proper_2_separation = recording
+    try:
+        for _ in range(count):
+            seed = rng.randrange(10**6)
+            decide_tied(*compose_tied_instance(random_recipe(seed, rng.choice((2, 3, 4))), seed))
+    finally:
+        sgties.decide._proper_2_separation = real
+    return [g for g in seen if g.n >= 4]
+
+
+def _two_connected_graphs(rng: random.Random):
+    """2-connected graphs with 4 to 60 vertices: rings with chords, some
+    with doubled edges; random 3-connected graphs, half with one edge
+    subdivided; wheels, K4 and prisms; ladders; K4 rings, whose 2-cuts
+    only the path search finds; the slices of reductions."""
+    for i in range(15900):
+        yield _ring_with_chords(rng, _small_n(rng, 4, 60), doubled=i % 3 == 2)
+    for i in range(3000):
+        n = _small_n(rng, 4, 59)
+        g = random_3_connected(n, rng.randint(0, n), 0.5, rng.randrange(10**6))
+        yield _shuffled(rng, _subdivided(rng, g) if i % 2 else g)
+    for i in range(150):
+        yield _shuffled(rng, helpers.wheel(3 + i % 57) if i % 4 else helpers.k4())
+        yield _shuffled(rng, _prism(3 + i % 28))
+    for i in range(600):
+        g, _, _ = ladder(2 + i % 29, i)
+        yield _shuffled(rng, g)
+    for k in range(2, 21):
+        for _ in range(5):
+            yield _k4_ring(k, rng)
+    yield from _reduction_slices(rng, 100)
+
+
+def _prism(k: int) -> SignedGraph:
+    """Two k-cycles joined by a perfect matching; k = 3 is helpers.prism."""
+    items = [(i, (i + 1) % k, 1) for i in range(k)]
+    items += [(k + i, k + (i + 1) % k, 1) for i in range(k)]
+    items += [(i, k + i, 1) for i in range(k)]
+    return SignedGraph.build(2 * k, items)
+
+
+def test_linear_cut_search_matches_the_scan_and_networkx():
+    """_first_cut_pair returns the scan's pair, and is_3_connected and
+    _separation_pair say whether there is one, on 20,000 2-connected
+    graphs.  A pair _separation_pair names is a 2-cut, never below the
+    smallest.  networkx.node_connectivity, a flow per vertex pair, checks
+    the verdict on every 100th graph.  Every branch of _first_cut_pair is
+    taken at least 100 times: a cut at u = 0, at u = 1, one found past
+    the linear pass (every K4 ring), and none."""
+    rng = random.Random(61)
+    branches: Counter = Counter()
+    for i, g in enumerate(_two_connected_graphs(rng)):
+        assert 4 <= g.n <= 60
+        want = helpers.first_cut_pair_by_scan(g)
+        assert _first_cut_pair(g) == want, (i, g)
+        assert is_3_connected(g) == (want is None), (i, g)
+        pair = _separation_pair(g)
+        assert (pair is None) == (want is None), (i, g)
+        if pair is not None:
+            assert want <= pair and pair[0] < pair[1]
+            assert len(components(g, frozenset(pair))) > 1, (i, g, pair)
+        if i % 100 == 0:
+            assert (nx.node_connectivity(to_nx(g)) >= 3) == (want is None), (i, g)
+        branches["none" if want is None else min(want[0], 2)] += 1
+    assert sum(branches.values()) >= 20_000
+    assert min(branches[k] for k in ("none", 0, 1, 2)) >= 100, branches
+
+
+def test_3_connectivity_counts_walks_not_vertices(monkeypatch):
+    """On random_3_connected(n, n, 0, 1), is_3_connected walks blocks once
+    (its 2-connectivity proof) and find_proper_2_separation three times
+    (its guard, u = 0 and u = 1); each makes one linear pass."""
+    calls: Counter = Counter()
+    real_blocks = sgties.connectivity.blocks
+    real_pass = sgties.connectivity._separation_pair
+
+    def counting_blocks(*args, **kwargs):
+        calls["blocks"] += 1
+        return real_blocks(*args, **kwargs)
+
+    def counting_pass(g):
+        calls["pass"] += 1
+        return real_pass(g)
+
+    monkeypatch.setattr(sgties.connectivity, "blocks", counting_blocks)
+    monkeypatch.setattr(sgties.connectivity, "_separation_pair", counting_pass)
+    for n in (80, 640, 1280):
+        g = random_3_connected(n, n, 0, 1)
+        calls.clear()
+        assert is_3_connected(g)
+        assert calls == {"blocks": 1, "pass": 1}
+        calls.clear()
+        assert find_proper_2_separation(g) is None
+        assert calls == {"blocks": 3, "pass": 1}
+
+
+def test_linear_cut_search_walks_deep_inputs_without_recursion():
+    """A 20,000-vertex wheel under the default recursion limit."""
+    g = helpers.wheel(19_999)
+    assert _separation_pair(g) is None
+    assert _separation_pair(_subdivided(random.Random(71), g)) is not None
 
 
 def test_disjoint_paths_reach_the_max_flow_of_the_split_graph():

@@ -476,7 +476,8 @@ def test_every_reduction_slice_is_2_connected_with_a_parallel_free_pair():
 def test_ladder_decide_block_searches_are_pinned(monkeypatch):
     """A 40-rung ladder nests 76 splits.  Each level costs only the
     cut-pair search's calls to blocks; a 2-connectivity re-proof per
-    level would add about one call each."""
+    level would add about one call each.  The small leaf's 3-connectivity
+    test walks blocks once, for its 2-connectivity proof."""
     calls = []
     real = sgties.connectivity.blocks
 
@@ -488,7 +489,7 @@ def test_ladder_decide_block_searches_are_pinned(monkeypatch):
         monkeypatch.setattr(mod, "blocks", counting)
     g, e1, e2 = ladder(40, 1)
     assert decide_tied(g, e1, e2).kind == KIND_TIED
-    assert len(calls) == 117
+    assert len(calls) == 116
 
 
 def test_reduce_marker_names_are_fresh_per_call():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import sys
@@ -384,6 +385,41 @@ def test_verify_names_a_wrong_marker_count(part, change):
     else:
         markers.pop()
     assert "marker" in _reason(g, e1, e2, doc)
+
+
+def test_verify_rejects_a_side_that_repeats_an_edge_in_place_of_another():
+    """The pair (6, 0) of random_signed_graph(7, 11, 0.5, 7) is untied:
+    edge 10 doubles edge 7 with the other sign.  The tied certificate of
+    the graph without edge 10, without its witness and sign, is stretched
+    over the full graph by listing 10 in the block and repeating a side1
+    entry: the sides then count as many entries as the slice has edges
+    but leave edge 10 out of both, and the document must not verify."""
+    g = random_signed_graph(7, 11, 0.5, 7)
+    assert oracle_tied(g, 6, 0).kind == KIND_UNTIED
+    h = SignedGraph.build(g.n, [(e.u, e.v, e.sign) for e in g.edges[:10]])
+    doc = verdict_to_doc(decide_tied(h, 6, 0), 6, 0)
+    doc["witness"], doc["common_sign"] = [], None
+    doc["certificate"]["block"].append(10)
+    split = _first_split(doc["certificate"])
+    split["side1"].append(split["side1"][0])
+    assert _reason(g, 6, 0, doc) == "split: sides do not partition the edges"
+
+
+@pytest.mark.parametrize("part", [1, 2, 3])
+def test_verify_rejects_every_side_entry_repeated_in_place_of_another(part):
+    g, e1, e2 = _marker_count_case(part)
+    doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+    split = _first_split(doc["certificate"])
+    assert split["part"] == part
+    tried = 0
+    for key in ("side1", "side2"):
+        for i, j in itertools.permutations(range(len(split[key])), 2):
+            mutated = json.loads(json.dumps(doc))
+            side = _first_split(mutated["certificate"])[key]
+            side[j] = side[i]
+            assert _reason(g, e1, e2, mutated) == "split: sides do not partition the edges"
+            tried += 1
+    assert tried >= 20
 
 
 def _flip_pairs():
