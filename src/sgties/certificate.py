@@ -191,9 +191,11 @@ def verdict_to_doc(v: Verdict, e1: EdgeId, e2: EdgeId) -> dict:
 def _field(d: dict, key: str, kind: type, where: str):
     if key not in d:
         raise BadParams(f"{where} lacks the field {key!r}")
-    if not isinstance(d[key], kind):
+    val = d[key]
+    # bool is an int subclass, so JSON true would pass as edge 1
+    if not isinstance(val, kind) or (isinstance(val, bool) and kind is not bool):
         raise BadParams(f"{where} has a non-{kind.__name__} field {key!r}")
-    return d[key]
+    return val
 
 
 def verdict_from_doc(doc: dict) -> tuple[Verdict, EdgeId, EdgeId]:

@@ -128,14 +128,18 @@ def _fmt_cycle(edges) -> str:
 
 def _budget_value(args) -> int:
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get("SG_BUDGET")
-    if env:
+        value, source = args.budget, "--budget"
+    else:
+        env = os.environ.get("SG_BUDGET")
+        if not env:
+            return DEFAULT_BUDGET
         try:
-            return int(env)
+            value, source = int(env), "SG_BUDGET"
         except ValueError:
             raise ParseError(f"SG_BUDGET must be an integer, got {env!r}")
-    return DEFAULT_BUDGET
+    if value < 0:
+        raise ParseError(f"{source} must not be negative, got {value}")
+    return value
 
 
 def _tied_label(v: Verdict) -> str:

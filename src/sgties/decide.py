@@ -18,7 +18,8 @@ Evaluation settles the verdict and builds the certificate without
 looking for witnesses.  The witnesses of an untied verdict are then
 built at its first untied leaf and lifted back through the splits by
 replacing marker edges with boundary-to-boundary paths of the marker's
-sign inside the replaced side.  They travel as unordered sets of edge
+sign through the replaced side, searched in the split's own slice with
+the kept side's edges banned.  They travel as unordered sets of edge
 references: a lift swaps a marker for a path's edges, and each cycle is
 put back in cyclic order once, at the root.
 
@@ -31,8 +32,9 @@ candidates, one of them of that sign, so the search is linear.  Where
 the sign must be switched, the piece holds a fan: two disjoint paths
 from two vertices to a negative cycle, which close two paths between
 those vertices of opposite signs (Menger's fan lemma).  A part-3 marker
-path lies in the fan from the boundary to the split's negative cycle; a
-part-2 side is all-positive after its switch, so one BFS path will do.
+path lies in the fan from the boundary to the split's negative cycle.  A
+part-2 side is balanced, so every boundary path through it is positive
+once the split's switch is applied, and its marker path is one BFS path.
 At an untied leaf the second cycle lies in the flow cycle plus one ear;
 when no single ear changes the sign it comes from self-reduction, which
 deletes every edge whose loss keeps a common cycle of the wanted sign,
@@ -122,11 +124,9 @@ class ReductionSplit:
     and is replaced (after a whole-graph switch making it all-positive)
     by one positive marker.  part 3: the far side is unbalanced and is
     replaced by a positive and a negative marker.  ``kept`` comes from
-    ``_reduce``; ``resign``, ``neg_cycle`` and ``discard`` are
-    ``_split_part23``'s decision on the far side, all None in part 1.
-    ``discard`` keeps the replaced side (switched, for part 2) so
-    witnesses can be lifted, and ``neg_cycle`` is the part-3 side's
-    negative cycle in its local ids.
+    ``_reduce``; ``resign`` and ``neg_cycle`` are ``_split_part23``'s
+    decision on the far side, both None in part 1.  Every id is local to
+    ``sl``: witnesses are lifted through the replaced side inside it.
     """
 
     sl: Slice
@@ -139,8 +139,7 @@ class ReductionSplit:
     children: tuple[ChildSpec, ...]
     kept: Optional[int] = None  # parts 2/3: 1 or 2
     resign: Optional[tuple[VertexId, ...]] = None  # part 2: local switch set
-    neg_cycle: Optional[Cycle] = None  # part 3: in discard's local ids
-    discard: Optional[Slice] = None
+    neg_cycle: Optional[Cycle] = None  # part 3: local, far-side edges only
 
 
 ReductionTree = Union[ReductionLeaf, ReductionSplit]
@@ -225,12 +224,12 @@ def _reduce(sl: Slice, e1: int, e2: int, names: Iterator[int]) -> ReductionTree:
     if (e1 in s1) != (e2 in s1):
         # part 1: each side keeps its own distinguished edge, paired with
         # a positive marker that stands in for the other side
-        part, base, signs, resign, neg_cycle, discard = 1, sl, (POSITIVE,), None, None, None
+        part, base, signs, resign, neg_cycle = 1, sl, (POSITIVE,), None, None
         head1, head2 = (e1, e2) if e1 in s1 else (e2, e1)
         plan = ((1, head1), (2, head2))
     else:
         kept = 1 if e1 in s1 else 2
-        part, base, signs, resign, neg_cycle, discard = _split_part23(sl, sides[3 - kept])
+        part, base, signs, resign, neg_cycle = _split_part23(sl, sides[3 - kept])
         plan = ((kept, e1),)
     children = []
     for snum, head in plan:
@@ -239,7 +238,7 @@ def _reduce(sl: Slice, e1: int, e2: int, names: Iterator[int]) -> ReductionTree:
         children.append(_make_child(base, sides[snum], (sl.eref[head], tail), markers, names))
     return ReductionSplit(
         sl, e1, e2, part, (bu, bv), sides[1], sides[2], tuple(children),
-        kept, resign, neg_cycle, discard,
+        kept, resign, neg_cycle,
     )
 
 
@@ -281,29 +280,29 @@ def _make_child(
 
 
 def _split_part23(sl: Slice, far: tuple[int, ...]) -> tuple[
-    int, Slice, tuple[Sign, ...], Optional[tuple[VertexId, ...]], Optional[Cycle], Slice
+    int, Slice, tuple[Sign, ...], Optional[tuple[VertexId, ...]], Optional[Cycle]
 ]:
     """How the far side of a split, the one without the pair, is replaced.
 
-    Returns ``(part, base, signs, resign, neg_cycle, discard)``: the
-    part, the slice the kept side is cut from, the signs of the markers
-    that stand in for the far side, the part-2 switch set (local ids of
-    ``sl``), the part-3 negative cycle (in ``discard``'s ids) and the
-    far side itself, switched for part 2, kept for lifting.
+    Returns ``(part, base, signs, resign, neg_cycle)``: the part, the
+    slice the kept side is cut from, the signs of the markers that stand
+    in for the far side, the part-2 switch set and the part-3 negative
+    cycle, both in ``sl``'s ids.  Balance is tested on the far side's
+    edges over all of ``sl``'s vertices, so its edge i is ``far[i]``.
     """
-    drop = sl.sub(far)
-    bal = is_balanced(drop.g)
-    if not bal.balanced:
+    bal = is_balanced(SignedGraph(sl.g.n, tuple(sl.g.edges[i] for i in far)))
+    nc = bal.negative_cycle
+    if nc is not None:
         # part 3: the far side holds a negative cycle, so a positive and a
         # negative marker stand in for it
-        return 3, sl, (POSITIVE, NEGATIVE), None, bal.negative_cycle, drop
+        # far is sorted, so renaming its edges keeps the cycle canonical
+        cycle = Cycle(tuple(far[i] for i in nc.edges), nc.vertices)
+        return 3, sl, (POSITIVE, NEGATIVE), None, cycle
     # part 2: switch the whole graph so the far side is all-positive,
     # then stand it in with a single positive marker
-    vidx = sl.vert_index()
-    resign = tuple(sorted(vidx[drop.vref[v]] for v in bal.switch))
-    work = Slice(switch(sl.g, set(resign)), sl.eref, sl.vref)
-    discard = Slice(switch(drop.g, bal.switch), drop.eref, drop.vref)
-    return 2, work, (POSITIVE,), resign, None, discard
+    resign = tuple(sorted(bal.switch))
+    work = Slice(switch(sl.g, resign), sl.eref, sl.vref)
+    return 2, work, (POSITIVE,), resign, None
 
 
 # --- leaf checks ----------------------------------------------------------
@@ -444,12 +443,10 @@ def _split_doc(tree: ReductionSplit, child_nodes: list[dict]) -> dict:
         )
         for spec, node in zip(tree.children, child_nodes)
     ]
-    nc, d = tree.neg_cycle, tree.discard
+    nc = tree.neg_cycle
     nc_doc = None
-    if nc is not None and d is not None:
-        nc_doc = cert.cycle_doc(
-            [d.eref[i] for i in nc.edges], [d.vref[x] for x in nc.vertices]
-        )
+    if nc is not None:
+        nc_doc = cert.cycle_doc([sl.eref[i] for i in nc.edges], [sl.vref[x] for x in nc.vertices])
     return cert.split_node(
         tree.part,
         (sl.vref[tree.boundary[0]], sl.vref[tree.boundary[1]]),
@@ -505,6 +502,7 @@ def _fan(
     sources: Sequence[VertexId],
     cycle: Cycle,
     banned: frozenset[VertexId] = frozenset(),
+    banned_edges: frozenset[EdgeId] = frozenset(),
 ) -> Optional[tuple[EdgeId, ...]]:
     """Edges of a negative cycle plus two disjoint paths to it from two sources.
 
@@ -513,7 +511,9 @@ def _fan(
     cycle is negative, so these have opposite signs (the fan form of
     Menger's theorem).  None when no two such paths exist.
     """
-    paths = disjoint_paths(g, sources, cycle.vertices, 2, banned_vertices=banned)
+    paths = disjoint_paths(
+        g, sources, cycle.vertices, 2, banned_vertices=banned, banned_edges=banned_edges
+    )
     if len(paths) < 2:
         return None
     return cycle.edges + paths[0][0] + paths[1][0]
@@ -646,33 +646,30 @@ def _leaf_untied_witness(sl: Slice, e1: int, e2: int) -> _Witness:
 
 
 def _marker_path(split: ReductionSplit, marker: _Marker) -> frozenset[Ref]:
-    """A boundary path of the marker's sign inside the discarded side.
+    """A boundary path of the marker's sign through the replaced side.
 
     ``marker`` is one of the kept child's ``(name, u, v, sign)`` tuples,
-    its ends in the split slice's local ids.  The path is searched in a
-    piece whose only boundary path has the sign, or which holds exactly
-    two, of opposite signs.  Part 2: the side is all-positive after its
-    switch, so the piece is one BFS path.  Part 3: the piece is the fan
-    from the boundary to the side's ``neg_cycle``; the side plus a
-    boundary edge is 2-connected, so it exists.
+    its ends in the split slice's local ids.  The path is searched in
+    ``split.sl`` with the kept side's edges banned.  Part 2: the side is
+    balanced, so every boundary path through it is positive once the
+    split's switch is applied, and one BFS path is the answer.  Part 3:
+    the path is picked from the fan from the boundary to the side's
+    ``neg_cycle``, which holds exactly two boundary paths, of opposite
+    signs; the side plus a boundary edge is 2-connected, so it exists.
     """
     _, u, v, sign = marker
-    ru, rv = split.sl.vref[u], split.sl.vref[v]
-    discard = split.discard
-    assert discard is not None
-    vidx = discard.vert_index()
-    ends = (vidx[ru], vidx[rv])
+    sl = split.sl
+    kept = frozenset(split.side1 if split.kept == 1 else split.side2)
     if split.part == 2:
-        ((piece, _),) = disjoint_paths(discard.g, ends[:1], ends[1:], 1)
-    else:
-        assert split.neg_cycle is not None
-        piece = _fan(discard.g, ends, split.neg_cycle)
-        assert piece is not None, "replaced side has no fan from its boundary"
-    h = discard.sub(sorted(piece))
-    hidx = h.vert_index()
-    res = find_signed_path(h.g, hidx[ru], hidx[rv], sign)
+        ((path, _),) = disjoint_paths(sl.g, (u,), (v,), 1, banned_edges=kept)
+        return _refs(sl, path)
+    assert split.neg_cycle is not None
+    piece = _fan(sl.g, (u, v), split.neg_cycle, banned_edges=kept)
+    assert piece is not None, "replaced side has no fan from its boundary"
+    outside = frozenset(range(sl.g.m)).difference(piece)
+    res = find_signed_path(sl.g, u, v, sign, banned_edges=outside)
     assert res.path is not None, "replaced side lacks a boundary path of the marker sign"
-    return _refs(h, res.path.edges)
+    return _refs(sl, res.path.edges)
 
 
 def _lift_part23(split: ReductionSplit, w: _Witness) -> _Witness:

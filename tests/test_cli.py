@@ -16,6 +16,7 @@ from sgties import (
     ladder,
     random_signed_graph,
     verdict_to_doc,
+    verify_certificate,
 )
 from sgties.cli import main, parse, parse_text, serialize, serialize_text
 
@@ -309,6 +310,24 @@ def test_cli_verify_names_a_missing_or_mistyped_field(tmp_path, damage, message)
     assert err.splitlines() == [message]
 
 
+def test_verify_rejects_a_boolean_edge_id(tmp_path):
+    """JSON true is not edge 1, though Python's bool is an int."""
+    g = random_signed_graph(6, 10, 0.5, 3)
+    v = decide_tied(g, 1, 2)
+    assert v.kind == "untied"
+    doc = verdict_to_doc(v, 1, 2)
+    doc["e1"] = True
+    ok, reason = verify_certificate(g, 1, 2, doc)
+    assert not ok
+    assert "'e1'" in reason
+    p, cert = tmp_path / "g.sg", tmp_path / "cert.json"
+    serialize(g, str(p))
+    cert.write_text(json.dumps(doc))
+    rc, out, err = run("verify", str(p), str(cert))
+    assert (rc, out) == (2, "")
+    assert err.splitlines() == ["error: document has a non-int field 'e1'"]
+
+
 def test_cli_verify_parses_the_document_once(tmp_path, monkeypatch):
     cert = tmp_path / "cert.json"
     run("decide", K4C3, "--e1", "4", "--e2", "5", "--certificate", str(cert))
@@ -487,6 +506,25 @@ def test_cli_budget_rejects_nonsense(monkeypatch):
     rc, _, err = run("oracle", HAT, "--e1", "2", "--e2", "3")
     assert rc == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_cli_budget_rejects_negative(monkeypatch, source):
+    argv = ["oracle", HAT, "--e1", "2", "--e2", "3"]
+    if source == "flag":
+        argv += ["--budget", "-5"]
+    else:
+        monkeypatch.setenv("SG_BUDGET", "-3")
+    rc, out, err = run(*argv)
+    assert (rc, out) == (2, "")
+    assert "must not be negative" in err
+
+
+def test_cli_budget_zero_is_valid(monkeypatch):
+    monkeypatch.setenv("SG_BUDGET", "0")
+    rc, out, _ = run("oracle", HAT, "--e1", "2", "--e2", "3")
+    assert rc == 0
+    assert out.split()[-1] == "complete=false"
 
 
 def test_cli_decide_takes_no_budget_flag():

@@ -6,6 +6,7 @@ import helpers
 import sgties.connectivity
 import sgties.decide
 from sgties import (
+    Cycle,
     KIND_TIED,
     KIND_UNTIED,
     KIND_VACUOUS,
@@ -44,6 +45,7 @@ from sgties import (
     verdict_to_doc,
     verify_certificate,
 )
+from sgties.core import sign_product
 
 
 def k4_case3() -> SignedGraph:
@@ -365,13 +367,7 @@ def test_reduce_leaves_above_small_leaf_are_3_connected():
     vertices is one where no 2-separation was found, no leaf's pair is
     mutually parallel, and every replaced side joins its boundary by a
     path of each of its markers' signs (so every marker can be lifted)."""
-    roots = []
-    for seed in range(40):
-        g, e1, e2 = compose_tied_instance(random_recipe(seed, max_depth=3), seed)
-        drop = (parallel_class(g, e1) | parallel_class(g, e2)) - {e1, e2}
-        h, emap = delete_edges(g, sorted(drop))
-        assert h.endpoints(emap[e1]) != h.endpoints(emap[e2])
-        roots.append((h, emap[e1], emap[e2]))
+    roots = _composed_roots(40)
     # random pairs where one edge joins a 2-cut, which a part-1 split
     # must keep on the other edge's side
     for seed in range(100):
@@ -395,15 +391,30 @@ def test_reduce_leaves_above_small_leaf_are_3_connected():
             stack.extend(ch.node for ch in node.children)
             if node.part == 1:
                 continue
-            vidx = node.discard.vert_index()
+            sl = node.sl
+            if node.part == 2:
+                sl = Slice(switch(sl.g, node.resign), sl.eref, sl.vref)
+            drop = sl.sub(node.side2 if node.kept == 1 else node.side1)
+            vidx = drop.vert_index()
             for _, u, v, sign in node.children[0].markers:
                 replaced += 1
-                res = find_signed_path(
-                    node.discard.g, vidx[node.sl.vref[u]], vidx[node.sl.vref[v]], sign
-                )
+                res = find_signed_path(drop.g, vidx[sl.vref[u]], vidx[sl.vref[v]], sign)
                 assert res.complete and res.path is not None
     assert big > 20
     assert replaced > 20
+
+
+def _composed_roots(count):
+    """Reduction inputs from seeded composed tied instances, with the
+    edges parallel to the pair dropped."""
+    roots = []
+    for seed in range(count):
+        g, e1, e2 = compose_tied_instance(random_recipe(seed, max_depth=3), seed)
+        drop = (parallel_class(g, e1) | parallel_class(g, e2)) - {e1, e2}
+        h, emap = delete_edges(g, sorted(drop))
+        assert h.endpoints(emap[e1]) != h.endpoints(emap[e2])
+        roots.append((h, emap[e1], emap[e2]))
+    return roots
 
 
 def _random_block_roots(count):
@@ -430,24 +441,55 @@ def _random_block_roots(count):
     return roots
 
 
-def test_part2_discard_is_the_far_side_of_the_switched_graph():
-    """A part-2 split switches its far side on its own; that slice equals
-    the far side cut out of the whole switched graph."""
-    part2 = 0
-    for root in _random_block_roots(200):
+def _path_between(g, edges, u, v):
+    """Whether the edge ids form one simple u..v path of g."""
+    left = set(edges)
+    at = u
+    while left:
+        step = [i for i in left if at in g.endpoints(i)]
+        if len(step) != 1:
+            return False
+        left.remove(step[0])
+        at = g.edge(step[0]).other(at)
+    return at == v and len(set(edges)) == len(edges)
+
+
+def test_part23_far_side_is_read_in_the_split_slice():
+    """Parts 2 and 3 decide and lift the replaced side inside the split's
+    own slice: the switch set makes the far side all-positive there, the
+    negative cycle is a cycle of that slice through far-side edges, and
+    each marker path runs from boundary to boundary through the far side
+    with the marker's sign (in the switched slice for part 2)."""
+    seen = {2: 0, 3: 0}
+    for root in _random_block_roots(200) + _composed_roots(40):
         stack = [reduce(*root)]
         while stack:
             node = stack.pop()
             if isinstance(node, ReductionLeaf):
                 continue
             stack.extend(ch.node for ch in node.children)
+            if node.part == 1:
+                continue
+            seen[node.part] += 1
+            sl = node.sl
+            far = set(node.side2 if node.kept == 1 else node.side1)
+            g = sl.g
             if node.part == 2:
-                part2 += 1
-                sl = node.sl
-                work = Slice(switch(sl.g, node.resign), sl.eref, sl.vref)
-                far = node.side2 if node.kept == 1 else node.side1
-                assert node.discard == work.sub(far)
-    assert part2 > 20
+                g = switch(g, node.resign)
+                assert all(g.sign(i) == 1 for i in far)
+            else:
+                nc = node.neg_cycle
+                assert set(nc.edges) <= far
+                assert Cycle.from_edges(g, nc.edges) == nc
+                assert cycle_sign(g, nc) == -1
+            idx = sl.edge_index()
+            for marker in node.children[0].markers:
+                _, u, v, sign = marker
+                path = [idx[r] for r in sgties.decide._marker_path(node, marker)]
+                assert set(path) <= far
+                assert _path_between(g, path, u, v)
+                assert sign_product(g, path) == sign
+    assert min(seen.values()) >= 20
 
 
 def test_every_reduction_slice_is_2_connected_with_a_parallel_free_pair():
