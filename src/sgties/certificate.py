@@ -198,6 +198,13 @@ def _field(d: dict, key: str, kind: type, where: str):
     return val
 
 
+def _ids(d: dict, key: str, where: str) -> tuple[int, ...]:
+    ids = tuple(_field(d, key, list, where))
+    if not all(type(x) is int for x in ids):
+        raise BadParams(f"{where} has a non-int entry in {key!r}")
+    return ids
+
+
 def verdict_from_doc(doc: dict) -> tuple[Verdict, EdgeId, EdgeId]:
     """Parse a verdict document back into a Verdict and its edge pair.
 
@@ -213,15 +220,15 @@ def verdict_from_doc(doc: dict) -> tuple[Verdict, EdgeId, EdgeId]:
     if not isinstance(cycles, list) or not all(isinstance(c, dict) for c in cycles):
         raise BadParams("witness is not a list of cycles")
     witness = tuple(
-        Cycle(
-            tuple(_field(c, "edges", list, f"witness cycle {i}")),
-            tuple(_field(c, "vertices", list, f"witness cycle {i}")),
-        )
+        Cycle(_ids(c, "edges", f"witness cycle {i}"), _ids(c, "vertices", f"witness cycle {i}"))
         for i, c in enumerate(cycles, start=1)
     )
+    common_sign = doc.get("common_sign")
+    if common_sign is not None and (type(common_sign) is not int or common_sign not in (1, -1)):
+        raise BadParams("common_sign must be null, 1 or -1")
     v = Verdict(
         kind=kind,
-        common_sign=doc.get("common_sign"),
+        common_sign=common_sign,
         witness=witness,
         certificate=doc.get("certificate"),
         reason=doc.get("reason"),

@@ -5,20 +5,16 @@ blocks (a doubled edge is a 2-connected block) but never for vertex cuts.
 ``components`` and ``blocks`` take a set of removed vertices and walk the
 graph as if those vertices and their edges were absent.
 
-Whether a 2-connected graph has a 2-cut at all is one linear pass,
-``_separation_pair`` (Hopcroft & Tarjan's path search, cut down to
-detection).  Which 2-cut a separation uses is pinned by a scan: in a
-2-connected graph, {u, v} is a vertex cut exactly when v is a cut vertex
-of G-u, so one lowpoint search of G-u per vertex u, in increasing u,
-finds the lexicographically smallest 2-cut.  The linear pass bounds
-that scan by the smaller end of a 2-cut it names, so a graph with no
-2-cut costs two walks and one pass, and a graph whose smallest 2-cut
-starts at vertex u costs about u walks.
+Whether a 2-connected graph has a 2-cut, and which one a separation
+uses, is one linear pass, ``_separation_pair`` (Hopcroft & Tarjan's
+path search, cut down to detection): a separation splits at the first
+2-cut that pass names, so finding one costs O(n+m) whatever the graph's
+shape.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import EdgeId, SignedGraph, VertexId
 from .errors import NotTwoConnected
@@ -135,7 +131,7 @@ def blocks(g: SignedGraph, removed: frozenset[VertexId] = frozenset()) -> BlockT
                         cuts.add(p)
         if root_children > 1:
             cuts.add(root)
-    if len(out) > 1:  # every G-u of a 3-connected scan has a lone block
+    if len(out) > 1:  # a 2-connected graph, the common case, has a lone block
         out.sort(key=min)
     return BlockTree(tuple(out), frozenset(cuts))
 
@@ -332,48 +328,13 @@ def _separation_pair(g: SignedGraph) -> Optional[tuple[VertexId, VertexId]]:
     return None
 
 
-def _first_cut_pair(g: SignedGraph) -> Optional[tuple[VertexId, VertexId]]:
-    """Lexicographically smallest 2-cut (u < v) of a 2-connected graph, n >= 4.
-
-    The first u whose G-u has a cut vertex has only cut vertices above
-    it: a cut vertex w < u of G-u would make u a cut vertex of G-w, and
-    the scan would have stopped at w.  The scan walks u = 0 and u = 1,
-    where nested chains such as ladders stop; past them one linear
-    ``_separation_pair`` pass either proves there is no 2-cut or names
-    one, and the smallest vertex of any 2-cut is at most its smaller
-    end, which bounds the rest of the scan.
-    """
-    found = _first_cut_from(g, (0, 1))
-    if found is not None:
-        return found
-    pair = _separation_pair(g)
-    if pair is None:
-        return None
-    found = _first_cut_from(g, range(2, pair[0] + 1))
-    assert found is not None, f"{pair} is not a 2-cut"
-    return found
-
-
-def _first_cut_from(
-    g: SignedGraph, us: Iterable[VertexId]
-) -> Optional[tuple[VertexId, VertexId]]:
-    """(u, smallest cut vertex of G-u) for the first u in ``us`` with one."""
-    for u in us:
-        cuts = blocks(g, frozenset((u,))).cut_vertices
-        if cuts:
-            return u, min(cuts)
-    return None
-
-
 def find_proper_2_separation(g: SignedGraph) -> Optional[Separation]:
     """Deterministic proper 2-separation of a 2-connected graph, if any.
 
-    The boundary is the lexicographically smallest vertex pair whose
-    removal disconnects g, found as the first cut vertex of some G-u by
-    ``_first_cut_pair``: O((u+1)(n+m)) when that pair starts at vertex
-    u, and O(n+m) when there is none; side1 is the smallest
-    single-component side (fewest edges, then smallest ids).  Returns None exactly when no cut pair
-    exists, i.e. when g is 3-connected or too small to separate properly.
+    The boundary is a 2-cut the linear pass ``_separation_pair`` names,
+    O(n+m); side1 is the smallest single-component side (fewest edges,
+    then smallest ids).  Returns None exactly when no cut pair exists,
+    i.e. when g is 3-connected or too small to separate properly.
 
     This is the guarded entry: it first proves g 2-connected and raises
     NotTwoConnected otherwise.  The search itself is
@@ -390,12 +351,13 @@ def _proper_2_separation(g: SignedGraph) -> Optional[Separation]:
     """find_proper_2_separation without its 2-connectivity guard."""
     if g.n < 4:
         return None
-    pair = _first_cut_pair(g)
+    pair = _separation_pair(g)
     if pair is None:
         return None
     # one edge pass: an edge joins the side of its non-boundary endpoint;
     # edges joining the boundary pair join no component side, so side2
     comps = components(g, frozenset(pair))
+    assert len(comps) > 1, f"{pair} is not a 2-cut"
     label = [-1] * g.n
     for c, comp in enumerate(comps):
         for x in comp:

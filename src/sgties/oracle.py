@@ -259,22 +259,29 @@ def _need(cond: bool, reason: str) -> None:
         raise _Fail(reason)
 
 
+def _plain(values) -> bool:
+    """No value is a bool.  bool is an int subclass and True == 1, so a
+    dict lookup, ``==`` or ``in`` would read JSON true as id 1, sign +1
+    or part 1; every check that reads a document value rules it out."""
+    return bool not in map(type, values)
+
+
 def _resolve_edges(sl: Slice, refs, what: str) -> list[int]:
     idx = sl.edge_index()
-    out = []
-    for r in refs:
-        _need(r in idx, f"{what}: unknown edge reference {r!r}")
-        out.append(idx[r])
-    return out
+    _need(_plain(refs), f"{what}: boolean edge reference")
+    try:
+        return [idx[r] for r in refs]
+    except KeyError as exc:
+        raise _Fail(f"{what}: unknown edge reference {exc.args[0]!r}") from None
 
 
 def _resolve_verts(sl: Slice, refs, what: str) -> list[int]:
     idx = sl.vert_index()
-    out = []
-    for r in refs:
-        _need(r in idx, f"{what}: unknown vertex reference {r!r}")
-        out.append(idx[r])
-    return out
+    _need(_plain(refs), f"{what}: boolean vertex reference")
+    try:
+        return [idx[r] for r in refs]
+    except KeyError as exc:
+        raise _Fail(f"{what}: unknown vertex reference {exc.args[0]!r}") from None
 
 
 def _switched_positive(
@@ -334,7 +341,8 @@ def _replay_node(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
             "parallel-pair: edges are not mutually parallel",
         )
         _need(
-            node.get("sign") == sl.g.sign(e1) * sl.g.sign(e2),
+            type(node.get("sign")) is not bool
+            and node.get("sign") == sl.g.sign(e1) * sl.g.sign(e2),
             "parallel-pair: recorded sign mismatch",
         )
     else:
@@ -351,7 +359,7 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
     cuts every child out of its base, the one place a side is cut out.
     """
     part = node.get("part")
-    _need(part in (1, 2, 3), f"split: unknown part {part!r}")
+    _need(type(part) is int and part in (1, 2, 3), f"split: unknown part {part!r}")
     bu, bv = _resolve_verts(sl, node["boundary"], "split boundary")
     _need(bu != bv, "split: boundary vertices coincide")
     side1 = _resolve_edges(sl, node["side1"], "side1")
@@ -373,7 +381,7 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
         plan = [(side1, sl, [POSITIVE]), (side2, sl, [POSITIVE])]
     else:
         kept = node.get("kept")
-        _need(kept in (1, 2), f"split: bad kept side {kept!r}")
+        _need(type(kept) is int and kept in (1, 2), f"split: bad kept side {kept!r}")
         keep_side = sides[kept]
         drop_side = sides[3 - kept]
         _need(
@@ -406,16 +414,18 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
                 sign_product(sl.g, cyc.edges) == NEGATIVE,
                 "part 3: recorded cycle is not negative",
             )
+            vs = nc.get("vertices") or []
             _need(
-                {sl.vref[x] for x in cyc.vertices} == set(nc.get("vertices") or []),
+                _plain(vs) and {sl.vref[x] for x in cyc.vertices} == set(vs),
                 "part 3: cycle vertices mismatch",
             )
             plan = [(keep_side, sl, [NEGATIVE, POSITIVE])]
     jobs, heads = [], set()
     for (side, base, signs), child in zip(plan, children):
         mds = child.get("markers") or []
+        got = [md["sign"] for md in mds]
         _need(
-            sorted(md["sign"] for md in mds) == signs,
+            _plain(got) and sorted(got) == signs,
             f"part {part}: child markers must carry the signs {signs}",
         )
         # the boundary is two distinct vertices, so markers can be
@@ -423,7 +433,7 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
         markers = []
         for md in mds:
             _need(
-                {md["u"], md["v"]} == {sl.vref[bu], sl.vref[bv]},
+                _plain((md["u"], md["v"])) and {md["u"], md["v"]} == {sl.vref[bu], sl.vref[bv]},
                 "marker endpoints differ from the split boundary",
             )
             u, v = (bu, bv) if md["u"] == sl.vref[bu] else (bv, bu)
@@ -431,7 +441,7 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
         sub = base.sub(sorted(side), markers)
         idx = sub.edge_index()
         pair = child.get("pair") or []
-        _need(len(pair) == 2 and pair[0] != pair[1], "child: malformed pair")
+        _need(_plain(pair) and len(pair) == 2 and pair[0] != pair[1], "child: malformed pair")
         if part == 1:
             _need(pair[1] == mds[0]["name"], "part 1: pair must end with the marker")
             heads.add(pair[0])
@@ -500,7 +510,10 @@ def _replay_enum(sl: Slice, e1: int, e2: int, node: dict) -> None:
     _need(len(rep.cycles) >= 1, "enum: leaf has no common cycle")
     signs = {sign_product(sl.g, c.edges) for c in rep.cycles}
     _need(len(signs) == 1, "enum: leaf cycles carry both signs")
-    _need(node.get("sign") in signs, "enum: recorded sign mismatch")
+    _need(
+        type(node.get("sign")) is not bool and node.get("sign") in signs,
+        "enum: recorded sign mismatch",
+    )
     recorded = set()
     for cd in node.get("cycles") or []:
         ids = _resolve_edges(sl, cd.get("edges") or [], "enum cycle")
@@ -578,8 +591,9 @@ def verify_certificate(
         b = blocks(slim.g).block_of(p1)
         _need(p2 in b, "preprocess: edges are in different blocks")
         sli = slim.sub(sorted(b))
+        block = node.get("block") or []
         _need(
-            sorted(node.get("block") or []) == sorted(sli.eref),
+            _plain(block) and sorted(block) == sorted(sli.eref),
             "preprocess: recorded block mismatch",
         )
         idx = sli.edge_index()

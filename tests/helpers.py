@@ -185,9 +185,12 @@ def first_cut_pair_by_scan(g: SignedGraph):
     """Lexicographically smallest 2-cut (u < v) of a 2-connected graph, or
     None: the first cut vertex of G-u over every u in turn, O(n(n+m)).
 
-    The first u whose G-u has a cut vertex has only cut vertices above
-    it: a cut vertex w < u of G-u would make u a cut vertex of G-w, and
-    the scan would have stopped at w.
+    The oracle for ``connectivity._separation_pair`` and
+    ``is_3_connected``: the pass finds a 2-cut exactly when the scan
+    does, and never one below the scan's.  The first u whose G-u has a
+    cut vertex has only cut vertices above it: a cut vertex w < u of G-u
+    would make u a cut vertex of G-w, and the scan would have stopped at
+    w.
     """
     for u in range(g.n):
         cuts = blocks(g, frozenset((u,))).cut_vertices

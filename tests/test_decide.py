@@ -165,20 +165,20 @@ def test_decide_is_deterministic():
     [
         ((6, 10, 0.5, 11), (7, 8), 1, [(0, 6, 5, 8, 7), (0, 6, 4, 8, 7)]),
         (
-            (8, 14, 0.5, 24),
-            (5, 12),
-            3,
-            [(0, 2, 5, 4, 7, 12, 3), (0, 2, 5, 10, 7, 12, 3)],
+            (8, 14, 0.5, 53),
+            (7, 10),
+            2,
+            [(1, 8, 13, 5, 7, 10), (1, 8, 13, 3, 7, 10)],
         ),
     ],
     ids=["part2", "part3"],
 )
 def test_part23_lift_searches_each_marker_path_once(monkeypatch, args, pair, searches, witness):
     """Both witness cycles pass through one marker of a part-2/3 split
-    (twice m0 under a part-2 root; twice m2, then m0 and m1 under a
-    part-3 root), so the path standing in for it is searched once and
-    spliced into both; a lift that searched per cycle would count 2 and
-    4."""
+    (twice m0 under a part-2 root; twice m2 under a part-3 child, then
+    twice m0 under the part-3 root), so the path standing in for it is
+    searched once and spliced into both; a lift that searched per cycle
+    would count 2 and 4."""
     calls = []
     original = sgties.decide._marker_path
 
@@ -516,10 +516,11 @@ def test_every_reduction_slice_is_2_connected_with_a_parallel_free_pair():
 
 
 def test_ladder_decide_block_searches_are_pinned(monkeypatch):
-    """A 40-rung ladder nests 76 splits.  Each level costs only the
-    cut-pair search's calls to blocks; a 2-connectivity re-proof per
-    level would add about one call each.  The small leaf's 3-connectivity
-    test walks blocks once, for its 2-connectivity proof."""
+    """A 40-rung ladder nests 76 splits.  The cut-pair search walks no
+    blocks, and a 2-connectivity re-proof per level would add about one
+    call each; preprocessing walks blocks once to find the pair's block,
+    and the small leaf's 3-connectivity test once, for its
+    2-connectivity proof."""
     calls = []
     real = sgties.connectivity.blocks
 
@@ -531,7 +532,41 @@ def test_ladder_decide_block_searches_are_pinned(monkeypatch):
         monkeypatch.setattr(mod, "blocks", counting)
     g, e1, e2 = ladder(40, 1)
     assert decide_tied(g, e1, e2).kind == KIND_TIED
-    assert len(calls) == 116
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n", [320, 640, 1280])
+def test_subdivided_rim_splits_in_one_pass(monkeypatch, n):
+    """random_3_connected(n, n, 0, 1) with edge 0 flipped and its rim edge
+    (n-2, n-1) subdivided has that pair as its only 2-cut, far from
+    vertex 0.  The pair (0, m-2) decides tied with sign -1 in one blocks
+    walk (preprocessing) and two linear passes (the split and the large
+    child), however large the smaller end of the cut; a scan of G-u for
+    u = 0, 1, ... up to it would walk blocks about n times."""
+    g = random_3_connected(n, n, 0, 1)
+    items = [(e.u, e.v, e.sign) for e in g.edges]
+    items[0] = (items[0][0], items[0][1], -items[0][2])
+    u, v, s = items.pop(n - 3)  # the rim edge (n-2, n-1)
+    assert (u, v) == (n - 2, n - 1)
+    g = SignedGraph.build(n + 1, items + [(u, n, s), (n, v, 1)])
+    calls = {"blocks": 0, "pass": 0}
+    real_blocks = sgties.connectivity.blocks
+    real_pass = sgties.connectivity._separation_pair
+
+    def counting_blocks(*args, **kwargs):
+        calls["blocks"] += 1
+        return real_blocks(*args, **kwargs)
+
+    def counting_pass(h):
+        calls["pass"] += 1
+        return real_pass(h)
+
+    for mod in (sgties.connectivity, sgties.decide):
+        monkeypatch.setattr(mod, "blocks", counting_blocks)
+    monkeypatch.setattr(sgties.connectivity, "_separation_pair", counting_pass)
+    v = decide_tied(g, 0, g.m - 2)
+    assert (v.kind, v.common_sign) == (KIND_TIED, -1)
+    assert calls == {"blocks": 1, "pass": 2}
 
 
 def test_reduce_marker_names_are_fresh_per_call():

@@ -76,11 +76,11 @@ CASES = {
     ),
     "composed/d3s0": (
         lambda: _composed(3, 0),
-        "efd5d24e8ccef6a40573ac3b0ade63c237212204341cd292c09514ea4054c882",
+        "686374afbf1a6c85848ff54f09b9e19c72904012a3fe0ce195bfbdeb457724a1",
     ),
     "composed/d4s6": (
         lambda: _composed(4, 6),
-        "8f2d8c63a9eccfea052d9b7b1b1ecf5c547bb7760e09cd02c4bb713006ea9f41",
+        "8766287181a9ccad8ddbf95c0edc2a01713a5156deddc06c2d265c077114dc26",
     ),
     "flat/tied-s0": (
         lambda: _flat(0.0, 0),
@@ -115,8 +115,8 @@ CASES = {
         "b5e444819e1577e240bce12e0b2a8ff0cce9ad50a260cfd713aca428ad213874",
     ),
     "random/untied-part3": (
-        lambda: _random(9, 15, 17, 12, 4),
-        "50f9e24a62b4584cfc0899020dd57283bbe89a71abff7d98ce742842587d0e4c",
+        lambda: _random(7, 12, 107, 2, 9),
+        "8bd847da2b82656aeddd3b212e8a9df4e59368a18e01d975421e619de1b6894b",
     ),
 }
 
@@ -124,8 +124,8 @@ CASES = {
 # verdict, sign and certificate stay pinned when only a witness changes
 BODIES = {
     "composed/d2s10": "1eac9bd57c9a1570956d90eb5f725bfb0d57cc62aa17ae36d13b2c54e55247fe",
-    "composed/d3s0": "06ce18fd0e48091d2b2740ab4e2f6d2b0ad79347d9baec2e192bc08f50a06b22",
-    "composed/d4s6": "c11f2c4b5b4d717808b96c36fe93f4b631c6760ab933b8090c1d79532dee3f77",
+    "composed/d3s0": "d0766f1523d1ec6b0f0afdd4df7b1168f18bdc4ef9cc89680e3941369011522a",
+    "composed/d4s6": "9e4f784e16c5041895d59a6ec9d114d50bad0a667da4c3a90cf309597e3cd909",
     "corpus/hat": "3551303928ab6990ff0f392cc5449c12531b05990d105b82b1b4d5292d3388f2",
     "corpus/hedgehog": "dbab81f026228aa4c8456d6f186b75ad73b8c108d7f99a2754bb4ca610ec9498",
     "corpus/k4-case3": "6809da3077bd8fb5f227aebe80bcf45b620bad9a5490faa3b56ad2cce4e77ab0",
@@ -138,7 +138,7 @@ BODIES = {
     "random/parallel-pair": "9c87be40d1d621863132c16f48950e346a0dacf33039000a02c6311d5cb83433",
     "random/untied-part1": "195624033001e12562c367fe79eb0983c80617d7dff3674207cafba50db744af",
     "random/untied-part2": "b686ea8c6f264c615de9b1137c143f8dc36c855e5cf47fa91fa3d7a9700c1c05",
-    "random/untied-part3": "bb88c9045e35f1f3071f356e9ad9ca8516016398af40727a1b76a1726b73a655",
+    "random/untied-part3": "33b440b43d957a8dbec9ed19cce2db1e8f01c64ae4251f542cc8cf63001dc7a2",
 }
 
 # untied cases whose witnesses are lifted through a root split of this part

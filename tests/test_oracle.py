@@ -348,6 +348,42 @@ def _first_split(node):
     return node
 
 
+def _put_true_in_side(doc):
+    split = _first_split(doc["certificate"])
+    side = next(s for s in (split["side1"], split["side2"]) if 1 in s)
+    side[side.index(1)] = True
+
+
+def _put_true_in_list(ids):
+    ids[ids.index(1)] = True
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc.update(common_sign=True),
+        lambda doc: _put_true_in_list(doc["witness"][0]["vertices"]),
+        _put_true_in_side,
+        lambda doc: _put_true_in_list(doc["certificate"]["block"]),
+        lambda doc: _first_split(doc["certificate"]).update(part=True),
+        lambda doc: _first_split(doc["certificate"])["children"][0]["markers"][0].update(
+            sign=True
+        ),
+    ],
+    ids=["common-sign", "witness-vertex", "side-entry", "block-entry", "part", "marker-sign"],
+)
+def test_verify_never_reads_a_json_true_as_1(mutate):
+    """bool is an int subclass and True == 1, so a document read without
+    type checks takes JSON true for edge or vertex 1, sign +1 or part 1.
+    Each such edit of a positive tied document must be rejected."""
+    g, e1, e2 = compose_tied_instance(random_recipe(0, 2), 0)
+    doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+    assert doc["common_sign"] == 1 and _first_split(doc["certificate"])["part"] == 1
+    assert verify_certificate(g, e1, e2, doc) == (True, "ok")
+    mutate(doc)
+    assert _reason(g, e1, e2, doc)
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
