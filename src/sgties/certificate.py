@@ -9,7 +9,10 @@ Certificates are plain dicts (JSON-ready).  All edge references inside
 a certificate are either original edge ids (ints) or marker names
 ("m0", "m1", ...) for edges introduced across separation boundaries
 during the reduction; vertex references are always original vertex
-ids.  Marker names are unique within one certificate.
+ids.  Marker names are unique within one certificate, and verify
+requires each to be fresh within its slice: a string that is neither a
+reference of the slice the child is cut from nor the name of another
+marker of the same child.  So every reference names one edge.
 
 Node kinds:
   parallel-pair  the two distinguished edges are mutually parallel;

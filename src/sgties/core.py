@@ -117,7 +117,9 @@ class Slice:
 
     eref sends local edge ids to original edge ids or marker names;
     vref sends local vertex ids to original vertex ids (markers never
-    introduce vertices).
+    introduce vertices).  Every reference names exactly one edge of the
+    slice, so edge_index and vert_index invert eref and vref; each is
+    built once per slice.
     """
 
     g: SignedGraph
@@ -128,9 +130,11 @@ class Slice:
     def identity(cls, g: SignedGraph) -> "Slice":
         return cls(g, tuple(range(g.m)), tuple(range(g.n)))
 
+    @cached_property
     def edge_index(self) -> dict[Ref, EdgeId]:
         return {r: i for i, r in enumerate(self.eref)}
 
+    @cached_property
     def vert_index(self) -> dict[VertexId, VertexId]:
         return {r: i for i, r in enumerate(self.vref)}
 
@@ -142,11 +146,16 @@ class Slice:
         """The slice induced by sorted local edge ids, plus marker edges.
 
         Each marker is (name, local u, local v, sign); markers follow the
-        kept edges in the given order and are referenced by name.  The
-        vertices are those the kept edges and markers touch, in order.
-        Kept edges come from a valid graph and are copied unchecked;
-        markers are validated like any new edge.
+        kept edges in the given order and are referenced by name, a
+        string that is fresh: no reference of this slice and no other
+        marker's.  The vertices are those the kept edges and markers
+        touch, in order.  Kept edges come from a valid graph and are
+        copied unchecked; markers are validated like any new edge.
         """
+        names = [name for name, _, _, _ in markers]
+        for name in names:
+            if type(name) is not str or name in self.edge_index or names.count(name) > 1:
+                raise BadParams(f"marker name {name!r} is not a fresh string")
         kept = [self.g.edge(i) for i in keep]
         verts = sorted(
             {x for e in kept for x in (e.u, e.v)}
@@ -157,7 +166,7 @@ class Slice:
         for _, u, v, s in markers:
             _check_ends(len(verts), vmap[u], vmap[v])
             edges.append(Edge(vmap[u], vmap[v], check_sign(s)))
-        eref = [self.eref[i] for i in keep] + [name for name, _, _, _ in markers]
+        eref = [self.eref[i] for i in keep] + names
         return Slice(
             SignedGraph(len(verts), tuple(edges)),
             tuple(eref),

@@ -251,7 +251,7 @@ def _normalize_child(
         return sub, p1, p2, ()
     removed = tuple(sub.eref[i] for i in drop)
     slim = sub.sub([i for i in range(sub.g.m) if i not in drop])
-    idx = slim.edge_index()
+    idx = slim.edge_index
     return slim, idx[sub.eref[p1]], idx[sub.eref[p2]], removed
 
 
@@ -269,7 +269,7 @@ def _make_child(
     only edges parallel to the pair, never the pair itself.
     """
     sub = sl.sub(side, markers)
-    idx = sub.edge_index()
+    idx = sub.edge_index
     slim, p1, p2, removed = _normalize_child(sub, idx[pair[0]], idx[pair[1]])
     return ChildSpec(
         pair_refs=pair,
@@ -408,7 +408,7 @@ def _block_tree(sl: Slice, e1: int, e2: int) -> Optional[ReductionTree]:
     if e2 not in b:
         return None
     blk = sl.sub(sorted(b))
-    idx = blk.edge_index()
+    idx = blk.edge_index
     return _reduce(blk, idx[sl.eref[e1]], idx[sl.eref[e2]], itertools.count())
 
 
@@ -589,7 +589,7 @@ def _component_ear(
         return None
     # (half, sign an ear would carry from the half's start) ->
     # attachment vertex -> (attachment edge, its end in K)
-    kv = ks.vert_index()
+    kv = ks.vert_index
     ends: dict[tuple[int, Sign], dict[VertexId, tuple[EdgeId, VertexId]]] = {}
     for eid, v, x in attach:
         hx, sx = place[x]
@@ -619,7 +619,7 @@ def _self_reduce(sl: Slice, e1: int, e2: int, sign: Sign) -> frozenset[Ref]:
             continue
         trial = [i for i in keep if i != eid]
         sub = base.sub(trial)
-        idx = sub.edge_index()
+        idx = sub.edge_index
         if sign in _common_signs(sub.g, idx[e1], idx[e2]):
             keep = trial
     return _refs(sl, keep)
@@ -639,7 +639,7 @@ def _leaf_untied_witness(sl: Slice, e1: int, e2: int) -> _Witness:
     if ear is None:
         return _refs(sl, c.edges), _self_reduce(sl, e1, e2, other)
     h = sl.sub(sorted(c.edges + ear))
-    idx = h.edge_index()
+    idx = h.edge_index
     d, _ = find_common_cycle(h.g, idx[sl.eref[e1]], idx[sl.eref[e2]], sign=other)
     assert d is not None, "an ear of the other sign closes no common cycle"
     return _refs(sl, c.edges), _refs(h, d.edges)
@@ -708,11 +708,11 @@ def _lift_up(ancestry: _Ancestry, w: _Witness) -> _Witness:
     return w
 
 
-def _finalize_pair(root: Slice, witness: _Witness) -> tuple[Cycle, Cycle]:
-    idx = root.edge_index()
-    out = [Cycle.from_edge_set(root.g, (idx[r] for r in refs)) for refs in witness]
-    s0 = sign_product(root.g, out[0].edges)
-    s1 = sign_product(root.g, out[1].edges)
+def _finalize_pair(g: SignedGraph, witness: _Witness) -> tuple[Cycle, Cycle]:
+    # lifted to the root, every reference is an input edge id
+    out = [Cycle.from_edge_set(g, refs) for refs in witness]
+    s0 = sign_product(g, out[0].edges)
+    s1 = sign_product(g, out[1].edges)
     assert {s0, s1} == {POSITIVE, NEGATIVE}, "lifted witnesses share a sign"
     if s0 == NEGATIVE:
         out.reverse()
@@ -752,7 +752,7 @@ def decide_tied(g: SignedGraph, e1: EdgeId, e2: EdgeId) -> Verdict:
     if not isinstance(res, dict):
         leaf, ancestry = res
         w = _lift_up(ancestry, _leaf_untied_witness(leaf.sl, leaf.e1, leaf.e2))
-        return Verdict(kind=cert.KIND_UNTIED, witness=_finalize_pair(Slice.identity(g), w))
+        return Verdict(kind=cert.KIND_UNTIED, witness=_finalize_pair(g, w))
     c, _ = find_common_cycle(g, e1, e2)
     # the pair shares a 2-connected block, so a common cycle exists
     assert c is not None, "no common cycle found despite a shared block"

@@ -267,7 +267,7 @@ def _plain(values) -> bool:
 
 
 def _resolve_edges(sl: Slice, refs, what: str) -> list[int]:
-    idx = sl.edge_index()
+    idx = sl.edge_index
     _need(_plain(refs), f"{what}: boolean edge reference")
     try:
         return [idx[r] for r in refs]
@@ -276,7 +276,7 @@ def _resolve_edges(sl: Slice, refs, what: str) -> list[int]:
 
 
 def _resolve_verts(sl: Slice, refs, what: str) -> list[int]:
-    idx = sl.vert_index()
+    idx = sl.vert_index
     _need(_plain(refs), f"{what}: boolean vertex reference")
     try:
         return [idx[r] for r in refs]
@@ -304,22 +304,22 @@ def _switched_positive(
         _need(s == POSITIVE, f"{what}: signing violated at edge {eid}")
 
 
-def _apply_removed(sl: Slice, pair: tuple[int, int], removed) -> tuple[Slice, tuple[int, int]]:
+def _apply_removed(sl: Slice, e1: int, e2: int, removed) -> tuple[Slice, int, int]:
     """Drop recorded parallel-to-pair edges from a slice."""
     if not removed:
-        return sl, pair
+        return sl, e1, e2
     ids = _resolve_edges(sl, removed, "removed")
-    pair_ends = {sl.g.endpoints(pair[0]), sl.g.endpoints(pair[1])}
+    pair_ends = {sl.g.endpoints(e1), sl.g.endpoints(e2)}
     for eid in ids:
-        _need(eid not in pair, "removed: lists a distinguished edge")
+        _need(eid not in (e1, e2), "removed: lists a distinguished edge")
         _need(
             sl.g.endpoints(eid) in pair_ends,
             f"removed: edge {sl.eref[eid]!r} is not parallel to the pair",
         )
     drop = set(ids)
     sub = sl.sub([i for i in range(sl.g.m) if i not in drop])
-    idx = sub.edge_index()
-    return sub, (idx[sl.eref[pair[0]]], idx[sl.eref[pair[1]]])
+    idx = sub.edge_index
+    return sub, idx[sl.eref[e1]], idx[sl.eref[e2]]
 
 
 # one node still to replay: its slice, distinguished pair and document
@@ -414,11 +414,8 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
                 sign_product(sl.g, cyc.edges) == NEGATIVE,
                 "part 3: recorded cycle is not negative",
             )
-            vs = nc.get("vertices") or []
-            _need(
-                _plain(vs) and {sl.vref[x] for x in cyc.vertices} == set(vs),
-                "part 3: cycle vertices mismatch",
-            )
+            vs = _resolve_verts(sl, nc.get("vertices") or [], "neg_cycle vertices")
+            _need(set(cyc.vertices) == set(vs), "part 3: cycle vertices mismatch")
             plan = [(keep_side, sl, [NEGATIVE, POSITIVE])]
     jobs, heads = [], set()
     for (side, base, signs), child in zip(plan, children):
@@ -432,25 +429,18 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
         # neither loops nor strays
         markers = []
         for md in mds:
-            _need(
-                _plain((md["u"], md["v"])) and {md["u"], md["v"]} == {sl.vref[bu], sl.vref[bv]},
-                "marker endpoints differ from the split boundary",
-            )
-            u, v = (bu, bv) if md["u"] == sl.vref[bu] else (bv, bu)
+            u, v = _resolve_verts(sl, (md["u"], md["v"]), "marker ends")
+            _need({u, v} == {bu, bv}, "marker endpoints differ from the split boundary")
             markers.append((md["name"], u, v, md["sign"]))
         sub = base.sub(sorted(side), markers)
-        idx = sub.edge_index()
         pair = child.get("pair") or []
-        _need(_plain(pair) and len(pair) == 2 and pair[0] != pair[1], "child: malformed pair")
+        _need(len(pair) == 2, "child: malformed pair")
+        p1, p2 = _resolve_edges(sub, pair, "child pair")
+        _need(p1 != p2, "child: malformed pair")
         if part == 1:
-            _need(pair[1] == mds[0]["name"], "part 1: pair must end with the marker")
-            heads.add(pair[0])
-        for r in pair:
-            _need(r in idx, f"child pair reference {r!r} missing from child")
-        slim, (p1, p2) = _apply_removed(
-            sub, (idx[pair[0]], idx[pair[1]]), child.get("removed")
-        )
-        jobs.append((slim, p1, p2, child["node"]))
+            _need(sub.eref[p2] == mds[0]["name"], "part 1: pair must end with the marker")
+            heads.add(sub.eref[p1])
+        jobs.append((*_apply_removed(sub, p1, p2, child.get("removed")), child["node"]))
     if part == 1:
         _need(heads == {sl.eref[e1], sl.eref[e2]}, "part 1: children do not cover the pair")
     return jobs
@@ -517,6 +507,8 @@ def _replay_enum(sl: Slice, e1: int, e2: int, node: dict) -> None:
     recorded = set()
     for cd in node.get("cycles") or []:
         ids = _resolve_edges(sl, cd.get("edges") or [], "enum cycle")
+        vs = _resolve_verts(sl, cd.get("vertices") or [], "enum cycle vertices")
+        _need(set(vs) == side_vertices(sl.g, ids), "enum: cycle vertices mismatch")
         recorded.add(frozenset(ids))
     _need(
         recorded == {frozenset(c.edges) for c in rep.cycles},
@@ -566,7 +558,7 @@ def verify_certificate(
         if v.kind == cert.KIND_VACUOUS:
             node = v.certificate or {}
             _need(node.get("kind") == cert.NODE_BLOCKS, "vacuous verdict needs a blocks record")
-            slim, (p1, p2) = _apply_removed(Slice.identity(g), (e1, e2), node.get("removed"))
+            slim, p1, p2 = _apply_removed(Slice.identity(g), e1, e2, node.get("removed"))
             bt = blocks(slim.g)
             _need(
                 bt.block_of(p1) != bt.block_of(p2),
@@ -587,7 +579,7 @@ def verify_certificate(
             node.get("kind") == cert.NODE_PREPROCESS,
             f"unexpected root node {node.get('kind')!r}",
         )
-        slim, (p1, p2) = _apply_removed(Slice.identity(g), (e1, e2), node.get("removed"))
+        slim, p1, p2 = _apply_removed(Slice.identity(g), e1, e2, node.get("removed"))
         b = blocks(slim.g).block_of(p1)
         _need(p2 in b, "preprocess: edges are in different blocks")
         sli = slim.sub(sorted(b))
@@ -596,8 +588,7 @@ def verify_certificate(
             _plain(block) and sorted(block) == sorted(sli.eref),
             "preprocess: recorded block mismatch",
         )
-        idx = sli.edge_index()
-        jobs = [(sli, idx[e1], idx[e2], node["inner"])]
+        jobs = [(sli, sli.edge_index[e1], sli.edge_index[e2], node["inner"])]
         while jobs:
             jobs.extend(reversed(_replay_node(*jobs.pop())))
         return True, "ok"

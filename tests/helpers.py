@@ -165,6 +165,45 @@ def prism_doubled_rung() -> SignedGraph:
     return SignedGraph.build(6, items)
 
 
+def forged_marker_graph() -> SignedGraph:
+    """A K4 on {0, 1, 2, 3} and an unbalanced side on {0, 1, 4, 5} that
+    share the boundary {0, 1}; the pair (0, 2) is untied."""
+    return SignedGraph.build(6, [
+        (0, 2, 1), (2, 3, 1), (3, 1, 1), (0, 3, 1), (1, 2, 1),
+        (0, 4, 1), (4, 1, 1), (0, 5, 1), (5, 1, -1),
+    ])
+
+
+def forged_marker_document(name) -> dict:
+    """A tied document for forged_marker_graph's pair (0, 2), without
+    witness or sign.  Its part-3 split keeps the K4 and replaces the
+    other side by a positive marker named ``name`` and a negative one,
+    which the child drops as parallel to its pair."""
+    side1 = [5, 6, 7, 8]
+    child = {
+        "pair": [0, 2],
+        "markers": [
+            {"name": name, "u": 0, "v": 1, "sign": 1},
+            {"name": "m1", "u": 0, "v": 1, "sign": -1},
+        ],
+        "removed": ["m1"],
+        "node": {"kind": "case3", "switch": []},
+    }
+    split = {
+        "kind": "split", "part": 3, "boundary": [0, 1],
+        "side1": side1, "side2": [0, 1, 2, 3, 4], "kept": 2, "switch": None,
+        "neg_cycle": {"edges": side1, "vertices": [0, 1, 4, 5]},
+        "children": [child],
+    }
+    return {
+        "format": "sg-tied/1", "kind": "tied", "e1": 0, "e2": 2,
+        "common_sign": None, "witness": [],
+        "certificate": {
+            "kind": "preprocess", "removed": [], "block": list(range(9)), "inner": split,
+        },
+    }
+
+
 def random_2_connected(rng: random.Random, n: int, extra: int) -> SignedGraph:
     """Ring 0..n-1 plus `extra` random chords/parallels, random signs.
 

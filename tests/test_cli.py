@@ -328,6 +328,15 @@ def test_verify_rejects_a_boolean_edge_id(tmp_path):
     assert err.splitlines() == ["error: document has a non-int field 'e1'"]
 
 
+def test_cli_verify_rejects_a_marker_that_shadows_an_edge(tmp_path):
+    p, cert = tmp_path / "g.sg", tmp_path / "cert.json"
+    serialize(helpers.forged_marker_graph(), str(p))
+    cert.write_text(json.dumps(helpers.forged_marker_document(0)))
+    rc, out, err = run("verify", str(p), str(cert))
+    assert (rc, err) == (1, "")
+    assert out.startswith("FAIL: ") and "marker" in out
+
+
 def test_cli_verify_parses_the_document_once(tmp_path, monkeypatch):
     cert = tmp_path / "cert.json"
     run("decide", K4C3, "--e1", "4", "--e2", "5", "--certificate", str(cert))

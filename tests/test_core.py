@@ -196,7 +196,7 @@ def test_slice_sub_of_sub_maps_back_to_original_ids():
             continue
         u, v = rng.sample(ends, 2)
         first = Slice.identity(g).sub(keep, [("m0", u, v, -1)])
-        vidx = first.vert_index()
+        vidx = first.vert_index
         second = first.sub(
             _random_keep(rng, first.g), [("m1", vidx[u], vidx[v], 1)]
         )
@@ -223,6 +223,20 @@ def test_slice_sub_validates_markers_and_kept_ids():
         sl.sub([0, 1], [("m0", 0, 1, 2)])
     with pytest.raises(BadEdge):
         sl.sub([0, sl.g.m])
+
+
+@pytest.mark.parametrize("name", [0, 5, True, None, 1.0, "m0"])
+def test_slice_sub_takes_only_fresh_string_marker_names(name):
+    """Every reference of a slice names exactly one edge: a marker name
+    is a string that is neither a reference of the slice being cut, kept
+    or not, nor another marker's name."""
+    first = Slice.identity(helpers.k4()).sub([0, 1, 2, 3], [("m0", 0, 1, -1)])
+    assert first.edge_index is first.edge_index
+    with pytest.raises(BadParams, match="marker"):
+        first.sub([0, 1], [(name, 0, 1, 1)])
+    with pytest.raises(BadParams, match="marker"):
+        first.sub([0, 1], [("m1", 0, 1, 1), ("m1", 0, 1, -1)])
+    assert first.sub([0, 1], [("m1", 0, 1, 1), ("m2", 0, 1, -1)]).eref[-2:] == ("m1", "m2")
 
 
 def test_delete_vertex_compacts_ids():

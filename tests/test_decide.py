@@ -395,7 +395,7 @@ def test_reduce_leaves_above_small_leaf_are_3_connected():
             if node.part == 2:
                 sl = Slice(switch(sl.g, node.resign), sl.eref, sl.vref)
             drop = sl.sub(node.side2 if node.kept == 1 else node.side1)
-            vidx = drop.vert_index()
+            vidx = drop.vert_index
             for _, u, v, sign in node.children[0].markers:
                 replaced += 1
                 res = find_signed_path(drop.g, vidx[sl.vref[u]], vidx[sl.vref[v]], sign)
@@ -436,7 +436,7 @@ def _random_block_roots(count):
         if emap[e2] not in block:
             continue
         blk = Slice.identity(h).sub(sorted(block))
-        idx = blk.edge_index()
+        idx = blk.edge_index
         roots.append((blk.g, idx[emap[e1]], idx[emap[e2]]))
     return roots
 
@@ -482,7 +482,7 @@ def test_part23_far_side_is_read_in_the_split_slice():
                 assert set(nc.edges) <= far
                 assert Cycle.from_edges(g, nc.edges) == nc
                 assert cycle_sign(g, nc) == -1
-            idx = sl.edge_index()
+            idx = sl.edge_index
             for marker in node.children[0].markers:
                 _, u, v, sign = marker
                 path = [idx[r] for r in sgties.decide._marker_path(node, marker)]
@@ -567,6 +567,35 @@ def test_subdivided_rim_splits_in_one_pass(monkeypatch, n):
     v = decide_tied(g, 0, g.m - 2)
     assert (v.kind, v.common_sign) == (KIND_TIED, -1)
     assert calls == {"blocks": 1, "pass": 2}
+
+
+@pytest.mark.parametrize("doubled", [False, True])
+def test_each_slice_builds_its_edge_map_once(monkeypatch, doubled):
+    """Deciding and verifying a 40-rung ladder builds each slice's edge
+    map at most once, and no more map entries than the slices cut out
+    hold edges; a map rebuilt at every lookup costs verify about 2.7
+    times that."""
+    built, cut = [], []
+    build = Slice.__dict__["edge_index"].func
+    real_sub = Slice.sub
+
+    def counting_build(sl):
+        built.append(sl)  # held, so that no id is reused
+        return build(sl)
+
+    def counting_sub(sl, *args, **kwargs):
+        out = real_sub(sl, *args, **kwargs)
+        cut.append(out.g.m)
+        return out
+
+    monkeypatch.setattr(Slice.__dict__["edge_index"], "func", counting_build)
+    monkeypatch.setattr(Slice, "sub", counting_sub)
+    g, e1, e2 = ladder(40, 1, doubled=doubled)
+    doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+    assert doc["kind"] == (KIND_UNTIED if doubled else KIND_TIED)
+    assert verify_certificate(g, e1, e2, doc) == (True, "ok")
+    assert len({id(sl) for sl in built}) == len(built), "a slice built its map twice"
+    assert cut and sum(len(sl.eref) for sl in built) <= sum(cut)
 
 
 def test_reduce_marker_names_are_fresh_per_call():

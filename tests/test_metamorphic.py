@@ -12,10 +12,17 @@ documents decided for both must verify.
   through that edge without a new sign, and its 2-cycle misses the pair.
 - Switching a vertex set keeps every cycle's sign.
 
+A minor can only lose common cycles: if G−f is untied for a non-pair
+edge f, so is G.
+
 The families are flat 3-connected graphs with about 1% negative edges,
 a plain (tied) and a doubled (untied) 120-rung ladder, and depth-4
 composed tied instances; they reach large leaves, long chains of
-part-1 splits and mixed part-2/3 splits.
+part-1 splits and mixed part-2/3 splits.  Some of their answers are
+known by construction, and are checked as such: a plain ladder is tied
+with its outer cycle's sign, a doubled one untied, a composed instance
+tied, and a flat graph with one negative edge tied with sign −1 by case
+3 when that edge is in the pair.
 """
 
 import random
@@ -23,9 +30,12 @@ import random
 import pytest
 
 from sgties import (
+    KIND_TIED,
+    KIND_UNTIED,
     SignedGraph,
     compose_tied_instance,
     decide_tied,
+    delete_edges,
     ladder,
     random_3_connected,
     random_recipe,
@@ -33,6 +43,7 @@ from sgties import (
     verdict_to_doc,
     verify_certificate,
 )
+from sgties.core import sign_product
 
 
 def _flat(seed):
@@ -84,10 +95,15 @@ def switch_set(rng, g, e1, e2):
 RELATIONS = [relabel, subdivide, parallel_copy, switch_set]
 
 
+def _document(g, e1, e2):
+    doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+    assert verify_certificate(g, e1, e2, doc) == (True, "ok")
+    return doc
+
+
 def _decided(g, e1, e2):
-    v = decide_tied(g, e1, e2)
-    assert verify_certificate(g, e1, e2, verdict_to_doc(v, e1, e2)) == (True, "ok")
-    return v.kind, v.common_sign
+    doc = _document(g, e1, e2)
+    return doc["kind"], doc["common_sign"]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -98,3 +114,51 @@ def test_verdicts_survive_the_relations(family):
             rng = random.Random(f"{family}/{k}/{relation.__name__}")
             got = _decided(*relation(rng, g, e1, e2))
             assert got == want, (family, k, relation.__name__)
+
+
+# deleted edges per instance: ladders decide in about 0.4 s, the rest in ms
+MINORS = {"flat": 8, "ladder": 2, "composed": 4}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_an_untied_minor_unties_the_graph(family):
+    untied_minors = 0
+    for k, (g, e1, e2) in enumerate(FAMILIES[family]):
+        kind, _ = _decided(g, e1, e2)
+        rng = random.Random(f"{family}/{k}/minor")
+        others = [i for i in range(g.m) if i not in (e1, e2)]
+        for f in rng.sample(others, MINORS[family]):
+            h, emap = delete_edges(g, (f,))
+            if _decided(h, emap[e1], emap[e2])[0] == KIND_UNTIED:
+                untied_minors += 1
+                assert kind == KIND_UNTIED, (family, k, f)
+    # the composed instances are tied, so their minors never are untied
+    assert untied_minors or family == "composed"
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_ladders_have_the_answers_they_are_built_with(seed):
+    g, e1, e2 = ladder(120, seed)
+    outer = [e1, e2, *range(120, g.m)]  # the end rungs and both rails
+    assert _decided(g, e1, e2) == (KIND_TIED, sign_product(g, outer))
+    assert _decided(*ladder(120, seed, doubled=True)) == (KIND_UNTIED, None)
+
+
+def test_deep_composed_instances_are_tied():
+    for seed in range(30, 60):
+        g, e1, e2 = compose_tied_instance(random_recipe(seed, 4), seed)
+        assert _decided(g, e1, e2)[0] == KIND_TIED, seed
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_negative_edge_in_the_pair_is_tied_negative_by_case_3(seed):
+    """Every common cycle holds the one negative edge, and the graph less
+    the pair is all positive."""
+    g = random_3_connected(300, 150, 0, seed)
+    items = _items(g)
+    u, v, s = items[0]
+    items[0] = (u, v, -s)
+    g = SignedGraph.build(g.n, items)
+    doc = _document(g, 0, g.m - 1)
+    assert (doc["kind"], doc["common_sign"]) == (KIND_TIED, -1)
+    assert doc["certificate"]["inner"]["kind"] == "case3"

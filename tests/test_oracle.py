@@ -423,6 +423,52 @@ def test_verify_names_a_wrong_marker_count(part, change):
     assert "marker" in _reason(g, e1, e2, doc)
 
 
+def test_verify_rejects_a_marker_named_like_an_edge_of_its_slice():
+    """A marker named 0 would shadow edge 0 in the child's references,
+    turning the child's pair into (marker, edge 2): a K4 in which case 3
+    holds.  The pair (0, 2) is untied, so the document must fail, at the
+    marker.  Named m0, the marker leaves the pair on edges 0 and 2, and
+    the dropped m1 is parallel to neither."""
+    g = helpers.forged_marker_graph()
+    assert oracle_tied(g, 0, 2).kind == decide_tied(g, 0, 2).kind == KIND_UNTIED
+    assert "marker" in _reason(g, 0, 2, helpers.forged_marker_document(0))
+    assert _reason(g, 0, 2, helpers.forged_marker_document("m0"))
+
+
+@pytest.mark.parametrize("name", [True, 1, 3, None])
+def test_verify_rejects_a_marker_name_that_is_not_a_fresh_string(name):
+    g = helpers.two_k4_on_boundary()
+    doc = verdict_to_doc(decide_tied(g, 4, 0), 4, 0)
+    assert verify_certificate(g, 4, 0, doc) == (True, "ok")
+    (marker,) = _first_split(doc["certificate"])["children"][0]["markers"]
+    assert marker["name"] == "m0"
+    marker["name"] = name
+    assert "marker" in _reason(g, 4, 0, doc)
+
+
+def test_verify_rejects_two_markers_of_one_child_that_share_a_name():
+    g, e1, e2 = _marker_count_case(3)
+    doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+    first, second = _first_split(doc["certificate"])["children"][0]["markers"]
+    second["name"] = first["name"]
+    assert "marker" in _reason(g, e1, e2, doc)
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [[True, 2, 3, 0], [0, 1, 2, 99], [0, 1, 2]],
+    ids=["json-true", "alien-vertex", "missing-vertex"],
+)
+def test_verify_checks_the_vertices_of_enum_cycles(vertices):
+    g = helpers.cycle_graph(4)
+    doc = verdict_to_doc(decide_tied(g, 0, 2), 0, 2)
+    (cycle,) = doc["certificate"]["inner"]["cycles"]
+    assert cycle == {"edges": [0, 1, 2, 3], "vertices": [0, 1, 2, 3]}
+    assert verify_certificate(g, 0, 2, doc) == (True, "ok")
+    cycle["vertices"] = vertices
+    assert "enum" in _reason(g, 0, 2, doc)
+
+
 def test_verify_rejects_a_side_that_repeats_an_edge_in_place_of_another():
     """The pair (6, 0) of random_signed_graph(7, 11, 0.5, 7) is untied:
     edge 10 doubles edge 7 with the other sign.  The tied certificate of
