@@ -173,6 +173,16 @@ class Slice:
             tuple(self.vref[v] for v in verts),
         )
 
+    def switched(self, s: Iterable[VertexId]) -> "Slice":
+        """This slice with its graph switched at s.  Switching changes
+        signs only, so the result keeps the references and every map
+        this slice has built."""
+        out = Slice(switch(self.g, s), self.eref, self.vref)
+        for name in ("edge_index", "vert_index"):
+            if name in self.__dict__:
+                out.__dict__[name] = self.__dict__[name]
+        return out
+
 
 def _check_ends(n: int, u: int, v: int) -> None:
     if not (0 <= u < n and 0 <= v < n):
@@ -208,7 +218,11 @@ def switch(g: SignedGraph, s: Iterable[VertexId]) -> SignedGraph:
         Edge(e.u, e.v, -e.sign if (e.u in sset) != (e.v in sset) else e.sign)
         for e in g.edges
     )
-    return SignedGraph(g.n, out)
+    h = SignedGraph(g.n, out)
+    if "adjacency" in g.__dict__:
+        # the adjacency holds no sign, so a switched graph shares it
+        h.__dict__["adjacency"] = g.adjacency
+    return h
 
 
 def delete_edge(g: SignedGraph, e: EdgeId) -> tuple[SignedGraph, dict[EdgeId, EdgeId]]:

@@ -1,12 +1,13 @@
 """The decision procedure for tied edge pairs.
 
 Pipeline: a mutually parallel pair is answered directly (its 2-cycle is
-the only common cycle).  Otherwise edges parallel to either
-distinguished edge are deleted (no common cycle can use them), the
-graph is restricted to the block containing both edges (different
-blocks means no common cycle at all), and the block is reduced
-recursively: every proper 2-separation is split off, with the far side
-replaced by marker edges across the boundary.  A balanced far side
+the only common cycle).  Otherwise the pair's block of the input is
+found (different blocks means no common cycle at all) and cut out once,
+without the edges parallel to either distinguished edge (no common
+cycle can use them), and the block is reduced recursively: every proper
+2-separation is split off, with the far side replaced by marker edges
+across the boundary.  Each child is cut once too, without the edges and
+markers parallel to its own pair.  A balanced far side
 becomes one positive marker; an unbalanced one becomes a positive and a
 negative marker in parallel; when the distinguished edges fall on
 different sides, each side is asked whether its own edge is tied with
@@ -73,7 +74,6 @@ from .core import (
     delete_edges,
     parallel_class,
     sign_product,
-    switch,
 )
 from .errors import (
     NotTwoConnected,
@@ -111,7 +111,7 @@ class ChildSpec:
 
     pair_refs: tuple[Ref, Ref]
     markers: tuple[_Marker, ...]
-    removed: tuple[Ref, ...]  # parallel-to-pair edges dropped from the child
+    removed: tuple[Ref, ...]  # parallel to the pair, left out of the child's one cut
     node: "ReductionTree"
 
 
@@ -242,19 +242,6 @@ def _reduce(sl: Slice, e1: int, e2: int, names: Iterator[int]) -> ReductionTree:
     )
 
 
-def _normalize_child(
-    sub: Slice, p1: int, p2: int
-) -> tuple[Slice, int, int, tuple[Ref, ...]]:
-    """Drop edges parallel to either distinguished edge of a slice."""
-    drop = (parallel_class(sub.g, p1) | parallel_class(sub.g, p2)) - {p1, p2}
-    if not drop:
-        return sub, p1, p2, ()
-    removed = tuple(sub.eref[i] for i in drop)
-    slim = sub.sub([i for i in range(sub.g.m) if i not in drop])
-    idx = slim.edge_index
-    return slim, idx[sub.eref[p1]], idx[sub.eref[p2]], removed
-
-
 def _make_child(
     sl: Slice,
     side: tuple[int, ...],
@@ -262,20 +249,32 @@ def _make_child(
     markers: tuple[_Marker, ...],
     names: Iterator[int],
 ) -> ChildSpec:
-    """Build one child slice, normalize it, and recurse.
+    """Cut one child slice out of ``sl`` and recurse.
 
     ``pair`` names the child's distinguished edges by reference: an
-    original edge id or one of the new markers.  Normalization drops
-    only edges parallel to the pair, never the pair itself.
+    original edge id or one of the new markers.  What the child leaves
+    out is read from ``sl`` before its one cut: the edges of ``side``
+    parallel to a pair edge, found in ``sl``'s adjacency, and the
+    markers with a pair edge's ends, never the pair itself.
     """
-    sub = sl.sub(side, markers)
-    idx = sub.edge_index
-    slim, p1, p2, removed = _normalize_child(sub, idx[pair[0]], idx[pair[1]])
+    idx = sl.edge_index
+    heads = [idx[r] for r in pair if r in idx]
+    ends = {sl.g.endpoints(i) for i in heads}
+    ends.update(frozenset((u, v)) for name, u, v, _ in markers if name in pair)
+    # the pair's parallel classes in sl, less the pair; some may lie on
+    # the other side when the boundary pair are their ends
+    par = {i for a, b in map(tuple, ends) for i, w in sl.g.adjacency[a] if w == b}
+    par.difference_update(heads)
+    gone = [i for i in side if i in par] if par else []
+    lost = [m for m in markers if m[0] not in pair and frozenset(m[1:3]) in ends]
+    keep = [i for i in side if i not in par] if gone else side
+    sub = sl.sub(keep, [m for m in markers if m not in lost])
+    cidx = sub.edge_index
     return ChildSpec(
         pair_refs=pair,
         markers=markers,
-        removed=removed,
-        node=_reduce(slim, p1, p2, names),
+        removed=tuple(sl.eref[i] for i in gone) + tuple(m[0] for m in lost),
+        node=_reduce(sub, cidx[pair[0]], cidx[pair[1]], names),
     )
 
 
@@ -301,8 +300,7 @@ def _split_part23(sl: Slice, far: tuple[int, ...]) -> tuple[
     # part 2: switch the whole graph so the far side is all-positive,
     # then stand it in with a single positive marker
     resign = tuple(sorted(bal.switch))
-    work = Slice(switch(sl.g, resign), sl.eref, sl.vref)
-    return 2, work, (POSITIVE,), resign, None
+    return 2, sl.switched(resign), (POSITIVE,), resign, None
 
 
 # --- leaf checks ----------------------------------------------------------
@@ -402,14 +400,20 @@ def _refs(sl: Slice, ids: Iterable[EdgeId]) -> frozenset[Ref]:
     return frozenset(sl.eref[i] for i in ids)
 
 
-def _block_tree(sl: Slice, e1: int, e2: int) -> Optional[ReductionTree]:
-    """The reduction tree of the pair's common block; None for different blocks."""
-    b = blocks(sl.g).block_of(e1)
+def _block_tree(
+    g: SignedGraph, e1: int, e2: int
+) -> tuple[frozenset[EdgeId], Optional[ReductionTree]]:
+    """The edges parallel to the pair, and the reduction tree of the
+    pair's block cut out once without them; None for different blocks.
+    Every common cycle lies in that block and uses none of those edges
+    (see the verifier's preprocess root)."""
+    removed = (parallel_class(g, e1) | parallel_class(g, e2)) - {e1, e2}
+    b = blocks(g).block_of(e1)
     if e2 not in b:
-        return None
-    blk = sl.sub(sorted(b))
+        return removed, None
+    blk = Slice.identity(g).sub(sorted(b - removed))
     idx = blk.edge_index
-    return _reduce(blk, idx[sl.eref[e1]], idx[sl.eref[e2]], itertools.count())
+    return removed, _reduce(blk, idx[e1], idx[e2], itertools.count())
 
 
 def _evaluate(tree: ReductionTree) -> Union[dict, tuple[ReductionLeaf, _Ancestry]]:
@@ -484,10 +488,9 @@ def _common_signs(g: SignedGraph, e1: int, e2: int) -> frozenset[Sign]:
     """The signs of the pair's common cycles, read off its verdict.
 
     Reduces and evaluates without searching for a witness; a tied
-    verdict takes its sign from the flow cycle.  Neither edge may have a
-    parallel companion.
+    verdict takes its sign from the flow cycle.
     """
-    tree = _block_tree(Slice.identity(g), e1, e2)
+    _, tree = _block_tree(g, e1, e2)
     if tree is None:
         return frozenset()
     if not isinstance(_evaluate(tree), dict):
@@ -740,8 +743,7 @@ def decide_tied(g: SignedGraph, e1: EdgeId, e2: EdgeId) -> Verdict:
             witness=(two,),
             certificate=cert.parallel_pair_node(s),
         )
-    slim, p1, p2, removed = _normalize_child(Slice.identity(g), e1, e2)
-    tree = _block_tree(slim, p1, p2)
+    removed, tree = _block_tree(g, e1, e2)
     if tree is None:
         return Verdict(
             kind=cert.KIND_VACUOUS,

@@ -21,7 +21,7 @@ nothing from the decision procedure that produced it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Collection, Iterator, Optional, Union
 
 from . import certificate as cert
 from .certificate import Verdict
@@ -31,13 +31,13 @@ from .core import (
     EdgeId,
     NEGATIVE,
     POSITIVE,
+    Ref,
     Sign,
     SignedGraph,
     Slice,
     VertexId,
     parallel_class,
     sign_product,
-    switch,
 )
 from .errors import BudgetExhausted, SameEdge, SgError
 from .search import SearchBudget, disjoint_paths, iter_paths
@@ -259,16 +259,21 @@ def _need(cond: bool, reason: str) -> None:
         raise _Fail(reason)
 
 
-def _plain(values) -> bool:
-    """No value is a bool.  bool is an int subclass and True == 1, so a
-    dict lookup, ``==`` or ``in`` would read JSON true as id 1, sign +1
-    or part 1; every check that reads a document value rules it out."""
-    return bool not in map(type, values)
+def _plain(values, kinds: frozenset[type] = frozenset((int,))) -> bool:
+    """Every value's type is one of the kinds: int, or int and str for
+    edge references.  True == 1 == 1.0, and all three hash alike, so a
+    dict lookup, ``==`` or ``in`` would read JSON true or 1.0 as id 1,
+    sign +1 or part 1; every check that reads a document value rules
+    them out."""
+    return set(map(type, values)) <= kinds
+
+
+_REFS = frozenset((int, str))
 
 
 def _resolve_edges(sl: Slice, refs, what: str) -> list[int]:
     idx = sl.edge_index
-    _need(_plain(refs), f"{what}: boolean edge reference")
+    _need(_plain(refs, _REFS), f"{what}: edge reference is neither an int nor a string")
     try:
         return [idx[r] for r in refs]
     except KeyError as exc:
@@ -277,7 +282,7 @@ def _resolve_edges(sl: Slice, refs, what: str) -> list[int]:
 
 def _resolve_verts(sl: Slice, refs, what: str) -> list[int]:
     idx = sl.vert_index
-    _need(_plain(refs), f"{what}: boolean vertex reference")
+    _need(_plain(refs), f"{what}: vertex reference is not an int")
     try:
         return [idx[r] for r in refs]
     except KeyError as exc:
@@ -304,22 +309,48 @@ def _switched_positive(
         _need(s == POSITIVE, f"{what}: signing violated at edge {eid}")
 
 
-def _apply_removed(sl: Slice, e1: int, e2: int, removed) -> tuple[Slice, int, int]:
-    """Drop recorded parallel-to-pair edges from a slice."""
+def _dropped(
+    base: Slice, keep: Collection[int], markers: list, pair: list, removed
+) -> set[Ref]:
+    """The ids of ``keep`` and the marker names that ``removed`` lists,
+    each checked to name one of them, not a pair edge, with the ends of
+    a pair edge.  A marker left out never reaches ``Slice.sub``, so every
+    marker name is checked here as ``sub`` checks those it adds."""
     if not removed:
-        return sl, e1, e2
-    ids = _resolve_edges(sl, removed, "removed")
-    pair_ends = {sl.g.endpoints(e1), sl.g.endpoints(e2)}
-    for eid in ids:
-        _need(eid not in (e1, e2), "removed: lists a distinguished edge")
+        return set()
+    idx = base.edge_index
+    names = [name for name, _, _, _ in markers]
+    for name in names:
         _need(
-            sl.g.endpoints(eid) in pair_ends,
-            f"removed: edge {sl.eref[eid]!r} is not parallel to the pair",
+            type(name) is str and name not in idx and names.count(name) == 1,
+            f"marker name {name!r} is not a fresh string",
         )
-    drop = set(ids)
-    sub = sl.sub([i for i in range(sl.g.m) if i not in drop])
-    idx = sub.edge_index
-    return sub, idx[sl.eref[e1]], idx[sl.eref[e2]]
+
+    def ends(r, what: str) -> frozenset[int]:
+        if r in names:
+            return frozenset(markers[names.index(r)][1:3])
+        (i,) = _resolve_edges(base, [r], what)
+        _need(i in keep, f"{what}: unknown edge reference {r!r}")
+        return base.g.endpoints(i)
+
+    pair_ends = [ends(r, "child pair") for r in pair]
+    for r in removed:
+        at = ends(r, "removed")
+        _need(r not in pair, "removed: lists a distinguished edge")
+        _need(at in pair_ends, f"removed: edge {r!r} is not parallel to the pair")
+    return {idx.get(r, r) for r in removed}
+
+
+def _cut(
+    base: Slice, keep: Collection[int], markers: list, pair: list, removed
+) -> tuple[Slice, int, int]:
+    """One child of ``base`` by one ``sub``: the edges ``keep`` and the
+    ``markers``, less what ``removed`` lists; with its pair's ids."""
+    drop = _dropped(base, keep, markers, pair, removed)
+    kept = sorted(set(keep) - drop) if drop else sorted(keep)
+    sub = base.sub(kept, [m for m in markers if m[0] not in drop])
+    p1, p2 = _resolve_edges(sub, pair, "child pair")
+    return sub, p1, p2
 
 
 # one node still to replay: its slice, distinguished pair and document
@@ -341,8 +372,7 @@ def _replay_node(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
             "parallel-pair: edges are not mutually parallel",
         )
         _need(
-            type(node.get("sign")) is not bool
-            and node.get("sign") == sl.g.sign(e1) * sl.g.sign(e2),
+            _plain([node.get("sign")]) and node.get("sign") == sl.g.sign(e1) * sl.g.sign(e2),
             "parallel-pair: recorded sign mismatch",
         )
     else:
@@ -397,13 +427,13 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
             raw = node.get("switch")
             _need(isinstance(raw, list), "part 2: missing resign switch")
             switch_local = set(_resolve_verts(sl, raw, "resign switch"))
-            h = switch(sl.g, switch_local)
+            work = sl.switched(switch_local)
             for eid in drop_side:
                 _need(
-                    h.sign(eid) == POSITIVE,
+                    work.g.sign(eid) == POSITIVE,
                     "part 2: discarded side is not all-positive after the switch",
                 )
-            plan = [(keep_side, Slice(h, sl.eref, sl.vref), [POSITIVE])]
+            plan = [(keep_side, work, [POSITIVE])]
         else:
             nc = node.get("neg_cycle")
             _need(isinstance(nc, dict), "part 3: missing negative cycle")
@@ -432,15 +462,14 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
             u, v = _resolve_verts(sl, (md["u"], md["v"]), "marker ends")
             _need({u, v} == {bu, bv}, "marker endpoints differ from the split boundary")
             markers.append((md["name"], u, v, md["sign"]))
-        sub = base.sub(sorted(side), markers)
         pair = child.get("pair") or []
         _need(len(pair) == 2, "child: malformed pair")
-        p1, p2 = _resolve_edges(sub, pair, "child pair")
+        sub, p1, p2 = _cut(base, side, markers, pair, child.get("removed"))
         _need(p1 != p2, "child: malformed pair")
         if part == 1:
             _need(sub.eref[p2] == mds[0]["name"], "part 1: pair must end with the marker")
             heads.add(sub.eref[p1])
-        jobs.append((*_apply_removed(sub, p1, p2, child.get("removed")), child["node"]))
+        jobs.append((sub, p1, p2, child["node"]))
     if part == 1:
         _need(heads == {sl.eref[e1], sl.eref[e2]}, "part 1: children do not cover the pair")
     return jobs
@@ -501,7 +530,7 @@ def _replay_enum(sl: Slice, e1: int, e2: int, node: dict) -> None:
     signs = {sign_product(sl.g, c.edges) for c in rep.cycles}
     _need(len(signs) == 1, "enum: leaf cycles carry both signs")
     _need(
-        type(node.get("sign")) is not bool and node.get("sign") in signs,
+        _plain([node.get("sign")]) and node.get("sign") in signs,
         "enum: recorded sign mismatch",
     )
     recorded = set()
@@ -558,10 +587,11 @@ def verify_certificate(
         if v.kind == cert.KIND_VACUOUS:
             node = v.certificate or {}
             _need(node.get("kind") == cert.NODE_BLOCKS, "vacuous verdict needs a blocks record")
-            slim, p1, p2 = _apply_removed(Slice.identity(g), e1, e2, node.get("removed"))
-            bt = blocks(slim.g)
+            # no common cycle: each lies in one block (see the preprocess root)
+            _dropped(Slice.identity(g), range(g.m), [], [e1, e2], node.get("removed"))
+            bt = blocks(g)
             _need(
-                bt.block_of(p1) != bt.block_of(p2),
+                bt.block_of(e1) != bt.block_of(e2),
                 "blocks: edges share a block after preprocessing",
             )
             return True, "ok"
@@ -579,16 +609,20 @@ def verify_certificate(
             node.get("kind") == cert.NODE_PREPROCESS,
             f"unexpected root node {node.get('kind')!r}",
         )
-        slim, p1, p2 = _apply_removed(Slice.identity(g), e1, e2, node.get("removed"))
-        b = blocks(slim.g).block_of(p1)
-        _need(p2 in b, "preprocess: edges are in different blocks")
-        sli = slim.sub(sorted(b))
+        # every common cycle lies in one block and uses no edge parallel
+        # to e1 or e2 (with its partner such an edge closes only their
+        # 2-cycle, which misses the other pair edge); so each is a common
+        # cycle of the root, the pair's block of the input less the
+        # removed edges, cut once
+        b = blocks(g).block_of(e1)
+        _need(e2 in b, "preprocess: edges are in different blocks")
+        sli, p1, p2 = _cut(Slice.identity(g), b, [], [e1, e2], node.get("removed"))
         block = node.get("block") or []
         _need(
-            _plain(block) and sorted(block) == sorted(sli.eref),
+            _plain(block) and sorted(block) == list(sli.eref),
             "preprocess: recorded block mismatch",
         )
-        jobs = [(sli, sli.edge_index[e1], sli.edge_index[e2], node["inner"])]
+        jobs = [(sli, p1, p2, node["inner"])]
         while jobs:
             jobs.extend(reversed(_replay_node(*jobs.pop())))
         return True, "ok"

@@ -120,6 +120,23 @@ def test_switch_flips_exactly_the_cut():
     assert h.sign(2) == -1
 
 
+def test_switching_shares_what_the_source_has_built():
+    """Switching changes signs only.  A switched graph shares the
+    adjacency its source has built, and builds none the source lacks; a
+    switched slice shares the reference maps its source has built."""
+    g = helpers.prism(signs=[1, -1, 1, 1, 1, -1, 1, 1, -1])
+    assert "adjacency" not in switch(g, {0}).__dict__
+    adj = g.adjacency
+    h = switch(g, {0})
+    assert h.adjacency is adj and h.sign(0) == -g.sign(0)
+    sl = Slice.identity(g)
+    idx = sl.edge_index
+    out = sl.switched({0})
+    assert out.g == h and out.g.adjacency is adj
+    assert (out.eref, out.vref) == (sl.eref, sl.vref)
+    assert out.edge_index is idx and "vert_index" not in out.__dict__
+
+
 def test_switch_preserves_every_cycle_sign():
     """Signs of edge subsets forming cycles are switching invariants."""
     g = helpers.wheel(4, spoke_signs=[1, -1, 1, -1], rim_signs=[-1, 1, 1, 1])

@@ -11,6 +11,7 @@ from sgties import (
     KIND_UNTIED,
     KIND_VACUOUS,
     SMALL_LEAF,
+    Leaf,
     NotTwoConnected,
     PreconditionViolated,
     ReductionLeaf,
@@ -18,6 +19,7 @@ from sgties import (
     SameEdge,
     SignedGraph,
     Slice,
+    Splice,
     add_edge,
     blocks,
     build_hat,
@@ -569,12 +571,24 @@ def test_subdivided_rim_splits_in_one_pass(monkeypatch, n):
     assert calls == {"blocks": 1, "pass": 2}
 
 
+def _splits(node):
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node["kind"] == "preprocess":
+            stack.append(node["inner"])
+        elif node["kind"] == "split":
+            yield node
+            stack.extend(child["node"] for child in node["children"])
+
+
 @pytest.mark.parametrize("doubled", [False, True])
 def test_each_slice_builds_its_edge_map_once(monkeypatch, doubled):
-    """Deciding and verifying a 40-rung ladder builds each slice's edge
-    map at most once, and no more map entries than the slices cut out
-    hold edges; a map rebuilt at every lookup costs verify about 2.7
-    times that."""
+    """Deciding and verifying a 40-rung ladder, and the part-2 split of
+    two_k4_on_boundary()'s pair (4, 0), builds the edge map of each
+    reference tuple at most once (a switched slice shares its parent's),
+    and no more map entries than the slices cut out hold edges; a map
+    rebuilt at every lookup costs verify about 2.7 times that."""
     built, cut = [], []
     build = Slice.__dict__["edge_index"].func
     real_sub = Slice.sub
@@ -590,12 +604,77 @@ def test_each_slice_builds_its_edge_map_once(monkeypatch, doubled):
 
     monkeypatch.setattr(Slice.__dict__["edge_index"], "func", counting_build)
     monkeypatch.setattr(Slice, "sub", counting_sub)
-    g, e1, e2 = ladder(40, 1, doubled=doubled)
-    doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
-    assert doc["kind"] == (KIND_UNTIED if doubled else KIND_TIED)
-    assert verify_certificate(g, e1, e2, doc) == (True, "ok")
-    assert len({id(sl) for sl in built}) == len(built), "a slice built its map twice"
+    cases = [
+        (ladder(40, 1, doubled=doubled), KIND_UNTIED if doubled else KIND_TIED),
+        ((helpers.two_k4_on_boundary(), 4, 0), KIND_TIED),
+    ]
+    for (g, e1, e2), kind in cases:
+        doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+        assert doc["kind"] == kind
+        assert verify_certificate(g, e1, e2, doc) == (True, "ok")
+    assert next(_splits(doc["certificate"]))["part"] == 2
+    erefs = [id(sl.eref) for sl in built]
+    assert len(set(erefs)) == len(erefs), "a reference tuple had its map built twice"
     assert cut and sum(len(sl.eref) for sl in built) <= sum(cut)
+
+
+def _last_edge_pair(g):
+    return g, 0, g.m - 1
+
+
+CUT_CASES = {
+    "ladder-40": lambda: ladder(40, 1),
+    "ladder-160": lambda: ladder(160, 1),
+    "part-2": lambda: (helpers.two_k4_on_boundary(), 4, 0),
+    "part-3": lambda: compose_tied_instance(Splice(Leaf("case1"), balanced=False), 0),
+    "child-removed": lambda: (random_signed_graph(9, 9, 0.5, 10), 6, 7),
+    "root-removed": lambda: _last_edge_pair(random_3_connected(8, 6, 0.0, 0)),
+    "vacuous-removed": lambda: (random_signed_graph(8, 12, 0.5, 0), 1, 4),
+}
+
+
+@pytest.mark.parametrize("case", list(CUT_CASES))
+def test_each_slice_is_cut_once(monkeypatch, case):
+    """Decide and verify each cut the pair's block of the input once,
+    without the edges parallel to the pair, and each child once, without
+    the edges and markers parallel to its own pair: 1 + (child nodes of
+    the document) Slice.sub calls each, and none for a vacuous pair,
+    whose recorded parallels verify checks without a cut.  A 40-rung
+    ladder then copies
+    4,944 edges on each side and a 160-rung ladder 77,424, where a
+    second cut of each child with parallels and of the root made it 191
+    cuts and 7,243 edges, and 791 cuts and 115,423 edges."""
+    cuts = []
+    real_sub = Slice.sub
+
+    def counting_sub(sl, *args, **kwargs):
+        out = real_sub(sl, *args, **kwargs)
+        cuts.append(out.g.m)
+        return out
+
+    monkeypatch.setattr(Slice, "sub", counting_sub)
+    g, e1, e2 = CUT_CASES[case]()
+    doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+    decided, cuts[:] = list(cuts), []
+    assert verify_certificate(g, e1, e2, doc) == (True, "ok")
+    root = doc["certificate"]
+    if case == "vacuous-removed":
+        assert root["kind"] == "blocks" and root["removed"]
+        assert decided == cuts == []
+        return
+    assert root["kind"] == "preprocess"
+    splits = list(_splits(root))
+    children = [child for split in splits for child in split["children"]]
+    assert len(decided) == len(cuts) == 1 + len(children)
+    copies = {"ladder-40": 4_944, "ladder-160": 77_424}
+    if case in copies:
+        assert sum(decided) == sum(cuts) == copies[case]
+    if case.startswith("part-"):
+        assert splits[0]["part"] == int(case[-1])
+    if case == "child-removed":
+        assert any(child["removed"] for child in children)
+    if case == "root-removed":
+        assert root["removed"]
 
 
 def test_reduce_marker_names_are_fresh_per_call():

@@ -1,7 +1,10 @@
+import ast
 import itertools
 import json
 import random
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -348,40 +351,71 @@ def _first_split(node):
     return node
 
 
-def _put_true_in_side(doc):
-    split = _first_split(doc["certificate"])
+def _side_with_1(split):
     side = next(s for s in (split["side1"], split["side2"]) if 1 in s)
-    side[side.index(1)] = True
+    return side, side.index(1)
 
 
-def _put_true_in_list(ids):
-    ids[ids.index(1)] = True
+def _list_with_1(ids):
+    return ids, ids.index(1)
 
 
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda doc: doc.update(common_sign=True),
-        lambda doc: _put_true_in_list(doc["witness"][0]["vertices"]),
-        _put_true_in_side,
-        lambda doc: _put_true_in_list(doc["certificate"]["block"]),
-        lambda doc: _first_split(doc["certificate"]).update(part=True),
-        lambda doc: _first_split(doc["certificate"])["children"][0]["markers"][0].update(
-            sign=True
-        ),
-    ],
-    ids=["common-sign", "witness-vertex", "side-entry", "block-entry", "part", "marker-sign"],
-)
-def test_verify_never_reads_a_json_true_as_1(mutate):
+def _composed_tied():
+    return compose_tied_instance(random_recipe(0, 2), 0)
+
+
+def _random_tied(n, m, seed, e1, e2):
+    return lambda: (random_signed_graph(n, m, 0.5, seed), e1, e2)
+
+
+# field -> (a tied instance, where a 1 stands in its document: (container, key))
+ONES = {
+    "common-sign": (_composed_tied, lambda doc: (doc, "common_sign")),
+    "witness-vertex": (_composed_tied, lambda doc: _list_with_1(doc["witness"][0]["vertices"])),
+    "side-entry": (_composed_tied, lambda doc: _side_with_1(_first_split(doc["certificate"]))),
+    "block-entry": (_composed_tied, lambda doc: _list_with_1(doc["certificate"]["block"])),
+    "part": (_composed_tied, lambda doc: (_first_split(doc["certificate"]), "part")),
+    "marker-sign": (
+        _composed_tied,
+        lambda doc: (_first_split(doc["certificate"])["children"][0]["markers"][0], "sign"),
+    ),
+    "boundary-vertex": (
+        _random_tied(8, 13, 6, 0, 2),
+        lambda doc: _list_with_1(_first_split(doc["certificate"])["boundary"]),
+    ),
+    "enum-sign": (_random_tied(5, 5, 1, 0, 2), lambda doc: (doc["certificate"]["inner"], "sign")),
+    "parallel-pair-sign": (_random_tied(5, 5, 0, 0, 1), lambda doc: (doc["certificate"], "sign")),
+}
+
+
+def _reason_with_1_as(field, value):
+    """Decide a field's instance, put ``value`` in place of its 1, and
+    verify the document as JSON gives it back."""
+    make, where = ONES[field]
+    g, e1, e2 = make()
+    doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+    assert verify_certificate(g, e1, e2, doc) == (True, "ok")
+    box, key = where(doc)
+    assert type(box[key]) is int and box[key] == 1
+    box[key] = value
+    return _reason(g, e1, e2, json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("field", list(ONES))
+def test_verify_never_reads_a_json_true_as_1(field):
     """bool is an int subclass and True == 1, so a document read without
     type checks takes JSON true for edge or vertex 1, sign +1 or part 1.
-    Each such edit of a positive tied document must be rejected."""
-    g, e1, e2 = compose_tied_instance(random_recipe(0, 2), 0)
-    doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
-    assert doc["common_sign"] == 1 and _first_split(doc["certificate"])["part"] == 1
-    assert verify_certificate(g, e1, e2, doc) == (True, "ok")
-    mutate(doc)
-    assert _reason(g, e1, e2, doc)
+    Each such edit of a tied document must be rejected."""
+    assert _reason_with_1_as(field, True)
+
+
+@pytest.mark.parametrize("field", list(ONES))
+def test_verify_never_reads_a_json_float_as_an_int(field):
+    """1.0 == 1 and hashes like 1, so a dict lookup, ``==`` or ``in``
+    takes a JSON 1.0 for edge or vertex 1, sign +1 or part 1.  Every id
+    and sign must be an int, and every edge reference an int or a
+    string."""
+    assert _reason_with_1_as(field, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -537,3 +571,47 @@ def test_verify_rejects_a_tied_certificate_replayed_on_a_flipped_sign():
                 rejected += 1
     assert tied > 300
     assert accepted > 1000 and rejected > 1000
+
+
+# --- independence of the verifier ---------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _relative_imports(module):
+    """Names a module of the package imports, by the sibling they come from."""
+    tree = ast.parse((ROOT / "src" / "sgties" / f"{module}.py").read_text(encoding="utf-8"))
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                source = node.module or alias.name
+                names.setdefault(source, set()).add(alias.name)
+    return names
+
+
+def _shared_primitives():
+    """README's certificate section lists, per module, the names the
+    verifier shares with the prover, as ``- `module`: `name`, ...``."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Certificates\n")[1].split("\n## ")[0]
+    listed = {}
+    for item in section.split("\n- ")[1:]:
+        item = item.split("\n\n")[0]
+        head = re.match(r"`(\w+)`:", item)
+        if head:
+            listed[head[1]] = set(re.findall(r"`(\w+)`", item[head.end():]))
+    return listed
+
+
+def test_the_verifier_and_the_prover_share_only_the_listed_primitives():
+    """The verifier must check a document with its own code: it imports
+    nothing from the prover, the prover only the oracle's enumerator and
+    flow search, and the verifier from the graph, connectivity and search
+    modules exactly the primitives README lists."""
+    oracle, decide = _relative_imports("oracle"), _relative_imports("decide")
+    assert "decide" not in oracle
+    assert decide["oracle"] == {"enumerate_common_cycles", "find_common_cycle"}
+    shared = _shared_primitives()
+    assert set(shared) == {"core", "connectivity", "search"}
+    assert shared == {module: oracle.get(module, set()) for module in shared}
