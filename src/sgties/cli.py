@@ -272,7 +272,11 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     g = parse(args.file)
-    doc = json.loads(_read_utf8(args.cert, "certificate file"))
+    try:
+        doc = json.loads(_read_utf8(args.cert, "certificate file"))
+    except RecursionError:
+        # json.loads recurses per nesting level; verify itself runs no reduction
+        raise ParseError(f"certificate file {args.cert} is nested too deeply to read") from None
     v, e1, e2 = verdict_from_doc(doc)
     ok, reason = verify_certificate(g, e1, e2, v)
     if ok:

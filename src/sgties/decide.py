@@ -27,17 +27,18 @@ put back in cyclic order once, at the root.
 No witness is found by exhaustive search, so decide takes no budget and
 every verdict carries its evidence.  Common cycles (the one showing a
 tied verdict's sign, the sibling's at a part-1 lift, the first cycle at
-an untied leaf) are built by two-path flow.  A cycle or path of a
-required sign is searched only in a piece with at most three
-candidates, one of them of that sign, so the search is linear.  Where
-the sign must be switched, the piece holds a fan: two disjoint paths
-from two vertices to a negative cycle, which close two paths between
-those vertices of opposite signs (Menger's fan lemma).  A part-3 marker
-path lies in the fan from the boundary to the split's negative cycle.  A
-part-2 side is balanced, so every boundary path through it is positive
-once the split's switch is applied, and its marker path is one BFS path.
-At an untied leaf the second cycle lies in the flow cycle plus one ear;
-when no single ear changes the sign it comes from self-reduction, which
+an untied leaf) are built by two-path flow.  At an untied leaf the
+second cycle is the flow cycle with one segment of a half swapped for
+an ear whose sign differs from the segment's: a chord, a path through a
+balanced component, or a path through a fan.  A path of a required sign
+is searched only on a fan: two disjoint paths from two vertices to a
+negative cycle, which close exactly two paths between those vertices,
+of opposite signs (Menger's fan lemma), so the search is linear.  A
+part-3 marker path lies in the fan from the boundary to the split's
+negative cycle.  A part-2 side is balanced, so every boundary path
+through it is positive once the split's switch is applied, and its
+marker path is one BFS path.  When no single ear changes the sign of
+the flow cycle, the second cycle comes from self-reduction, which
 deletes every edge whose loss keeps a common cycle of the wanted sign,
 at one verdict per edge.
 
@@ -342,7 +343,8 @@ def _try_case1(sl: Slice, e1: int, e2: int) -> Optional[dict]:
     for eid, e in enumerate(g.edges):
         classes.setdefault(e.endpoints(), []).append(eid)
     for f in classes.values():
-        if len(f) < 2 or e1 in f or e2 in f:
+        # the pair has no parallel companion, so its classes are singletons
+        if len(f) < 2:
             continue
         if {g.sign(i) for i in f} != {POSITIVE, NEGATIVE}:
             continue
@@ -506,24 +508,27 @@ def _fan(
     cycle: Cycle,
     banned: frozenset[VertexId] = frozenset(),
     banned_edges: frozenset[EdgeId] = frozenset(),
-) -> Optional[tuple[EdgeId, ...]]:
-    """Edges of a negative cycle plus two disjoint paths to it from two sources.
+) -> Optional[tuple[frozenset[EdgeId], tuple[VertexId, VertexId]]]:
+    """A negative cycle plus two disjoint paths to it from two sources.
 
     The two paths end at distinct vertices of the cycle, which close
     exactly two paths between their starts, one along each arc; the
     cycle is negative, so these have opposite signs (the fan form of
-    Menger's theorem).  None when no two such paths exist.
+    Menger's theorem).  Returns the edges outside the fan, for a signed
+    search to ban, and the two sources its paths start from; None when
+    no two such paths exist.
     """
     paths = disjoint_paths(
         g, sources, cycle.vertices, 2, banned_vertices=banned, banned_edges=banned_edges
     )
     if len(paths) < 2:
         return None
-    return cycle.edges + paths[0][0] + paths[1][0]
+    (p, (x, *_)), (q, (y, *_)) = paths
+    return frozenset(range(g.m)).difference(cycle.edges, p, q), (x, y)
 
 
-def _ear(g: SignedGraph, e1: int, e2: int, c: Cycle) -> Optional[tuple[EdgeId, ...]]:
-    """Edges outside the common cycle c that make a common cycle of the other sign.
+def _ear(g: SignedGraph, e1: int, e2: int, c: Cycle) -> Optional[frozenset[EdgeId]]:
+    """A common cycle of the other sign than c: c with one segment swapped for an ear.
 
     c minus the pair falls into two halves.  A path outside c whose ends
     x != y lie on one half can replace that half's x..y segment, and the
@@ -534,39 +539,45 @@ def _ear(g: SignedGraph, e1: int, e2: int, c: Cycle) -> Optional[tuple[EdgeId, .
     p of K has sign sign(a)·t(p)·sign(b)·t(q) when it leaves by edge b at
     q, whatever route it takes inside K.  If K is unbalanced, the fan from
     two attachment vertices on one half to a negative cycle of K holds x..y
-    paths of both signs.  None when no chord or component gives an ear.
+    paths of both signs.  The segment is read off the positions of x and
+    y, so the swap costs O(|c| + |ear|).  None when no chord or component
+    gives an ear.
     """
-    # each vertex of c: (its half, sign of the half from its start to the vertex)
+    # each vertex of c: (its half, sign of the half from its start to the
+    # vertex, its position along c after e1)
     k = len(c.edges)
     i = c.edges.index(e1)
-    place: dict[VertexId, tuple[int, Sign]] = {}
+    place: dict[VertexId, tuple[int, Sign, int]] = {}
     half, s = 0, POSITIVE
     for j in range(1, k + 1):
-        place[c.vertices[(i + j) % k]] = (half, s)
+        place[c.vertices[(i + j) % k]] = (half, s, j)
         eid = c.edges[(i + j) % k]
         half, s = (1, POSITIVE) if eid == e2 else (half, s * g.sign(eid))
     in_c = frozenset(c.edges)
-    for eid, e in enumerate(g.edges):
-        if eid in in_c or e.u not in place or e.v not in place:
-            continue
-        (hu, su), (hv, sv) = place[e.u], place[e.v]
-        if hu == hv and e.sign != su * sv:
-            return (eid,)
     on_c = frozenset(place)
-    for comp in components(g, on_c):
-        ear = _component_ear(g, comp, place, on_c)
-        if ear is not None:
-            return ear
-    return None
+    chords = (
+        (e.u, e.v, (eid,))
+        for eid, e in enumerate(g.edges)
+        if eid not in in_c and e.u in place and e.v in place
+        and place[e.u][0] == place[e.v][0] and e.sign != place[e.u][1] * place[e.v][1]
+    )
+    through = (_component_ear(g, comp, place, on_c) for comp in components(g, on_c))
+    ear = next(itertools.chain(chords, filter(None, through)), None)
+    if ear is None:
+        return None
+    x, y, path = ear
+    jx, jy = sorted((place[x][2], place[y][2]))
+    return in_c.difference(c.edges[(i + j) % k] for j in range(jx, jy)).union(path)
 
 
 def _component_ear(
     g: SignedGraph,
     comp: frozenset[VertexId],
-    place: dict[VertexId, tuple[int, Sign]],
+    place: dict[VertexId, tuple[int, Sign, int]],
     on_c: frozenset[VertexId],
-) -> Optional[tuple[EdgeId, ...]]:
-    """An ear of _ear's kind through one component of G - V(c), or None."""
+) -> Optional[tuple[VertexId, VertexId, tuple[EdgeId, ...]]]:
+    """An ear of _ear's kind through one component of G - V(c), as its
+    ends x, y on c and its edges, or None."""
     inner, attach = [], []
     for v in comp:
         for eid, w in g.adjacency[v]:
@@ -588,14 +599,19 @@ def _component_ear(
             if len(xs) > 1:
                 fan = _fan(g, sorted(xs), d, on_c - xs)
                 if fan is not None:
-                    return fan
+                    outside, (x, y) = fan
+                    # the fan's x..y path whose sign differs from the segment's
+                    want = -place[x][1] * place[y][1]
+                    res = find_signed_path(g, x, y, want, banned_edges=outside)
+                    assert res.path is not None, "a fan lacks a path of each sign"
+                    return x, y, res.path.edges
         return None
     # (half, sign an ear would carry from the half's start) ->
     # attachment vertex -> (attachment edge, its end in K)
     kv = ks.vert_index
     ends: dict[tuple[int, Sign], dict[VertexId, tuple[EdgeId, VertexId]]] = {}
     for eid, v, x in attach:
-        hx, sx = place[x]
+        hx, sx, _ = place[x]
         t = bal.signing[kv[v]] if v in kv else POSITIVE
         ends.setdefault((hx, g.sign(eid) * t * sx), {}).setdefault(x, (eid, v))
     for (hx, val), xs in ends.items():
@@ -603,7 +619,7 @@ def _component_ear(
             for y, (b, q) in ends.get((hx, -val), {}).items():
                 if x != y:
                     ((inside, _),) = disjoint_paths(g, (p,), (q,), 1, banned_vertices=on_c)
-                    return (a, b, *inside)
+                    return x, y, (a, b, *inside)
     return None
 
 
@@ -631,21 +647,16 @@ def _self_reduce(sl: Slice, e1: int, e2: int, sign: Sign) -> frozenset[Ref]:
 def _leaf_untied_witness(sl: Slice, e1: int, e2: int) -> _Witness:
     """An opposite-sign pair of common cycles of an untied leaf.
 
-    The first is the flow cycle C.  The second is searched in C plus one
-    ear, which holds at most three common cycles, or found by
-    self-reduction when no single ear changes the sign.
+    The first is the flow cycle C.  The second is C with one segment
+    swapped for an ear, or found by self-reduction when no single ear
+    changes the sign.
     """
     c, _ = find_common_cycle(sl.g, e1, e2)
     assert c is not None, "a 2-connected leaf always has a common cycle"
-    other = -sign_product(sl.g, c.edges)
-    ear = _ear(sl.g, e1, e2, c)
-    if ear is None:
-        return _refs(sl, c.edges), _self_reduce(sl, e1, e2, other)
-    h = sl.sub(sorted(c.edges + ear))
-    idx = h.edge_index
-    d, _ = find_common_cycle(h.g, idx[sl.eref[e1]], idx[sl.eref[e2]], sign=other)
-    assert d is not None, "an ear of the other sign closes no common cycle"
-    return _refs(sl, c.edges), _refs(h, d.edges)
+    d = _ear(sl.g, e1, e2, c)
+    if d is None:
+        return _refs(sl, c.edges), _self_reduce(sl, e1, e2, -sign_product(sl.g, c.edges))
+    return _refs(sl, c.edges), _refs(sl, d)
 
 
 def _marker_path(split: ReductionSplit, marker: _Marker) -> frozenset[Ref]:
@@ -667,9 +678,9 @@ def _marker_path(split: ReductionSplit, marker: _Marker) -> frozenset[Ref]:
         ((path, _),) = disjoint_paths(sl.g, (u,), (v,), 1, banned_edges=kept)
         return _refs(sl, path)
     assert split.neg_cycle is not None
-    piece = _fan(sl.g, (u, v), split.neg_cycle, banned_edges=kept)
-    assert piece is not None, "replaced side has no fan from its boundary"
-    outside = frozenset(range(sl.g.m)).difference(piece)
+    fan = _fan(sl.g, (u, v), split.neg_cycle, banned_edges=kept)
+    assert fan is not None, "replaced side has no fan from its boundary"
+    outside, _ = fan
     res = find_signed_path(sl.g, u, v, sign, banned_edges=outside)
     assert res.path is not None, "replaced side lacks a boundary path of the marker sign"
     return _refs(sl, res.path.edges)

@@ -6,11 +6,12 @@ pair has exactly one common cycle (their 2-cycle); edges sharing one
 vertex v need a path between their far endpoints avoiding v; disjoint
 edges need two vertex-disjoint paths pairing up their endpoints, in one
 of two patterns.  Every qualifying cycle is produced exactly once, so
-the report doubles as a reference count.  The enumeration, and every
-search for a common cycle of a given sign, is depth first and
-exponential in the worst case.  A common cycle of either sign follows
+the report doubles as a reference count.  The enumeration is depth
+first and exponential in the worst case.  A single common cycle follows
 the same case analysis but needs only one such path or pair of paths,
-which find_common_cycle builds by unit-capacity flow in linear time.
+which find_common_cycle builds by unit-capacity flow in linear time;
+it takes no sign, so the enumeration is the only exhaustive search
+here.
 
 verify_certificate replays a tied certificate from the root down
 against the input graph using only primitive checks (cut arithmetic,
@@ -154,37 +155,20 @@ def find_common_cycle(
     e1: EdgeId,
     e2: EdgeId,
     *,
-    sign: Optional[Sign] = None,
     budget: Optional[SearchBudget] = None,
 ) -> tuple[Optional[Cycle], bool]:
-    """A common cycle, optionally of a required sign.
+    """A common cycle, built in linear time.
 
-    Without a sign the cycle is built in linear time: a mutually
-    parallel pair gives its 2-cycle, edges sharing a vertex v one path
-    between their far ends in G−v, and disjoint edges two
+    A mutually parallel pair gives its 2-cycle, edges sharing a vertex v
+    one path between their far ends in G−v, and disjoint edges two
     vertex-disjoint paths from {u1, v1} to {u2, v2}, found by
     unit-capacity flow; by Menger's theorem these exist exactly when a
     common cycle does.  The flow runs uncapped unless a budget is given,
-    and then spends at most 4m units.  With a sign, common cycles are
-    enumerated depth first until one has it, which is exponential in
-    the worst case, so that search always runs against a budget (the
-    default one when none is given).
+    and then spends at most 4m units.
 
     Returns (cycle, completeness); cycle None with complete True is a
     proof of absence, with complete False just a budget failure.
     """
-    if sign is None:
-        return _common_cycle_by_flow(g, e1, e2, budget)
-    b = budget if budget is not None else SearchBudget()
-    for c in _iter_common_cycles(g, e1, e2, b):
-        if sign_product(g, c.edges) == sign:
-            return c, True
-    return None, not b.exhausted
-
-
-def _common_cycle_by_flow(
-    g: SignedGraph, e1: EdgeId, e2: EdgeId, budget: Optional[SearchBudget]
-) -> tuple[Optional[Cycle], bool]:
     two_cycle, shared, sources, targets = _meeting(g, e1, e2)
     if two_cycle is not None:
         return two_cycle, True

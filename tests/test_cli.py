@@ -284,6 +284,16 @@ def test_cli_verify_garbage_json(tmp_path):
     assert err.startswith("error:")
 
 
+def test_cli_verify_too_deeply_nested_certificate_is_a_parse_error(tmp_path):
+    """json.loads recurses per level; verify runs no reduction, so its
+    error names the certificate file, not the reduction."""
+    cert = tmp_path / "cert.json"
+    cert.write_text('{"a":' * 50000 + "1" + "}" * 50000)
+    rc, out, err = run("verify", K4C3, str(cert))
+    assert (rc, out) == (2, "")
+    assert err == f"error: certificate file {cert} is nested too deeply to read\n"
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [

@@ -1,10 +1,12 @@
 import random
+import sys
 
 import pytest
 
 import helpers
 import sgties.connectivity
 import sgties.decide
+import sgties.oracle
 from sgties import (
     Cycle,
     KIND_TIED,
@@ -274,18 +276,41 @@ def test_leaf_without_a_single_ear_falls_back_to_self_reduction(fallbacks):
     assert len(fallbacks) == 1
 
 
-def test_untied_witnesses_are_opposite_sign_common_cycles(fallbacks):
-    """Over every way two edges can meet, an untied verdict's cycles are
-    genuine common cycles of opposite signs, as the enumerator lists
-    them, and tied verdicts agree with it."""
-    meets = {"parallel": 0, "shared": 0, "disjoint": 0}
-    untied = 0
+def _seeded_pairs():
+    """2,400 random pairs, n 5..8, over every way two edges can meet."""
     for seed in range(2400):
         rng = random.Random(seed)
         n = rng.randint(5, 8)
         m = rng.randint(n, 2 * n + 2)
         g = random_signed_graph(n, m, 0.5, seed)
         e1, e2 = rng.sample(range(m), 2)
+        yield seed, g, e1, e2
+
+
+def _calls_from(monkeypatch, module, name):
+    """Wraps module.name to record, per call, the names of its calling
+    function and of that function's caller."""
+    callers = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        caller = sys._getframe(1)
+        callers.append((caller.f_code.co_name, caller.f_back.f_code.co_name))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return callers
+
+
+def test_untied_witnesses_are_opposite_sign_common_cycles(fallbacks, monkeypatch):
+    """Over every way two edges can meet, an untied verdict's cycles are
+    genuine common cycles of opposite signs, as the enumerator lists
+    them, and tied verdicts agree with it.  Some second cycles come from
+    the signed path through a fan."""
+    signed = _calls_from(monkeypatch, sgties.decide, "find_signed_path")
+    meets = {"parallel": 0, "shared": 0, "disjoint": 0}
+    untied = 0
+    for seed, g, e1, e2 in _seeded_pairs():
         ends1, ends2 = g.endpoints(e1), g.endpoints(e2)
         meets[
             "parallel" if ends1 == ends2 else "shared" if ends1 & ends2 else "disjoint"
@@ -300,6 +325,22 @@ def test_untied_witnesses_are_opposite_sign_common_cycles(fallbacks):
     assert min(meets.values()) >= 100
     assert untied >= 500
     assert 0 < len(fallbacks) < untied // 10
+    assert sum(caller == "_component_ear" for caller, _ in signed) >= 40
+
+
+def test_decide_enumerates_common_cycles_only_in_enum_leaves(monkeypatch):
+    """Every witness is built, not searched for: during decide the
+    depth-first common-cycle search runs only where an enum leaf lists
+    its cycles.  The flat graphs are those of
+    test_large_untied_leaf_gets_its_pair_from_one_ear."""
+    seen = _calls_from(monkeypatch, sgties.oracle, "_iter_common_cycles")
+    instances = [(g, e1, e2) for _, g, e1, e2 in _seeded_pairs()]
+    for seed in (430892094, 222406854, 529756440, 1385408903):
+        g = random_3_connected(80, 80, 0.5, seed)
+        instances.append((g, 0, g.m - 1))
+    for g, e1, e2 in instances:
+        decide_tied(g, e1, e2)
+    assert set(seen) == {("enumerate_common_cycles", "_evaluate_leaf")}
 
 
 # --- reduction trees ---------------------------------------------------------

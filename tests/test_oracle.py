@@ -112,26 +112,6 @@ def test_enumeration_budget_cuts_off():
     assert not rep.complete
 
 
-def test_find_common_cycle_sign_filter():
-    gi = build_hat()
-    g = gi.graph
-    pos, done = find_common_cycle(g, gi.e1, gi.e2, sign=1)
-    assert done and cycle_sign(g, pos) == 1
-    neg, done = find_common_cycle(g, gi.e1, gi.e2, sign=-1)
-    assert done and cycle_sign(g, neg) == -1
-    assert gi.e1 in pos and gi.e2 in pos and gi.e1 in neg and gi.e2 in neg
-
-
-def test_find_common_cycle_absence_proof():
-    g = helpers.k4()
-    c, done = find_common_cycle(g, 0, 5, sign=-1)
-    assert c is None
-    assert done
-    c, done = find_common_cycle(g, 0, 5, sign=-1, budget=SearchBudget(limit=1))
-    assert c is None
-    assert not done
-
-
 def test_unsigned_common_cycle_exists_exactly_when_enumeration_finds_one():
     """The flow construction against the enumerator, over every way
     two edges can meet: mutually parallel, sharing one vertex, disjoint."""
