@@ -5,11 +5,11 @@ blocks (a doubled edge is a 2-connected block) but never for vertex cuts.
 ``components`` and ``blocks`` take a set of removed vertices and walk the
 graph as if those vertices and their edges were absent.
 
-Whether a 2-connected graph has a 2-cut, and which one a separation
-uses, is one linear pass, ``_separation_pair`` (Hopcroft & Tarjan's
-path search, cut down to detection): a separation splits at the first
-2-cut that pass names, so finding one costs O(n+m) whatever the graph's
-shape.
+Whether a graph has a vertex cut of at most 2 vertices, and which
+2-cut a separation uses, is one linear pass, ``_separation_pair``
+(Hopcroft & Tarjan's path search, cut down to detection): a separation
+splits at the first 2-cut that pass names, so finding one costs O(n+m)
+whatever the graph's shape.
 """
 from __future__ import annotations
 
@@ -160,7 +160,10 @@ def side_vertices(g: SignedGraph, side: frozenset[EdgeId]) -> frozenset[VertexId
 
 
 def _separation_pair(g: SignedGraph) -> Optional[tuple[VertexId, VertexId]]:
-    """Some vertex 2-cut (u < v) of a 2-connected graph with n >= 4, or None.
+    """A vertex cut (u <= v) of a graph with n >= 4, or None if it is 3-connected.
+
+    A pair (c, c) is a cut vertex c, or c = 0 when g is disconnected;
+    the first DFS below stops there when g is not 2-connected.
 
     Hopcroft & Tarjan's triconnectivity search (1973, as corrected by
     Gutwenger & Mutzel 2000), cut down to detection: it stops at the
@@ -236,6 +239,8 @@ def _separation_pair(g: SignedGraph) -> Optional[tuple[VertexId, VertexId]]:
                 break
             np_ = num[pv]
             l1, l2 = low1[v], low2[v]
+            if l1 >= np_ and (np_ > 1 or nd[v] < n - 1):
+                return pv, pv  # T(v) hangs on pv alone
             if l1 < np_ <= l2 and nd[v] < n - 2:
                 a = at[l1]  # type 1
                 return (a, pv) if a < pv else (pv, a)
@@ -249,6 +254,8 @@ def _separation_pair(g: SignedGraph) -> Optional[tuple[VertexId, VertexId]]:
             elif l1 < low2[pv]:
                 low2[pv] = l1
             nd[pv] += nd[v]
+    if count < n:
+        return 0, 0  # vertex 0 reaches no other vertex
     arcs: list[list[int]] = [[] for _ in range(n)]
     into = [0] * n  # fronds into each vertex
     for k, heads in enumerate(bucket):
@@ -374,5 +381,5 @@ def _proper_2_separation(g: SignedGraph) -> Optional[Separation]:
 
 
 def is_3_connected(g: SignedGraph) -> bool:
-    """At least 4 vertices and no vertex cut of size <= 2, in O(n+m)."""
-    return g.n >= 4 and is_2_connected(g) and _separation_pair(g) is None
+    """At least 4 vertices and no vertex cut of size <= 2: one O(n+m) pass."""
+    return g.n >= 4 and _separation_pair(g) is None

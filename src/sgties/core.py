@@ -28,7 +28,8 @@ Ref = Union[int, str]
 
 
 def check_sign(s: int) -> Sign:
-    if s not in (POSITIVE, NEGATIVE):
+    # 1.0 and True compare equal to 1 but are not signs
+    if type(s) is not int or s not in (POSITIVE, NEGATIVE):
         raise BadParams(f"sign must be +1 or -1, got {s!r}")
     return s
 
@@ -185,8 +186,8 @@ class Slice:
 
 
 def _check_ends(n: int, u: int, v: int) -> None:
-    if not (0 <= u < n and 0 <= v < n):
-        raise BadVertex(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+    if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+        raise BadVertex(f"edge ({u!r}, {v!r}) needs int endpoints in 0..{n - 1}")
     if u == v:
         raise LoopRejected(f"loop at vertex {u} rejected")
 

@@ -15,9 +15,9 @@ its marker.  Leaves are 3-connected (or have at most SMALL_LEAF
 vertices) and are answered by the three-case characterization, falling
 back to exhaustive enumeration on the tiny non-3-connected ones.
 
-Evaluation settles the verdict and builds the certificate without
-looking for witnesses.  The witnesses of an untied verdict are then
-built at its first untied leaf and lifted back through the splits by
+Evaluation settles the verdict and builds the certificate of a tied
+one.  Its first untied leaf builds the witnesses of an untied verdict
+instead, and each split lifts them on the way back up by
 replacing marker edges with boundary-to-boundary paths of the marker's
 sign through the replaced side, searched in the split's own slice with
 the kept side's edges banned.  They travel as unordered sets of edge
@@ -393,9 +393,6 @@ def _try_case3(sl: Slice, e1: int, e2: int) -> Optional[dict]:
 
 # witnesses travel as unordered edge-reference sets until the very end
 _Witness = tuple[frozenset[Ref], frozenset[Ref]]
-# the splits above a leaf, root first, each with the index of the child
-# on the way down
-_Ancestry = tuple[tuple[ReductionSplit, int], ...]
 
 
 def _refs(sl: Slice, ids: Iterable[EdgeId]) -> frozenset[Ref]:
@@ -418,22 +415,21 @@ def _block_tree(
     return removed, _reduce(blk, idx[e1], idx[e2], itertools.count())
 
 
-def _evaluate(tree: ReductionTree) -> Union[dict, tuple[ReductionLeaf, _Ancestry]]:
-    """The certificate node of a tied subtree, or where it is untied.
+def _evaluate(tree: ReductionTree) -> Union[dict, _Witness]:
+    """The certificate node of a tied subtree, or the witness of an untied one.
 
     Children are evaluated in order; the first untied one decides the
-    split.  An untied result is the first untied leaf with its ancestry.
-    No witness is searched for here.
+    split.  The first untied leaf builds its witness, and each split
+    lifts the witness its child returned on the way back up.
     """
     if isinstance(tree, ReductionLeaf):
         node = _evaluate_leaf(tree)
-        return (tree, ()) if node is None else node
+        return _leaf_untied_witness(tree.sl, tree.e1, tree.e2) if node is None else node
     nodes = []
     for i, spec in enumerate(tree.children):
         res = _evaluate(spec.node)
         if not isinstance(res, dict):
-            leaf, ancestry = res
-            return leaf, ((tree, i),) + ancestry
+            return _lift_part1(tree, i, res) if tree.part == 1 else _lift_part23(tree, res)
         nodes.append(res)
     return _split_doc(tree, nodes)
 
@@ -489,14 +485,20 @@ def _evaluate_leaf(leaf: ReductionLeaf) -> Optional[dict]:
 def _common_signs(g: SignedGraph, e1: int, e2: int) -> frozenset[Sign]:
     """The signs of the pair's common cycles, read off its verdict.
 
-    Reduces and evaluates without searching for a witness; a tied
-    verdict takes its sign from the flow cycle.
+    It is untied when a leaf is: leaves are tested in order up to the
+    first untied one, building no certificate node and no witness.  A
+    tied verdict takes its sign from the flow cycle.
     """
     _, tree = _block_tree(g, e1, e2)
     if tree is None:
         return frozenset()
-    if not isinstance(_evaluate(tree), dict):
-        return frozenset((POSITIVE, NEGATIVE))
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, ReductionSplit):
+            stack.extend(spec.node for spec in reversed(t.children))
+        elif _evaluate_leaf(t) is None:
+            return frozenset((POSITIVE, NEGATIVE))
     c, _ = find_common_cycle(g, e1, e2)
     assert c is not None, "no common cycle found despite a shared block"
     return frozenset((sign_product(g, c.edges),))
@@ -712,16 +714,6 @@ def _lift_part1(split: ReductionSplit, child_idx: int, w: _Witness) -> _Witness:
     return (w[0] - {own_marker}) | path, (w[1] - {own_marker}) | path
 
 
-def _lift_up(ancestry: _Ancestry, w: _Witness) -> _Witness:
-    """Lift a leaf's witness through the splits above it to the root."""
-    for split, child_idx in reversed(ancestry):
-        if split.part == 1:
-            w = _lift_part1(split, child_idx, w)
-        else:
-            w = _lift_part23(split, w)
-    return w
-
-
 def _finalize_pair(g: SignedGraph, witness: _Witness) -> tuple[Cycle, Cycle]:
     # lifted to the root, every reference is an input edge id
     out = [Cycle.from_edge_set(g, refs) for refs in witness]
@@ -763,9 +755,7 @@ def decide_tied(g: SignedGraph, e1: EdgeId, e2: EdgeId) -> Verdict:
         )
     res = _evaluate(tree)
     if not isinstance(res, dict):
-        leaf, ancestry = res
-        w = _lift_up(ancestry, _leaf_untied_witness(leaf.sl, leaf.e1, leaf.e2))
-        return Verdict(kind=cert.KIND_UNTIED, witness=_finalize_pair(g, w))
+        return Verdict(kind=cert.KIND_UNTIED, witness=_finalize_pair(g, res))
     c, _ = find_common_cycle(g, e1, e2)
     # the pair shares a 2-connected block, so a common cycle exists
     assert c is not None, "no common cycle found despite a shared block"

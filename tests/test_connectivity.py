@@ -479,10 +479,64 @@ def test_linear_cut_search_matches_the_scan_and_networkx():
     assert min(branches[k] for k in ("none", 0, 1, 2)) >= 100, branches
 
 
+def _not_2_connected_graphs(rng: random.Random):
+    """Graphs with 4 to 21 vertices that are not 2-connected: two random
+    3-connected pieces glued at one vertex or left disjoint, sparse
+    random multigraphs, and graphs whose vertex 0 is isolated."""
+    for i in range(3000):
+        kind = i % 4
+        if kind < 2:
+            a, b = (
+                random_3_connected(
+                    rng.randint(4, 10), rng.randint(0, 6), 0.5, rng.randrange(10**6)
+                )
+                for _ in range(2)
+            )
+            shift = a.n - (kind == 0)
+            items = [(e.u, e.v, e.sign) for e in a.edges]
+            items += [(e.u + shift, e.v + shift, e.sign) for e in b.edges]
+            yield _shuffled(rng, SignedGraph.build(shift + b.n, items))
+        elif kind == 2:
+            n = rng.randint(4, 12)
+            g = random_multigraph(rng, n, rng.randint(0, n + 2))
+            if not is_2_connected(g):
+                yield g
+        else:
+            n = rng.randint(4, 12)
+            g = random_multigraph(rng, n - 1, rng.randint(0, 2 * n))
+            yield SignedGraph.build(n, [(e.u + 1, e.v + 1, e.sign) for e in g.edges])
+
+
+def test_linear_cut_search_answers_graphs_that_are_not_2_connected():
+    """The pass names a vertex cut of size <= 2 on any graph with n >= 4:
+    a cut vertex (c, c), vertex 0 of a disconnected graph, or a 2-cut.
+    Removing it leaves more than one component, or g was disconnected
+    already, and is_3_connected says no."""
+    rng = random.Random(83)
+    count = 0
+    for i, g in enumerate(_not_2_connected_graphs(rng)):
+        assert g.n >= 4 and not is_2_connected(g), (i, g)
+        pair = _separation_pair(g)
+        assert pair is not None, (i, g)
+        assert len(components(g)) > 1 or len(components(g, frozenset(pair))) > 1, (i, g, pair)
+        assert not is_3_connected(g), (i, g)
+        count += 1
+    assert count >= 2500
+
+
+def test_linear_cut_search_names_the_cut_vertex_of_a_deep_path():
+    """A 20,000-vertex path under the default recursion limit: the first
+    DFS stops at n-2, whose child's subtree hangs on it alone."""
+    n = 20_000
+    g = SignedGraph.build(n, [(i, i + 1, 1) for i in range(n - 1)])
+    assert _separation_pair(g) == (n - 2, n - 2)
+    assert not is_3_connected(g)
+
+
 def test_3_connectivity_counts_walks_not_vertices(monkeypatch):
-    """On random_3_connected(n, n, 0, 1), is_3_connected and
-    find_proper_2_separation each walk blocks once (their 2-connectivity
-    proof) and make one linear pass."""
+    """On random_3_connected(n, n, 0, 1), is_3_connected makes one linear
+    pass, which proves 2-connectivity on the way; find_proper_2_separation
+    walks blocks once (its guard) and makes one linear pass."""
     calls: Counter = Counter()
     real_blocks = sgties.connectivity.blocks
     real_pass = sgties.connectivity._separation_pair
@@ -501,7 +555,7 @@ def test_3_connectivity_counts_walks_not_vertices(monkeypatch):
         g = random_3_connected(n, n, 0, 1)
         calls.clear()
         assert is_3_connected(g)
-        assert calls == {"blocks": 1, "pass": 1}
+        assert calls == {"pass": 1}
         calls.clear()
         assert find_proper_2_separation(g) is None
         assert calls == {"blocks": 1, "pass": 1}

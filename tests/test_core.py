@@ -56,6 +56,25 @@ def test_build_rejects_bad_sign():
         SignedGraph.build(2, [(0, 1, 2)])
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0, True])
+def test_build_rejects_a_sign_that_is_not_an_int(sign):
+    """1.0, -1.0 and True compare equal to a sign but are not one: a
+    float sign would reach a tied verdict's common_sign, which the
+    verifier then rejects."""
+    with pytest.raises(BadParams):
+        SignedGraph.build(3, [(0, 1, 1), (1, 2, sign), (2, 0, 1)])
+    with pytest.raises(BadParams):
+        add_edge(helpers.triangle(), 0, 1, sign)
+
+
+@pytest.mark.parametrize("ends", [(0.0, 1), (0, 1.0), (True, 2)])
+def test_build_rejects_a_vertex_id_that_is_not_an_int(ends):
+    with pytest.raises(BadVertex):
+        SignedGraph.build(3, [(*ends, 1)])
+    with pytest.raises(BadVertex):
+        add_edge(helpers.triangle(), *ends, 1)
+
+
 def test_edge_id_out_of_range():
     g = helpers.triangle()
     with pytest.raises(BadEdge):

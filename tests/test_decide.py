@@ -328,6 +328,64 @@ def test_untied_witnesses_are_opposite_sign_common_cycles(fallbacks, monkeypatch
     assert sum(caller == "_component_ear" for caller, _ in signed) >= 40
 
 
+def test_self_reduction_builds_no_certificate(fallbacks, monkeypatch):
+    """Self-reduction reads each trial's verdict off its leaves alone:
+    while it runs, no split's certificate node is built.  The m=198
+    instance is random_3_connected(80, 40, 0, 16) with edges 55 and 135
+    made negative and the pair (55, 138), whose leaf has no single ear;
+    the 2,400 seeded pairs fall back 40 times."""
+    inside = []
+    built = []
+    real_self_reduce = sgties.decide._self_reduce
+    real_split_doc = sgties.decide._split_doc
+
+    def self_reduce(*args):
+        inside.append(1)
+        try:
+            return real_self_reduce(*args)
+        finally:
+            inside.pop()
+
+    def split_doc(*args):
+        if inside:
+            built.append(args)
+        return real_split_doc(*args)
+
+    monkeypatch.setattr(sgties.decide, "_self_reduce", self_reduce)
+    monkeypatch.setattr(sgties.decide, "_split_doc", split_doc)
+    g = random_3_connected(80, 40, 0, 16)
+    flip = (55, 135)
+    g = SignedGraph.build(
+        g.n, [(e.u, e.v, -e.sign if i in flip else e.sign) for i, e in enumerate(g.edges)]
+    )
+    assert g.m == 198
+    v = decide_tied(g, 55, 138)
+    assert_untied_witness(g, v, 55, 138)
+    assert verify_certificate(g, 55, 138, verdict_to_doc(v, 55, 138)) == (True, "ok")
+    assert len(fallbacks) == 1
+    for _, g, e1, e2 in _seeded_pairs():
+        decide_tied(g, e1, e2)
+    assert len(fallbacks) == 41
+    assert built == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_deep_untied_ladder_lifts_at_the_default_recursion_limit(seed):
+    """A doubled 200-rung ladder reduces through about 400 nested part-1
+    splits, and its first untied leaf lies 170 to 200 of them deep.  The
+    leaf's witnesses are built and lifted inside the evaluation's
+    recursion, which stays within the default limit of 1,000 frames."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        g, e1, e2 = ladder(200, seed, doubled=True)
+        v = decide_tied(g, e1, e2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert_untied_witness(g, v, e1, e2)
+    assert verify_certificate(g, e1, e2, verdict_to_doc(v, e1, e2)) == (True, "ok")
+
+
 def test_decide_enumerates_common_cycles_only_in_enum_leaves(monkeypatch):
     """Every witness is built, not searched for: during decide the
     depth-first common-cycle search runs only where an enum leaf lists
@@ -562,8 +620,7 @@ def test_ladder_decide_block_searches_are_pinned(monkeypatch):
     """A 40-rung ladder nests 76 splits.  The cut-pair search walks no
     blocks, and a 2-connectivity re-proof per level would add about one
     call each; preprocessing walks blocks once to find the pair's block,
-    and the small leaf's 3-connectivity test once, for its
-    2-connectivity proof."""
+    and the small leaf's 3-connectivity test walks none."""
     calls = []
     real = sgties.connectivity.blocks
 
@@ -575,7 +632,7 @@ def test_ladder_decide_block_searches_are_pinned(monkeypatch):
         monkeypatch.setattr(mod, "blocks", counting)
     g, e1, e2 = ladder(40, 1)
     assert decide_tied(g, e1, e2).kind == KIND_TIED
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [320, 640, 1280])
