@@ -23,10 +23,11 @@ from .core import (
     SignedGraph,
     VertexId,
     check_sign,
+    check_vertex,
     delete_edge,
     sign_product,
 )
-from .errors import BadParams, BadVertex, DomainMismatch, NotTwoConnected
+from .errors import BadParams, DomainMismatch, NotTwoConnected
 from .search import SearchBudget, iter_paths
 
 
@@ -186,12 +187,9 @@ def find_signed_path(
     banned_edges: frozenset[EdgeId] = frozenset(),
     budget: Optional[SearchBudget] = None,
 ) -> PathSearchResult:
-    """Search for a simple u..v path of the requested sign."""
+    """Search for a simple u..v path of the requested sign, u and v distinct."""
     check_sign(sign)
-    for x in (u, v):
-        if not 0 <= x < g.n:
-            raise BadVertex(f"vertex {x} out of range")
-    if u == v:
+    if check_vertex(g.n, u) == check_vertex(g.n, v):
         raise BadParams("path endpoints must differ")
     b = budget if budget is not None else SearchBudget()
     for edges, verts in iter_paths(

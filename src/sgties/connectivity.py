@@ -2,8 +2,8 @@
 
 All routines treat the graph as a multigraph; parallel edges matter for
 blocks (a doubled edge is a 2-connected block) but never for vertex cuts.
-``components`` and ``blocks`` take a set of removed vertices and walk the
-graph as if those vertices and their edges were absent.
+``components`` and ``blocks`` take a set of removed vertices, each checked
+by check_vertex, and walk the graph as if they and their edges were absent.
 
 Whether a graph has a vertex cut of at most 2 vertices, and which
 2-cut a separation uses, is one linear pass, ``_separation_pair``
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import EdgeId, SignedGraph, VertexId
+from .core import EdgeId, SignedGraph, VertexId, check_vertex
 from .errors import NotTwoConnected
 
 
@@ -26,7 +26,7 @@ def components(
     """Connected components of g minus ``removed``, ordered by smallest member."""
     seen = [False] * g.n
     for x in removed:
-        seen[x] = True
+        seen[check_vertex(g.n, x)] = True
     out: list[frozenset[int]] = []
     for root in range(g.n):
         if seen[root]:
@@ -81,7 +81,7 @@ def blocks(g: SignedGraph, removed: frozenset[VertexId] = frozenset()) -> BlockT
     # a removed vertex looks discovered after every real one, so edges to
     # it are neither tree edges nor back edges
     for x in removed:
-        disc[x] = n
+        disc[check_vertex(n, x)] = n
     low = [0] * n
     at = [0] * n  # edge-stack position of each vertex's tree edge
     cuts: set[int] = set()

@@ -1,8 +1,9 @@
 """Signed multigraph model: graphs, slices, cycles, switching, minors, gadgets.
 
 Vertices are dense ints 0..n-1, edge ids dense ints 0..m-1 in insertion
-order.  Graphs are immutable values; every mutating operation returns a new
-graph, together with relabeling maps whenever ids are compacted.
+order; check_vertex, SignedGraph.edge and check_edges are the only checks
+of an id.  Graphs are immutable values; every mutating operation returns
+a new graph, together with relabeling maps whenever ids are compacted.
 
 A slice is a subgraph together with the map back to the original ids;
 the decision procedure and the certificate verifier both cut the graph
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-from .errors import BadEdge, BadParams, BadVertex, LoopRejected, NotACycle
+from .errors import BadEdge, BadParams, BadVertex, LoopRejected, NotACycle, SameEdge
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -73,11 +74,17 @@ class SignedGraph:
 
     @classmethod
     def build(cls, n: int, items: Iterable[tuple[int, int, int]] = ()) -> "SignedGraph":
-        """Construct a graph on n vertices from (u, v, sign) triples."""
-        if n < 0:
-            raise BadVertex(f"vertex count must be nonnegative, got {n}")
+        """A graph on n vertices, an int >= 0 (else BadVertex), from
+        (u, v, sign) triples or lists (else BadParams); check_vertex
+        checks the ends and check_sign the signs."""
+        if type(n) is not int or n < 0:
+            raise BadVertex(f"vertex count must be a nonnegative int, got {n!r}")
         out: list[Edge] = []
-        for u, v, s in items:
+        for item in items:
+            try:
+                u, v, s = item
+            except (TypeError, ValueError):
+                raise BadParams(f"edge item {item!r} is not a (u, v, sign) triple") from None
             _check_ends(n, u, v)
             out.append(Edge(u, v, check_sign(s)))
         return cls(n, tuple(out))
@@ -87,8 +94,9 @@ class SignedGraph:
         return len(self.edges)
 
     def edge(self, e: EdgeId) -> Edge:
-        if not 0 <= e < len(self.edges):
-            raise BadEdge(f"edge id {e} out of range 0..{len(self.edges) - 1}")
+        """Edge e, an int in 0..m-1 (True and 1.0 are not), else BadEdge."""
+        if type(e) is not int or not 0 <= e < len(self.edges):
+            raise BadEdge(f"edge id {e!r} out of range 0..{len(self.edges) - 1}")
         return self.edges[e]
 
     def sign(self, e: EdgeId) -> Sign:
@@ -107,9 +115,8 @@ class SignedGraph:
         return tuple(tuple(a) for a in adj)
 
     def degree(self, v: VertexId) -> int:
-        if not 0 <= v < self.n:
-            raise BadVertex(f"vertex id {v} out of range 0..{self.n - 1}")
-        return len(self.adjacency[v])
+        """The number of edge ends at vertex v."""
+        return len(self.adjacency[check_vertex(self.n, v)])
 
 
 @dataclass(frozen=True)
@@ -185,10 +192,26 @@ class Slice:
         return out
 
 
+def check_vertex(n: int, v: VertexId) -> VertexId:
+    """v if it is an int in 0..n-1 (True and 1.0 are not), else BadVertex."""
+    if type(v) is not int or not 0 <= v < n:
+        raise BadVertex(f"vertex id {v!r} out of range 0..{n - 1}")
+    return v
+
+
+def check_edges(g: SignedGraph, *ids: EdgeId) -> list[Edge]:
+    """The edges of g with these ids, each checked by ``g.edge``; an id
+    given twice raises SameEdge."""
+    edges = [g.edge(e) for e in ids]
+    for i, e in enumerate(ids):
+        if e in ids[:i]:
+            count = {2: "two", 3: "three"}.get(len(ids), len(ids))
+            raise SameEdge(f"need {count} distinct edges, got {e} twice")
+    return edges
+
+
 def _check_ends(n: int, u: int, v: int) -> None:
-    if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
-        raise BadVertex(f"edge ({u!r}, {v!r}) needs int endpoints in 0..{n - 1}")
-    if u == v:
+    if check_vertex(n, u) == check_vertex(n, v):
         raise LoopRejected(f"loop at vertex {u} rejected")
 
 
@@ -210,11 +233,8 @@ def parallel_class(g: SignedGraph, e: EdgeId) -> frozenset[EdgeId]:
 
 
 def switch(g: SignedGraph, s: Iterable[VertexId]) -> SignedGraph:
-    """Flip the sign of every edge with exactly one endpoint in s."""
-    sset = frozenset(s)
-    for v in sset:
-        if not 0 <= v < g.n:
-            raise BadVertex(f"switch set contains vertex {v} outside 0..{g.n - 1}")
+    """Flip the sign of every edge with exactly one endpoint in the vertex set s."""
+    sset = frozenset(check_vertex(g.n, v) for v in s)
     out = tuple(
         Edge(e.u, e.v, -e.sign if (e.u in sset) != (e.v in sset) else e.sign)
         for e in g.edges
@@ -252,8 +272,7 @@ def delete_vertex(
     g: SignedGraph, v: VertexId
 ) -> tuple[SignedGraph, dict[VertexId, VertexId], dict[EdgeId, EdgeId]]:
     """Remove vertex v and all incident edges; ids are compacted."""
-    if not 0 <= v < g.n:
-        raise BadVertex(f"vertex id {v} out of range 0..{g.n - 1}")
+    check_vertex(g.n, v)
     vmap = {x: (x if x < v else x - 1) for x in range(g.n) if x != v}
     emap: dict[int, int] = {}
     out: list[Edge] = []

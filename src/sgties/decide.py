@@ -72,15 +72,12 @@ from .core import (
     SignedGraph,
     Slice,
     VertexId,
+    check_edges,
     delete_edges,
     parallel_class,
     sign_product,
 )
-from .errors import (
-    NotTwoConnected,
-    PreconditionViolated,
-    SameEdge,
-)
+from .errors import NotTwoConnected, PreconditionViolated
 from .oracle import enumerate_common_cycles, find_common_cycle
 from .search import disjoint_paths
 
@@ -176,7 +173,7 @@ def reduce(g: SignedGraph, e1: EdgeId, e2: EdgeId) -> ReductionTree:
     Requires that neither distinguished edge has a parallel companion
     (run the preprocessing in decide_tied first if it might).
     """
-    _check_pair(g, e1, e2)
+    check_edges(g, e1, e2)
     if not is_2_connected(g):
         raise NotTwoConnected("reduction needs a 2-connected graph")
     for eid in (e1, e2):
@@ -185,13 +182,6 @@ def reduce(g: SignedGraph, e1: EdgeId, e2: EdgeId) -> ReductionTree:
                 f"edge {eid} has parallel companions; preprocess first"
             )
     return _reduce(Slice.identity(g), e1, e2, itertools.count())
-
-
-def _check_pair(g: SignedGraph, e1: EdgeId, e2: EdgeId) -> None:
-    g.edge(e1)
-    g.edge(e2)
-    if e1 == e2:
-        raise SameEdge(f"need two distinct edges, got {e1} twice")
 
 
 def _reduce(sl: Slice, e1: int, e2: int, names: Iterator[int]) -> ReductionTree:
@@ -316,7 +306,7 @@ def check_leaf(g: SignedGraph, e1: EdgeId, e2: EdgeId) -> LeafVerdict:
     deletion leaves a balanced graph; (3) deleting the pair leaves a
     balanced graph.
     """
-    _check_pair(g, e1, e2)
+    check_edges(g, e1, e2)
     if not is_3_connected(g):
         raise PreconditionViolated("leaf test needs a 3-connected graph")
     for eid in (e1, e2):
@@ -736,7 +726,7 @@ def decide_tied(g: SignedGraph, e1: EdgeId, e2: EdgeId) -> Verdict:
     negative common cycle.  Every witness is built by two-path flow and
     fans in polynomial time, so no verdict ships without its evidence.
     """
-    _check_pair(g, e1, e2)
+    check_edges(g, e1, e2)
     if g.endpoints(e1) == g.endpoints(e2):
         two = Cycle.from_edges(g, (e1, e2))
         s = g.sign(e1) * g.sign(e2)
@@ -773,15 +763,12 @@ def decide_tied(g: SignedGraph, e1: EdgeId, e2: EdgeId) -> Verdict:
 def lovasz_three_edges(
     g: SignedGraph, e1: EdgeId, e2: EdgeId, e3: EdgeId
 ) -> LovaszResult:
-    """Is there a cycle through three given edges of a simple 3-connected graph?
+    """Is there a cycle through three distinct edges of a simple 3-connected graph?
 
     No cycle exists iff the edges share a vertex (reported first) or
     their removal disconnects the graph.
     """
-    if len({e1, e2, e3}) != 3:
-        raise SameEdge("the three edges must be distinct")
-    for eid in (e1, e2, e3):
-        g.edge(eid)
+    check_edges(g, e1, e2, e3)
     if len({e.endpoints() for e in g.edges}) < g.m:
         raise PreconditionViolated("the three-edge test needs a simple graph")
     if not is_3_connected(g):

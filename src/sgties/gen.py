@@ -39,8 +39,8 @@ LEAF_CASES = ("case1", "case2", "case2d", "case3")
 
 def random_signed_graph(n: int, m: int, p_neg: float, seed: int) -> SignedGraph:
     """Seeded uniform multigraph: m non-loop endpoint pairs, signs iid."""
-    if n < 0 or m < 0:
-        raise BadParams(f"need n, m >= 0, got n={n} m={m}")
+    if type(n) is not int or type(m) is not int or n < 0 or m < 0:
+        raise BadParams(f"need int n, m >= 0, got n={n!r} m={m!r}")
     if not 0.0 <= p_neg <= 1.0:
         raise BadParams(f"p_neg must lie in [0, 1], got {p_neg}")
     if m > 0 and n < 2:
@@ -65,10 +65,10 @@ def random_3_connected(
     ``simple`` set, chords avoid existing endpoint pairs (and each
     other), so every parallel class stays a singleton.
     """
-    if n < 4:
-        raise BadParams(f"a wheel needs at least 4 vertices, got {n}")
-    if extra_edges < 0:
-        raise BadParams(f"extra_edges must be nonnegative, got {extra_edges}")
+    if type(n) is not int or n < 4:
+        raise BadParams(f"a wheel needs an int of at least 4 vertices, got {n!r}")
+    if type(extra_edges) is not int or extra_edges < 0:
+        raise BadParams(f"extra_edges must be a nonnegative int, got {extra_edges!r}")
     if not 0.0 <= p_neg <= 1.0:
         raise BadParams(f"p_neg must lie in [0, 1], got {p_neg}")
     rng = random.Random(seed)
@@ -110,8 +110,8 @@ def ladder(
     sign, so that pair is untied.  The rungs between make the reduction
     a chain of 2k−4 nested part-1 splits.
     """
-    if rungs < 2:
-        raise BadParams(f"a ladder needs at least 2 rungs, got {rungs}")
+    if type(rungs) is not int or rungs < 2:
+        raise BadParams(f"a ladder needs an int of at least 2 rungs, got {rungs!r}")
     rng = random.Random(seed)
     k = rungs
     pairs = [(i, k + i) for i in range(k)]
@@ -384,10 +384,10 @@ def enumerate_small(
     the remaining edges range over all sign patterns, which hits every
     switching class exactly once.
     """
-    if n_max < 1:
-        raise BadParams(f"need n_max >= 1, got {n_max}")
-    if m_max < 0:
-        raise BadParams(f"need m_max >= 0, got {m_max}")
+    if type(n_max) is not int or n_max < 1:
+        raise BadParams(f"need an int n_max >= 1, got {n_max!r}")
+    if type(m_max) is not int or m_max < 0:
+        raise BadParams(f"need an int m_max >= 0, got {m_max!r}")
     for n in range(1, n_max + 1):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         seen: set[tuple] = set()

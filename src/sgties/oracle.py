@@ -37,10 +37,11 @@ from .core import (
     SignedGraph,
     Slice,
     VertexId,
+    check_edges,
     parallel_class,
     sign_product,
 )
-from .errors import BudgetExhausted, SameEdge, SgError
+from .errors import BudgetExhausted, SgError
 from .search import SearchBudget, disjoint_paths, iter_paths
 
 __all__ = [
@@ -82,9 +83,7 @@ def _meeting(
     between the far ends when the edges share a vertex, two paths from
     (u1, v1) to (u2, v2) in either pairing when they are disjoint.
     """
-    if e1 == e2:
-        raise SameEdge(f"need two distinct edges, got {e1} twice")
-    d1, d2 = g.edge(e1), g.edge(e2)
+    d1, d2 = check_edges(g, e1, e2)
     ends1, ends2 = d1.endpoints(), d2.endpoints()
     if ends1 == ends2:
         return Cycle.from_edges(g, (e1, e2)), frozenset(), (), ()
@@ -216,14 +215,12 @@ def cycle_through_three(
     e3: EdgeId,
     budget: Optional[SearchBudget] = None,
 ) -> tuple[Optional[Cycle], bool]:
-    """Search for a simple cycle through three given edges.
+    """Search for a simple cycle through three distinct edges.
 
     Returns (cycle, completeness); absence is proven only when the
     underlying enumeration completed.
     """
-    if len({e1, e2, e3}) != 3:
-        raise SameEdge(f"need three distinct edges, got {e1},{e2},{e3}")
-    g.edge(e3)
+    check_edges(g, e1, e2, e3)
     b = budget if budget is not None else SearchBudget()
     for c in _iter_common_cycles(g, e1, e2, b):
         if e3 in c.edges:
@@ -550,15 +547,13 @@ def verify_certificate(
     node by node from a worklist in document order, so that tree depth
     is bounded by memory and not by the recursion limit; vacuous
     verdicts by recomputing the block decomposition.  Never raises on
-    malformed input; the reason names the first failure.
+    malformed input or a bad id; the reason names the first failure.
     """
     try:
+        check_edges(g, e1, e2)
         if isinstance(v, dict):
             v, de1, de2 = cert.verdict_from_doc(v)
             _need(de1 == e1 and de2 == e2, "document names a different edge pair")
-        _need(e1 != e2, "distinguished edges coincide")
-        g.edge(e1)
-        g.edge(e2)
         if v.kind == cert.KIND_UNTIED:
             _need(len(v.witness) == 2, "untied verdict needs two witness cycles")
             s0 = _check_witness_cycle(g, v.witness[0], e1, e2, "witness 1")

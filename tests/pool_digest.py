@@ -1,0 +1,67 @@
+"""One digest over the documents and verify results of 6,464 decides.
+
+A refactor that should change no output can run this before and after
+and compare the two lines it prints: the instance count and a sha256
+over every certificate document (``json.dumps`` with sorted keys)
+followed by ``repr`` of its ``verify_certificate`` result.  The
+instances, in this order:
+
+- the seed 1-4 pools of perfbench's workloads, flat3c, ladder and
+  small-mix, ``pool_size(workload, 36)`` instances each, built by
+  ``perfbench/workloads.py``;
+- the 2,400 seeded pairs of ``tests/test_decide.py``;
+- ``random_3_connected(40, 40, 0.1, s)`` for s = 0..199, with the pair
+  (0, m-1).
+
+Not collected by pytest.  Run from the repository root:
+
+    PYTHONPATH=src python tests/pool_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from test_decide import _seeded_pairs  # noqa: E402
+from workloads import WORKLOADS, instance, pool_size  # noqa: E402
+
+from sgties import (  # noqa: E402
+    decide_tied,
+    random_3_connected,
+    verdict_to_doc,
+    verify_certificate,
+)
+
+
+def instances():
+    for seed in range(1, 5):
+        for workload in WORKLOADS:
+            for i in range(pool_size(workload, 36)):
+                inst = instance(workload, seed, i)
+                yield inst.graph, inst.e1, inst.e2
+    for _, g, e1, e2 in _seeded_pairs():
+        yield g, e1, e2
+    for s in range(200):
+        g = random_3_connected(40, 40, 0.1, s)
+        yield g, 0, g.m - 1
+
+
+def main() -> None:
+    h = hashlib.sha256()
+    count = 0
+    for g, e1, e2 in instances():
+        doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+        h.update(json.dumps(doc, sort_keys=True).encode())
+        h.update(repr(verify_certificate(g, e1, e2, doc)).encode())
+        count += 1
+    print(count, h.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

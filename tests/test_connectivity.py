@@ -16,6 +16,7 @@ import sgties.connectivity
 import sgties.decide
 from sgties import (
     BadEdge,
+    BadVertex,
     NotTwoConnected,
     SignedGraph,
     blocks,
@@ -60,6 +61,17 @@ def test_components_match_nx():
         mine = sorted(sorted(c) for c in components(g))
         ref = sorted(sorted(c) for c in nx.connected_components(to_nx(g)))
         assert mine == ref
+
+
+@pytest.mark.parametrize("x", [-1, True, 4, 1.0])
+def test_removed_vertices_must_be_vertex_ids(x):
+    """-1 indexed the last vertex and True vertex 1, so a bad id in
+    ``removed`` took another vertex out of the walk."""
+    g = SignedGraph.build(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, -1), (0, 2, 1)])
+    with pytest.raises(BadVertex):
+        components(g, frozenset({x}))
+    with pytest.raises(BadVertex):
+        blocks(g, frozenset({x}))
 
 
 def test_blocks_vertex_sets_and_cuts_match_nx():

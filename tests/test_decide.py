@@ -276,6 +276,19 @@ def test_leaf_without_a_single_ear_falls_back_to_self_reduction(fallbacks):
     assert len(fallbacks) == 1
 
 
+def test_untied_leaf_with_an_unbalanced_component_and_no_fan():
+    """The flow cycle of this leaf leaves an unbalanced component with
+    no two attachments on one half that reach its negative cycle by
+    disjoint paths, so that component gives no ear; the second cycle
+    still comes out as a common cycle of the other sign."""
+    g = random_signed_graph(9, 16, 0.5, 12260)
+    v = decide_tied(g, 6, 14)
+    assert_untied_witness(g, v, 6, 14)
+    rep = enumerate_common_cycles(g, 6, 14)
+    assert all(c in rep.cycles for c in v.witness)
+    assert verify_certificate(g, 6, 14, verdict_to_doc(v, 6, 14)) == (True, "ok")
+
+
 def _seeded_pairs():
     """2,400 random pairs, n 5..8, over every way two edges can meet."""
     for seed in range(2400):

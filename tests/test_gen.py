@@ -268,6 +268,26 @@ def test_ladder_is_seeded_and_validated():
         ladder(1, 0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_signed_graph(4.0, 5, 0.5, 1),
+        lambda: random_signed_graph(4, 5.0, 0.5, 1),
+        lambda: random_signed_graph(True, 0, 0.5, 1),
+        lambda: random_3_connected(6.0, 2, 0.5, 1),
+        lambda: random_3_connected(6, 2.0, 0.5, 1),
+        lambda: ladder(3.0, 1),
+        lambda: list(enumerate_small(3.0, 2)),
+        lambda: list(enumerate_small(3, 2.0)),
+    ],
+)
+def test_generator_counts_must_be_ints(make):
+    """A float count is not a count: randrange warns on 4.0 (and
+    Python 3.12 raises TypeError there), and range() raises TypeError."""
+    with pytest.raises(BadParams):
+        make()
+
+
 # --- GenSpec dispatch ----------------------------------------------------------
 
 
