@@ -191,6 +191,10 @@ def find_signed_path(
     check_sign(sign)
     if check_vertex(g.n, u) == check_vertex(g.n, v):
         raise BadParams("path endpoints must differ")
+    for x in banned_vertices:
+        check_vertex(g.n, x)
+    for e in banned_edges:
+        g.edge(e)
     b = budget if budget is not None else SearchBudget()
     for edges, verts in iter_paths(
         g, u, v, banned_vertices=banned_vertices, banned_edges=banned_edges, budget=b

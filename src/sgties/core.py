@@ -255,9 +255,10 @@ def delete_edges(
     g: SignedGraph, ids: Iterable[EdgeId]
 ) -> tuple[SignedGraph, dict[EdgeId, EdgeId]]:
     """Remove several edges at once; map covers surviving ids."""
-    drop = set(ids)
-    for e in drop:
+    drop = set()
+    for e in ids:  # one by one: a set would merge True into 1 unchecked
         g.edge(e)
+        drop.add(e)
     emap: dict[int, int] = {}
     out: list[Edge] = []
     for i, ed in enumerate(g.edges):

@@ -62,7 +62,8 @@ def iter_paths(
     which are sorted by edge id, so the order is deterministic.  Parallel
     edges give distinct paths.  ``start == goal`` is not supported.
     Stops yielding once ``budget`` is exhausted; check ``budget.exhausted``
-    afterwards to learn whether the enumeration was complete.
+    afterwards to learn whether the enumeration was complete.  Unexported;
+    ids come checked from its callers.
     """
     if start in banned_vertices or goal in banned_vertices:
         return
@@ -133,7 +134,7 @@ def disjoint_paths(
     budget is charged one unit per entry.  A path meets the sources only
     at its start and the targets only at its end, so a path from a
     source that is also a target has no edges.  Paths are listed in the
-    order of their sources.
+    order of their sources.  Unexported; ids come checked from its callers.
     """
     srcs = [s for s in dict.fromkeys(sources) if s not in banned_vertices]
     tgts = {t for t in targets if t not in banned_vertices}

@@ -57,9 +57,18 @@ ENTRIES = {
     "cycle_through_three": (lambda g, x: cycle_through_three(g, 2, 3, x), BadEdge),
     "edge_in_both_signs": (edge_in_both_signs, BadEdge),
     "find_signed_path": (lambda g, x: find_signed_path(g, x, 2, 1), BadVertex),
+    "find_signed_path-banned_vertices": (
+        lambda g, x: find_signed_path(g, 0, 2, 1, banned_vertices=frozenset({x})),
+        BadVertex,
+    ),
+    "find_signed_path-banned_edges": (
+        lambda g, x: find_signed_path(g, 0, 2, 1, banned_edges=frozenset({x})),
+        BadEdge,
+    ),
     "parallel_class": (parallel_class, BadEdge),
     "delete_edge": (delete_edge, BadEdge),
     "delete_edges": (lambda g, x: delete_edges(g, [x]), BadEdge),
+    "delete_edges-after_1": (lambda g, x: delete_edges(g, [1, x]), BadEdge),
     "contract_edge": (contract_edge, BadEdge),
     "delete_vertex": (delete_vertex, BadVertex),
     "switch": (lambda g, x: switch(g, [x]), BadVertex),

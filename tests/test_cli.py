@@ -68,6 +68,23 @@ def test_parse_errors_carry_line_numbers():
         parse_text("sg 3 1\ne 0 1 +\ne 1 2 -\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("sg x 1\n", "line 1: header counts must be integers"),
+        ("sg 3 -1\n", "line 1: header counts must be nonnegative"),
+        ("sg 3 1\nf 0 1 +\n", "line 2: expected edge line 'e <u> <v> <+|->'"),
+        ("sg 3 1\ne 0 b +\n", "line 2: vertex ids must be integers"),
+        ("# only a comment\n", "line 2: missing 'sg <n> <m>' header"),
+    ],
+    ids=["count", "negative", "edge-line", "vertex", "no-header"],
+)
+def test_cli_parse_errors_exit_2_with_the_message(tmp_path, text, message):
+    p = tmp_path / "g.sg"
+    p.write_text(text)
+    assert run("decide", str(p), "--e1", "0", "--e2", "1") == (2, "", f"error: {message}\n")
+
+
 def test_parse_rejects_loops_with_position():
     with pytest.raises(LoopRejected, match=r"line 2"):
         parse_text("sg 3 1\ne 1 1 +\n")
@@ -160,6 +177,18 @@ def test_cli_decide_internal_error_never_exits_untied(monkeypatch):
     assert out == ""
     assert err.startswith("error:")
     assert "opposite-sign cycle pair" in err
+
+
+def test_cli_decide_recursion_error_exits_2_not_untied(monkeypatch):
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("sgties.cli.decide_tied", too_deep)
+    assert run("decide", K4C3, "--e1", "4", "--e2", "5") == (
+        2,
+        "",
+        "error: recursion limit exceeded; the reduction is too deep\n",
+    )
 
 
 # --- certificates ---------------------------------------------------------------
@@ -274,6 +303,23 @@ def test_cli_verify_rejects_tampering(tmp_path):
     rc, out, _ = run("verify", K4C3, str(cert))
     assert rc == 1
     assert out.startswith("FAIL: ")
+
+
+def test_cli_verify_fails_a_certificate_missing_a_node(tmp_path):
+    g = SignedGraph.build(
+        5, [(0, 1, 1), (1, 2, 1), (2, 0, -1), (0, 3, 1), (3, 4, 1), (4, 0, 1), (1, 3, 1)]
+    )
+    path, cert = tmp_path / "g.sg", tmp_path / "cert.json"
+    serialize(g, str(path))
+    assert run("decide", str(path), "--e1", "0", "--e2", "3", "--certificate", str(cert))[0] == 0
+    doc = json.loads(cert.read_text())
+    del doc["certificate"]["inner"]
+    cert.write_text(json.dumps(doc))
+    assert run("verify", str(path), str(cert)) == (
+        1,
+        "FAIL: malformed certificate: KeyError('inner')\n",
+        "",
+    )
 
 
 def test_cli_verify_garbage_json(tmp_path):
@@ -489,6 +535,15 @@ def test_cli_gen_rejects_bad_params():
     rc, _, err = run("gen", "--kind", "random", "--n", "1", "--m", "2")
     assert rc == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind", sgties.cli.SEEDED_KINDS)
+def test_cli_gen_seeded_kind_rejects_limit_0(kind):
+    assert run("gen", "--kind", kind, "--limit", "0") == (
+        2,
+        "",
+        f"error: --limit 0 means no cap, which kind {kind!r} cannot honor\n",
+    )
 
 
 # --- budget ----------------------------------------------------------------------
