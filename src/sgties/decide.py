@@ -11,7 +11,11 @@ markers parallel to its own pair.  A balanced far side
 becomes one positive marker; an unbalanced one becomes a positive and a
 negative marker in parallel; when the distinguished edges fall on
 different sides, each side is asked whether its own edge is tied with
-its marker.  Leaves are 3-connected (or have at most SMALL_LEAF
+its marker.  Such a part-1 split does not cut where the linear 2-cut
+pass found a cut but at the median of all the 2-cuts that separate the
+pair, read off the bridges of a common cycle; each child keeps at most
+half of them, so a chain of part-1 splits nests about log2 of its
+length deep.  Leaves are 3-connected (or have at most SMALL_LEAF
 vertices) and are answered by the three-case characterization, falling
 back to exhaustive enumeration on the tiny non-3-connected ones.
 
@@ -50,12 +54,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import certificate as cert
 from .balance import find_signed_path, is_balanced
 from .certificate import Verdict
 from .connectivity import (
+    Separation,
     _proper_2_separation,
     blocks,
     components,
@@ -185,7 +190,10 @@ def reduce(g: SignedGraph, e1: EdgeId, e2: EdgeId) -> ReductionTree:
 
 
 def _reduce(sl: Slice, e1: int, e2: int, names: Iterator[int]) -> ReductionTree:
-    """Reduce a slice at its first proper 2-separation, or stop at a leaf.
+    """Reduce a slice at a proper 2-separation, or stop at a leaf.
+
+    The cut is the first one the linear pass names, unless the pair
+    straddles it (part 1); then it is the median straddling 2-cut.
 
     A split plans its children as (side, head of the pair), all cut from
     one base slice with markers of the same signs: ``sl`` and one
@@ -200,9 +208,8 @@ def _reduce(sl: Slice, e1: int, e2: int, names: Iterator[int]) -> ReductionTree:
     sep = _proper_2_separation(sl.g)
     if sep is None:
         return ReductionLeaf(sl, e1, e2)
-    bu, bv = sep.boundary
     s1, s2 = set(sep.side1), set(sep.side2)
-    bset = frozenset((bu, bv))
+    bset = frozenset(sep.boundary)
     # an edge joining the boundary pair may sit on either side; keep the
     # distinguished edges together when one of them is such an edge
     for own, other in ((e1, e2), (e2, e1)):
@@ -210,11 +217,17 @@ def _reduce(sl: Slice, e1: int, e2: int, names: Iterator[int]) -> ReductionTree:
             want = s1 if other in s1 else s2
             (s1 if own in s1 else s2).discard(own)
             want.add(own)
+    if (e1 in s1) != (e2 in s1):
+        # part 1: the pair straddles the cut, so cut at the median of all
+        # the 2-cuts that do; no pair edge joins that boundary pair
+        sep = _median_straddling_cut(sl.g, e1, e2)
+        s1, s2 = sep.side1, sep.side2
+    bu, bv = sep.boundary
     sides = {1: tuple(sorted(s1)), 2: tuple(sorted(s2))}
     kept = None
     if (e1 in s1) != (e2 in s1):
-        # part 1: each side keeps its own distinguished edge, paired with
-        # a positive marker that stands in for the other side
+        # each side keeps its own distinguished edge, paired with a
+        # positive marker that stands in for the other side
         part, base, signs, resign, neg_cycle = 1, sl, (POSITIVE,), None, None
         head1, head2 = (e1, e2) if e1 in s1 else (e2, e1)
         plan = ((1, head1), (2, head2))
@@ -292,6 +305,143 @@ def _split_part23(sl: Slice, far: tuple[int, ...]) -> tuple[
     # then stand it in with a single positive marker
     resign = tuple(sorted(bal.switch))
     return 2, sl.switched(resign), (POSITIVE,), resign, None
+
+
+class _Cuts(NamedTuple):
+    """The vertex pairs {p_i, q_j} that straddle a pair, by _straddling_cuts.
+
+    ``p`` and ``q`` are the two halves of the flow cycle.  Index i allows
+    the j from ``rows[i]``'s low to its high end (none when the high end
+    is below the low one) that no bridge rules out for every i;
+    ``below[j]`` counts those under j.  (0, 0) and (s, t) are allowed
+    too; they are the pair's own ends, not cuts, and come first and last
+    in the order (i + j, i).
+    """
+
+    p: tuple[VertexId, ...]
+    q: tuple[VertexId, ...]
+    rows: tuple[tuple[int, int], ...]
+    below: tuple[int, ...]
+
+    def allowed(self, i: int, j: int) -> bool:
+        lo, hi = self.rows[i]
+        return lo <= j <= hi and self.below[j + 1] > self.below[j]
+
+    def upto(self, d: int) -> int:
+        """How many allowed (i, j) have i + j <= d."""
+        n = 0
+        for i, (lo, hi) in enumerate(self.rows[: d + 1]):
+            hi = min(hi, d - i)
+            if hi >= lo:
+                n += self.below[hi + 1] - self.below[lo]
+        return n
+
+
+def _straddling_cuts(g: SignedGraph, e1: int, e2: int) -> _Cuts:
+    """Every 2-cut that separates e1 from e2, by one sweep of the bridges.
+
+    Let C be the flow cycle, P = p0..ps its half from e1's end to e2's
+    and Q = q0..qt the other, both numbered from e1.  Such a cut takes one
+    vertex of each half (Menger), so it is some {p_i, q_j}.  C less it
+    falls into the arc A of the p_x, x < i, and q_y, y < j, and the arc B
+    of the rest; the cut separates the pair exactly when A and B are both
+    nonempty and no bridge of C (a chord, or a component of G - V(C) with
+    its attachment edges) is attached in both.  So a bridge attached to P
+    from a to b rules out every i strictly between, for every j; likewise
+    on Q.  One attached to both halves rules out the j below its largest
+    Q attachment when i is above its smallest P one, and the j above its
+    smallest when i is below its largest.  For each i the allowed j thus
+    lie in an interval, from a prefix maximum and a suffix minimum over
+    i.  O(m).
+    """
+    c, _ = find_common_cycle(g, e1, e2)
+    assert c is not None, "a 2-connected slice has a common cycle"
+    # _halves lists c's vertices in order from e1's end, so Q runs backwards
+    place = _halves(g, e2, c, c.edges.index(e1))
+    p = tuple(v for v, (h, _, _) in place.items() if h == 0)
+    q = tuple(v for v, (h, _, _) in place.items() if h == 1)[::-1]
+    s, t = len(p) - 1, len(q) - 1
+    # each vertex of c: (its half, its index along the half from e1)
+    at = {v: (0, i) for i, v in enumerate(p)} | {v: (1, j) for j, v in enumerate(q)}
+    # each bridge's attachment indices on P and on Q
+    comps = components(g, frozenset(at))
+    label = [-1] * g.n
+    for b, comp in enumerate(comps):
+        for x in comp:
+            label[x] = b
+    bridges: list[tuple[list[int], list[int]]] = [([], []) for _ in comps]
+    in_c = frozenset(c.edges)
+    for eid, e in enumerate(g.edges):
+        ends = [at[x] for x in (e.u, e.v) if x in at]
+        if len(ends) == 2 and eid not in in_c:
+            bridges.append(([], []))
+            att = bridges[-1]
+        elif len(ends) == 1:
+            att = bridges[max(label[e.u], label[e.v])]
+        else:
+            continue
+        for h, x in ends:
+            att[h].append(x)
+    # dead[h]: difference array of the indices of half h ruled out for
+    # every index of the other; j < lo[i] and j > hi[i] are ruled out
+    dead = ([0] * (s + 1), [0] * (t + 1))
+    lo, hi = [0] * (s + 1), [t] * (s + 1)
+    for att in bridges:
+        for h in (0, 1):
+            if att[h]:
+                a, b = min(att[h]), max(att[h])
+                if b > a + 1:
+                    dead[h][a + 1] += 1
+                    dead[h][b] -= 1
+        if att[0] and att[1]:
+            a, b = min(att[0]), max(att[0])
+            if a < s:
+                lo[a + 1] = max(lo[a + 1], max(att[1]))
+            if b > 0:
+                hi[b - 1] = min(hi[b - 1], min(att[1]))
+    lo = list(itertools.accumulate(lo, max))
+    hi = list(itertools.accumulate(reversed(hi), min))[::-1]
+    rows = tuple(
+        (lo[i], hi[i] if d == 0 else -1) for i, d in enumerate(itertools.accumulate(dead[0]))
+    )
+    below = (0, *itertools.accumulate(int(d == 0) for d in itertools.accumulate(dead[1])))
+    return _Cuts(p, q, rows, below)
+
+
+def _median_straddling_cut(g: SignedGraph, e1: int, e2: int) -> Separation:
+    """The median 2-cut separating the pair, in the order (i + j, i).
+
+    A child keeps only the straddling cuts on its side of it, at most
+    half of them, so part-1 splits nest about log2 of their number deep.
+    The median is found by counting, not by listing the cuts: a bare
+    cycle has Θ(s·t) of them.  O(m + s log |C|).  side1 is the smaller of
+    e1's component of G less the cut and the rest, as in
+    _proper_2_separation.
+    """
+    cuts = _straddling_cuts(g, e1, e2)
+    s, t = len(cuts.p) - 1, len(cuts.q) - 1
+    # (0, 0) comes first, so the median of the n cuts has rank r
+    n = cuts.upto(s + t) - 2
+    assert n > 0, "the pair straddles no 2-cut"
+    r = (n - 1) // 2 + 1
+    d_lo, d_hi = 0, s + t
+    while d_lo < d_hi:
+        mid = (d_lo + d_hi) // 2
+        if cuts.upto(mid) > r:
+            d_hi = mid
+        else:
+            d_lo = mid + 1
+    r -= cuts.upto(d_lo - 1) if d_lo else 0
+    on_diagonal = (i for i in range(max(0, d_lo - t), min(s, d_lo) + 1) if cuts.allowed(i, d_lo - i))
+    i = next(itertools.islice(on_diagonal, r, None))
+    a, b = cuts.p[i], cuts.q[d_lo - i]
+    # e1's end p0 lies outside the cut unless i = 0, and then q0 does
+    home = cuts.q[0] if i == 0 else cuts.p[0]
+    comp = next(cp for cp in components(g, frozenset((a, b))) if home in cp)
+    near = frozenset(eid for eid, e in enumerate(g.edges) if e.u in comp or e.v in comp)
+    far = frozenset(range(g.m)) - near
+    side1, side2 = sorted((near, far), key=lambda side: (len(side), sorted(side)))
+    return Separation(side1, side2, (min(a, b), max(a, b)))
 
 
 # --- leaf checks ----------------------------------------------------------
@@ -519,6 +669,24 @@ def _fan(
     return frozenset(range(g.m)).difference(cycle.edges, p, q), (x, y)
 
 
+def _halves(g: SignedGraph, e2: int, c: Cycle, i: int) -> dict[VertexId, tuple[int, Sign, int]]:
+    """The layout of a common cycle c whose edge i is e1.
+
+    Each vertex of c maps to (its half, the sign of the half from its
+    start to the vertex, its position j along c after e1).  Half 0 runs
+    from e1's end to e2's at j = 1, 2, ...; half 1 from e2's other end
+    back to e1's, which sits at j = len(c.edges).
+    """
+    k = len(c.edges)
+    place: dict[VertexId, tuple[int, Sign, int]] = {}
+    half, s = 0, POSITIVE
+    for j in range(1, k + 1):
+        place[c.vertices[(i + j) % k]] = (half, s, j)
+        eid = c.edges[(i + j) % k]
+        half, s = (1, POSITIVE) if eid == e2 else (half, s * g.sign(eid))
+    return place
+
+
 def _ear(g: SignedGraph, e1: int, e2: int, c: Cycle) -> Optional[frozenset[EdgeId]]:
     """A common cycle of the other sign than c: c with one segment swapped for an ear.
 
@@ -535,16 +703,9 @@ def _ear(g: SignedGraph, e1: int, e2: int, c: Cycle) -> Optional[frozenset[EdgeI
     y, so the swap costs O(|c| + |ear|).  None when no chord or component
     gives an ear.
     """
-    # each vertex of c: (its half, sign of the half from its start to the
-    # vertex, its position along c after e1)
     k = len(c.edges)
     i = c.edges.index(e1)
-    place: dict[VertexId, tuple[int, Sign, int]] = {}
-    half, s = 0, POSITIVE
-    for j in range(1, k + 1):
-        place[c.vertices[(i + j) % k]] = (half, s, j)
-        eid = c.edges[(i + j) % k]
-        half, s = (1, POSITIVE) if eid == e2 else (half, s * g.sign(eid))
+    place = _halves(g, e2, c, i)
     in_c = frozenset(c.edges)
     on_c = frozenset(place)
     chords = (

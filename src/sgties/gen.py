@@ -108,7 +108,7 @@ def ladder(
     common cycle of a plain ladder's pair and its sign is the common
     sign; the doubled rail edge gives a second outer cycle of the other
     sign, so that pair is untied.  The rungs between make the reduction
-    a chain of 2k−4 nested part-1 splits.
+    a chain of part-1 splits, about k of them, nested about log2 k deep.
     """
     if type(rungs) is not int or rungs < 2:
         raise BadParams(f"a ladder needs an int of at least 2 rungs, got {rungs!r}")

@@ -1,10 +1,13 @@
-"""One digest over the documents and verify results of 6,464 decides.
+"""Two digests over the documents and verify results of 6,464 decides.
 
 A refactor that should change no output can run this before and after
-and compare the two lines it prints: the instance count and a sha256
-over every certificate document (``json.dumps`` with sorted keys)
-followed by ``repr`` of its ``verify_certificate`` result.  The
-instances, in this order:
+and compare the line it prints: the instance count, the document
+digest and the verdict digest.  The document digest is a sha256 over
+every certificate document (``json.dumps`` with sorted keys) followed
+by ``repr`` of its ``verify_certificate`` result.  The verdict digest
+takes, per instance, ``json.dumps([kind, common_sign])`` of the document
+and then the same ``repr`` bytes, so a change that moves certificates
+but not verdicts shows that in one run.  The instances, in this order:
 
 - the seed 1-4 pools of perfbench's workloads, flat3c, ladder and
   small-mix, ``pool_size(workload, 36)`` instances each, built by
@@ -53,14 +56,17 @@ def instances():
 
 
 def main() -> None:
-    h = hashlib.sha256()
+    docs, verdicts = hashlib.sha256(), hashlib.sha256()
     count = 0
     for g, e1, e2 in instances():
         doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
-        h.update(json.dumps(doc, sort_keys=True).encode())
-        h.update(repr(verify_certificate(g, e1, e2, doc)).encode())
+        checked = repr(verify_certificate(g, e1, e2, doc)).encode()
+        docs.update(json.dumps(doc, sort_keys=True).encode())
+        docs.update(checked)
+        verdicts.update(json.dumps([doc["kind"], doc["common_sign"]]).encode())
+        verdicts.update(checked)
         count += 1
-    print(count, h.hexdigest())
+    print(count, docs.hexdigest(), verdicts.hexdigest())
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import io
 import contextlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,8 +148,9 @@ def test_cli_decide_missing_file():
 
 
 def test_cli_decide_deep_reduction_never_exits_untied(tmp_path):
-    """A 200-rung ladder with the first and last rung as the pair nests
-    about 400 splits; running out of stack is an error, not UNTIED."""
+    """A 200-rung ladder with the first and last rung as the pair takes
+    255 splits, nested 8 deep (396 deep when each split cut at the first
+    straddling 2-cut); running out of stack is an error, not UNTIED."""
     k = 200
     items = [(i, i + 1, 1) for i in range(k - 1)]
     items += [(k + i, k + i + 1, 1) for i in range(k - 1)]
@@ -249,8 +251,9 @@ def test_cli_certificate_is_one_compact_sorted_line(tmp_path, path, e1, e2):
 
 
 def test_cli_long_ladder_certificate_is_small_and_verifies(tmp_path):
-    """160 rungs nest 316 splits.  Indentation made every nested line pay
-    for its depth (about 70 MB here); the compact line is about 0.43 MB."""
+    """160 rungs take 189 splits, nested 8 deep.  Indentation made every
+    nested line pay for its depth (about 70 MB when they nested 316
+    deep); the compact line is about 0.10 MB."""
     k = 160
     g, e1, e2 = ladder(k, 1)
     outer = g.sign(e1) * g.sign(e2)
@@ -264,6 +267,59 @@ def test_cli_long_ladder_certificate_is_small_and_verifies(tmp_path):
     assert (rc, out, err) == (0, "TIED -\n" if outer < 0 else "TIED +\n", "")
     assert cert.stat().st_size < 500_000
     assert run("verify", str(p), str(cert)) == (0, "OK\n", "")
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["tied", "untied"])
+def test_cli_1000_rung_ladder_decides_and_verifies_at_the_default_recursion_limit(
+    tmp_path, doubled
+):
+    """A 1,000-rung ladder whose pair is its first and last rung takes
+    1,023 part-1 splits, nested 10 deep, each cut at the median straddling
+    2-cut.  Cut at the first one the linear pass names, they nested 1,996
+    deep, and from 250 rungs the CLI exited 2.  The plain ladder
+    is tied with a certificate under 1 MB (about 0.62 MB); the doubled
+    one is untied, and the witnesses its document carries verify."""
+    g, e1, e2 = ladder(1000, 1, doubled=doubled)
+    p, cert = tmp_path / "ladder.sg", tmp_path / "cert.json"
+    serialize(g, str(p))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        decided = run(
+            "decide", str(p), "--e1", str(e1), "--e2", str(e2), "--certificate", str(cert)
+        )
+        verified = run("verify", str(p), str(cert))
+    finally:
+        sys.setrecursionlimit(limit)
+    if doubled:
+        assert decided == (1, "UNTIED\n", "")
+        doc = json.loads(cert.read_text(encoding="utf-8"))
+        assert doc["kind"] == "untied" and len(doc["witness"]) == 2
+    else:
+        assert decided[0] == 0 and decided[1] in ("TIED +\n", "TIED -\n")
+        assert cert.stat().st_size < 1_000_000
+    assert verified == (0, "OK\n", "")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: a pair of adjacent rungs reduces by a chain of "
+    "part-2/3 splits, one per rung, and 300 rungs exceed the recursion limit",
+)
+def test_cli_300_rung_ladder_with_adjacent_rungs_as_the_pair_decides(tmp_path):
+    """The pair (0, 1), two adjacent rungs, straddles no 2-cut, so the
+    median cut never applies: each split replaces the far end of the
+    ladder, and the CLI exits 2 with "recursion limit exceeded"."""
+    g, _, _ = ladder(300, 1)
+    p = tmp_path / "ladder.sg"
+    serialize(g, str(p))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        rc, out, err = run("decide", str(p), "--e1", "0", "--e2", "1")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (rc, err) == (0, "")
 
 
 def test_cli_decide_unwritable_certificate_prints_no_verdict(tmp_path):

@@ -28,6 +28,7 @@ from sgties import (
     build_hedgehog,
     build_target,
     check_leaf,
+    components,
     compose_tied_instance,
     cycle_sign,
     cycle_through_three,
@@ -45,6 +46,7 @@ from sgties import (
     random_recipe,
     random_signed_graph,
     reduce,
+    side_vertices,
     switch,
     verdict_to_doc,
     verify_certificate,
@@ -205,7 +207,8 @@ def _outer_cycle_sign(g, rungs):
 
 
 def test_long_ladder_is_tied_with_its_outer_cycle_sign():
-    """80 rungs nest 156 part-1 splits; the common cycle is the outer one."""
+    """80 rungs take 93 part-1 splits, nested 7 deep; the common cycle is
+    the outer one."""
     g, e1, e2 = ladder(80, 5)
     v = decide_tied(g, e1, e2)
     assert v.kind == KIND_TIED
@@ -221,7 +224,7 @@ def test_doubled_ladder_is_untied_with_a_verified_pair():
     Both outer cycles run along rung 0, the top rail (40..78), rung 39
     and the bottom rail back; the negative one takes the doubled copy
     118 of rail edge 53.  Both are pinned edge for edge and vertex for
-    vertex through the 76 nested lifts."""
+    vertex through the 6 nested lifts."""
     g, e1, e2 = ladder(40, 5, doubled=True)
     v = decide_tied(g, e1, e2)
     assert_untied_witness(g, v, e1, e2)
@@ -384,10 +387,10 @@ def test_self_reduction_builds_no_certificate(fallbacks, monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_deep_untied_ladder_lifts_at_the_default_recursion_limit(seed):
-    """A doubled 200-rung ladder reduces through about 400 nested part-1
-    splits, and its first untied leaf lies 170 to 200 of them deep.  The
-    leaf's witnesses are built and lifted inside the evaluation's
-    recursion, which stays within the default limit of 1,000 frames."""
+    """A doubled 200-rung ladder reduces through 255 part-1 splits, nested
+    8 deep, and its first untied leaf lies under all 8.  The leaf's
+    witnesses are built and lifted inside the evaluation's recursion,
+    which stays within the default limit of 1,000 frames."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -630,9 +633,9 @@ def test_every_reduction_slice_is_2_connected_with_a_parallel_free_pair():
 
 
 def test_ladder_decide_block_searches_are_pinned(monkeypatch):
-    """A 40-rung ladder nests 76 splits.  The cut-pair search walks no
-    blocks, and a 2-connectivity re-proof per level would add about one
-    call each; preprocessing walks blocks once to find the pair's block,
+    """A 40-rung ladder takes 45 splits, nested 6 deep.  The cut-pair
+    search walks no blocks, and a 2-connectivity re-proof per split
+    would add about one call each; preprocessing walks blocks once to find the pair's block,
     and the small leaf's 3-connectivity test walks none."""
     calls = []
     real = sgties.connectivity.blocks
@@ -738,7 +741,7 @@ CUT_CASES = {
     "ladder-160": lambda: ladder(160, 1),
     "part-2": lambda: (helpers.two_k4_on_boundary(), 4, 0),
     "part-3": lambda: compose_tied_instance(Splice(Leaf("case1"), balanced=False), 0),
-    "child-removed": lambda: (random_signed_graph(9, 9, 0.5, 10), 6, 7),
+    "child-removed": lambda: (random_signed_graph(9, 9, 0.5, 4), 2, 5),
     "root-removed": lambda: _last_edge_pair(random_3_connected(8, 6, 0.0, 0)),
     "vacuous-removed": lambda: (random_signed_graph(8, 12, 0.5, 0), 1, 4),
 }
@@ -751,10 +754,12 @@ def test_each_slice_is_cut_once(monkeypatch, case):
     the edges and markers parallel to its own pair: 1 + (child nodes of
     the document) Slice.sub calls each, and none for a vacuous pair,
     whose recorded parallels verify checks without a cut.  A 40-rung
-    ladder then copies
-    4,944 edges on each side and a 160-rung ladder 77,424, where a
-    second cut of each child with parallels and of the root made it 191
-    cuts and 7,243 edges, and 791 cuts and 115,423 edges."""
+    ladder then copies 916 edges on each side and a 160-rung ladder
+    4,748, cutting each part-1 split at the median straddling 2-cut;
+    cutting at the first one the linear pass names made it 4,944 and
+    77,424, and a second cut of each child with parallels and of the
+    root on top made it 191 cuts and 7,243 edges, and 791 cuts and
+    115,423 edges."""
     cuts = []
     real_sub = Slice.sub
 
@@ -777,7 +782,7 @@ def test_each_slice_is_cut_once(monkeypatch, case):
     splits = list(_splits(root))
     children = [child for split in splits for child in split["children"]]
     assert len(decided) == len(cuts) == 1 + len(children)
-    copies = {"ladder-40": 4_944, "ladder-160": 77_424}
+    copies = {"ladder-40": 916, "ladder-160": 4_748}
     if case in copies:
         assert sum(decided) == sum(cuts) == copies[case]
     if case.startswith("part-"):
@@ -786,6 +791,52 @@ def test_each_slice_is_cut_once(monkeypatch, case):
         assert any(child["removed"] for child in children)
     if case == "root-removed":
         assert root["removed"]
+
+
+def _brute_straddling_cuts(g, e1, e2):
+    """Every vertex pair whose removal separates an end of e1 outside it
+    from an end of e2 outside it."""
+    out = set()
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            comp = {x: c for c, cp in enumerate(components(g, frozenset((a, b)))) for x in cp}
+            ends1 = {comp[x] for x in g.endpoints(e1) - {a, b}}
+            ends2 = {comp[x] for x in g.endpoints(e2) - {a, b}}
+            if any(c1 != c2 for c1 in ends1 for c2 in ends2):
+                out.add(frozenset((a, b)))
+    return out
+
+
+def test_straddling_cut_sweep_matches_brute_force():
+    """The bridge sweep allows exactly the straddling 2-cuts, plus the
+    pair's own ends, on 2,000 random block pairs: 2,286 cuts, none at
+    825 pairs, and 1,121 pairs share a vertex.  Its count is the number
+    allowed, and the part-1 cut is the median of the cuts in the order
+    (i + j, i), with e1 and e2 on different sides."""
+    total = 0
+    for g, e1, e2 in _random_block_roots(2000):
+        cuts = sgties.decide._straddling_cuts(g, e1, e2)
+        at = {v: i for i, v in enumerate(cuts.p)} | {v: j for j, v in enumerate(cuts.q)}
+        allowed = [
+            (i, j) for i in range(len(cuts.p)) for j in range(len(cuts.q)) if cuts.allowed(i, j)
+        ]
+        assert cuts.upto(len(cuts.p) + len(cuts.q) - 2) == len(allowed)
+        pairs = {frozenset((cuts.p[i], cuts.q[j])): (i, j) for i, j in allowed}
+        ends = {g.endpoints(e1), g.endpoints(e2)}
+        assert ends <= set(pairs)
+        brute = _brute_straddling_cuts(g, e1, e2)
+        assert set(pairs) - ends == brute
+        total += len(brute)
+        if not brute:
+            continue
+        order = sorted((at[a] + at[b], pairs[frozenset((a, b))]) for a, b in brute)
+        sep = sgties.decide._median_straddling_cut(g, e1, e2)
+        i, j = order[(len(order) - 1) // 2][1]
+        assert set(sep.boundary) == {cuts.p[i], cuts.q[j]}
+        assert (e1 in sep.side1) != (e2 in sep.side1)
+        assert sep.side1 | sep.side2 == frozenset(range(g.m))
+        assert side_vertices(g, sep.side1) & side_vertices(g, sep.side2) == set(sep.boundary)
+    assert total == 2_286
 
 
 def test_reduce_marker_names_are_fresh_per_call():

@@ -80,7 +80,7 @@ CASES = {
     ),
     "composed/d4s6": (
         lambda: _composed(4, 6),
-        "8766287181a9ccad8ddbf95c0edc2a01713a5156deddc06c2d265c077114dc26",
+        "d0ff31ceb91b08e825404f10fa5744e6c6d7095bb751f1849e5f29da6b20c00a",
     ),
     "flat/tied-s0": (
         lambda: _flat(0.0, 0),
@@ -102,9 +102,16 @@ CASES = {
         lambda: _random(8, 13, 9, 4, 2),
         "5cc894b8f45733cc67977783a24ec96c9a886e2cbbefa13a52f438403031341f",
     ),
+    # named when its part-1 splits cut at the first straddling 2-cut and
+    # a child dropped an edge parallel to its pair; under the median cut
+    # no child does, and random/child-removed-s4 covers that kind
     "random/child-removed": (
         lambda: _random(9, 9, 10, 6, 7),
-        "185ca8fd7e15d020d1d5bb01a4e3176732f08048729c493fc9954f3e4b2fdbc5",
+        "5b89cd9e79c6153e7952ae19c257d0f51552d29c0681863922f384b27e4224a5",
+    ),
+    "random/child-removed-s4": (
+        lambda: _random(9, 9, 4, 2, 5),
+        "89899776c5976cf81d02bc60eb8982c4a6ffb742a66a5cb937d4577390f3b03a",
     ),
     "random/untied-part1": (
         lambda: _random(8, 14, 38, 12, 11),
@@ -125,7 +132,7 @@ CASES = {
 BODIES = {
     "composed/d2s10": "1eac9bd57c9a1570956d90eb5f725bfb0d57cc62aa17ae36d13b2c54e55247fe",
     "composed/d3s0": "d0766f1523d1ec6b0f0afdd4df7b1168f18bdc4ef9cc89680e3941369011522a",
-    "composed/d4s6": "9e4f784e16c5041895d59a6ec9d114d50bad0a667da4c3a90cf309597e3cd909",
+    "composed/d4s6": "14a3f30ee8ae027cf3cbe316822111ace44a3989884f055eec2d9b9b0d8e6347",
     "corpus/hat": "3551303928ab6990ff0f392cc5449c12531b05990d105b82b1b4d5292d3388f2",
     "corpus/hedgehog": "dbab81f026228aa4c8456d6f186b75ad73b8c108d7f99a2754bb4ca610ec9498",
     "corpus/k4-case3": "6809da3077bd8fb5f227aebe80bcf45b620bad9a5490faa3b56ad2cce4e77ab0",
@@ -133,7 +140,8 @@ BODIES = {
     "flat/tied-s0": "c931e82edff2780d3fb5577534fc0062e9397d8f17ba08081c9ddd966c3c83af",
     "flat/untied-s0": "383068f79340976b89b51dd5ca899f394d75d95531853ce4eda5ae77d29294c4",
     "random/blocks": "5f655ad70ad49ff828d38f528c8d1a7933d162e2d6a1a0d733bd7fcc65c8a767",
-    "random/child-removed": "eabb17c80816e2e48589c0e37dda486239729e26be35742ec6b40c63477f9856",
+    "random/child-removed": "e9f1ab126d767fe2753c7a7744767f3d2e6f79ee60442836c2b0b1c6b4f76128",
+    "random/child-removed-s4": "85191b0e4ce1c60d9d248d5ee97583da513c82ba0541bfd7bdeed041f862f428",
     "random/enum": "97369f6a2e4752a5b56f5b8fc4f6fd3fe7dded63536099eee6eda4c999e7df03",
     "random/parallel-pair": "9c87be40d1d621863132c16f48950e346a0dacf33039000a02c6311d5cb83433",
     "random/untied-part1": "195624033001e12562c367fe79eb0983c80617d7dff3674207cafba50db744af",

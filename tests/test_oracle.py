@@ -261,9 +261,10 @@ def test_verify_accepts_dict_or_verdict():
 
 
 def test_verify_replays_a_deep_certificate_at_the_default_recursion_limit():
-    """A 250-rung ladder nests 496 part-1 splits.  Deciding it needs a
-    raised recursion limit; replaying its document walks a worklist and
-    needs none."""
+    """A 250-rung ladder takes 255 part-1 splits, nested 8 deep; cut at
+    the first straddling 2-cut they nested 496 deep, and deciding it
+    needed a raised recursion limit.  Replaying its document walks a
+    worklist and needs none."""
     g, e1, e2 = ladder(250, 0)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(20_000)
