@@ -361,8 +361,19 @@ def _proper_2_separation(g: SignedGraph) -> Optional[Separation]:
     pair = _separation_pair(g)
     if pair is None:
         return None
-    # one edge pass: an edge joins the side of its non-boundary endpoint;
+    # each side lists its ids in ascending order, so it is its own sort key;
     # edges joining the boundary pair join no component side, so side2
+    side1 = frozenset(min(_component_sides(g, pair), key=lambda s: (len(s), s)))
+    side2 = frozenset(range(g.m)) - side1
+    return Separation(side1, side2, pair)
+
+
+def _component_sides(g: SignedGraph, pair: tuple[VertexId, VertexId]) -> list[list[EdgeId]]:
+    """The edges of each component of g less the 2-cut pair, in ascending order.
+
+    One edge pass: an edge joins the side of its non-boundary endpoint,
+    and an edge joining the pair joins none.
+    """
     comps = components(g, frozenset(pair))
     assert len(comps) > 1, f"{pair} is not a 2-cut"
     label = [-1] * g.n
@@ -374,10 +385,7 @@ def _proper_2_separation(g: SignedGraph) -> Optional[Separation]:
         c = label[e.u] if label[e.u] >= 0 else label[e.v]
         if c >= 0:
             sides[c].append(i)
-    # each side lists its ids in ascending order, so it is its own sort key
-    side1 = frozenset(min(sides, key=lambda s: (len(s), s)))
-    side2 = frozenset(range(g.m)) - side1
-    return Separation(side1, side2, pair)
+    return sides
 
 
 def is_3_connected(g: SignedGraph) -> bool:

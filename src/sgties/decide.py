@@ -61,6 +61,7 @@ from .balance import find_signed_path, is_balanced
 from .certificate import Verdict
 from .connectivity import (
     Separation,
+    _component_sides,
     _proper_2_separation,
     blocks,
     components,
@@ -415,7 +416,7 @@ def _median_straddling_cut(g: SignedGraph, e1: int, e2: int) -> Separation:
     half of them, so part-1 splits nest about log2 of their number deep.
     The median is found by counting, not by listing the cuts: a bare
     cycle has Θ(s·t) of them.  O(m + s log |C|).  side1 is the smaller of
-    e1's component of G less the cut and the rest, as in
+    e1's component side of the cut and the rest, as in
     _proper_2_separation.
     """
     cuts = _straddling_cuts(g, e1, e2)
@@ -435,10 +436,8 @@ def _median_straddling_cut(g: SignedGraph, e1: int, e2: int) -> Separation:
     on_diagonal = (i for i in range(max(0, d_lo - t), min(s, d_lo) + 1) if cuts.allowed(i, d_lo - i))
     i = next(itertools.islice(on_diagonal, r, None))
     a, b = cuts.p[i], cuts.q[d_lo - i]
-    # e1's end p0 lies outside the cut unless i = 0, and then q0 does
-    home = cuts.q[0] if i == 0 else cuts.p[0]
-    comp = next(cp for cp in components(g, frozenset((a, b))) if home in cp)
-    near = frozenset(eid for eid, e in enumerate(g.edges) if e.u in comp or e.v in comp)
+    # (0, 0) is not a cut, so e1 has an end outside it and lies on one side
+    near = frozenset(next(side for side in _component_sides(g, (a, b)) if e1 in side))
     far = frozenset(range(g.m)) - near
     side1, side2 = sorted((near, far), key=lambda side: (len(side), sorted(side)))
     return Separation(side1, side2, (min(a, b), max(a, b)))

@@ -149,22 +149,26 @@ def test_cli_decide_missing_file():
 
 def test_cli_decide_deep_reduction_never_exits_untied(tmp_path):
     """A 200-rung ladder with the first and last rung as the pair takes
-    255 splits, nested 8 deep (396 deep when each split cut at the first
-    straddling 2-cut); running out of stack is an error, not UNTIED."""
+    255 part-1 splits, nested 8 deep.  Seeded signs and the first two
+    rungs as the pair make 396 part-2/3 splits, nested 396 deep.
+    Running out of stack is an error, not UNTIED."""
     k = 200
     items = [(i, i + 1, 1) for i in range(k - 1)]
     items += [(k + i, k + i + 1, 1) for i in range(k - 1)]
     items += [(i, k + i, 1) for i in range(k)]
-    p = tmp_path / "ladder.sg"
+    p, q = tmp_path / "ladder.sg", tmp_path / "signed.sg"
     serialize(SignedGraph.build(2 * k, items), str(p))
     first, last = 2 * (k - 1), 2 * (k - 1) + k - 1
-    rc, out, err = run("decide", str(p), "--e1", str(first), "--e2", str(last))
-    assert rc in (0, 2)
-    if rc == 2:
-        assert out == ""
-        assert err.startswith("error:")
-    else:
-        assert out.startswith("TIED")
+    g, rung0, _ = ladder(k, 0)
+    serialize(g, str(q))
+    for path, e1, e2 in ((p, first, last), (q, rung0, rung0 + 1)):
+        rc, out, err = run("decide", str(path), "--e1", str(e1), "--e2", str(e2))
+        assert rc in (0, 2)
+        if rc == 2:
+            assert out == ""
+            assert err.startswith("error:")
+        else:
+            assert out.startswith("TIED")
 
 
 def test_cli_decide_internal_error_never_exits_untied(monkeypatch):
@@ -251,9 +255,9 @@ def test_cli_certificate_is_one_compact_sorted_line(tmp_path, path, e1, e2):
 
 
 def test_cli_long_ladder_certificate_is_small_and_verifies(tmp_path):
-    """160 rungs take 189 splits, nested 8 deep.  Indentation made every
-    nested line pay for its depth (about 70 MB when they nested 316
-    deep); the compact line is about 0.10 MB."""
+    """160 rungs take 189 splits, nested 8 deep.  The document is one
+    compact line, about 0.10 MB; indented, every nested line would pay
+    for its depth."""
     k = 160
     g, e1, e2 = ladder(k, 1)
     outer = g.sign(e1) * g.sign(e2)
@@ -275,10 +279,9 @@ def test_cli_1000_rung_ladder_decides_and_verifies_at_the_default_recursion_limi
 ):
     """A 1,000-rung ladder whose pair is its first and last rung takes
     1,023 part-1 splits, nested 10 deep, each cut at the median straddling
-    2-cut.  Cut at the first one the linear pass names, they nested 1,996
-    deep, and from 250 rungs the CLI exited 2.  The plain ladder
-    is tied with a certificate under 1 MB (about 0.62 MB); the doubled
-    one is untied, and the witnesses its document carries verify."""
+    2-cut.  The plain ladder is tied with a certificate under 1 MB (about
+    0.62 MB); the doubled one is untied, and the witnesses its document
+    carries verify."""
     g, e1, e2 = ladder(1000, 1, doubled=doubled)
     p, cert = tmp_path / "ladder.sg", tmp_path / "cert.json"
     serialize(g, str(p))

@@ -388,18 +388,24 @@ def test_self_reduction_builds_no_certificate(fallbacks, monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_deep_untied_ladder_lifts_at_the_default_recursion_limit(seed):
     """A doubled 200-rung ladder reduces through 255 part-1 splits, nested
-    8 deep, and its first untied leaf lies under all 8.  The leaf's
-    witnesses are built and lifted inside the evaluation's recursion,
-    which stays within the default limit of 1,000 frames."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        g, e1, e2 = ladder(200, seed, doubled=True)
-        v = decide_tied(g, e1, e2)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert_untied_witness(g, v, e1, e2)
-    assert verify_certificate(g, e1, e2, verdict_to_doc(v, e1, e2)) == (True, "ok")
+    8 deep, and its first untied leaf lies under all 8.  With its first
+    two rungs as the pair and an opposite-sign copy of the top rail edge
+    between them, a ladder reduces through 396 part-2/3 splits, nested
+    396 deep, to its one untied leaf.  The leaf's witnesses are built and
+    lifted inside the evaluation's recursion, which stays within the
+    default limit of 1,000 frames."""
+    plain, first, _ = ladder(200, seed)
+    rail = plain.edge(200)
+    near, _ = add_edge(plain, rail.u, rail.v, -rail.sign)
+    for g, e1, e2 in (ladder(200, seed, doubled=True), (near, first, first + 1)):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            v = decide_tied(g, e1, e2)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert_untied_witness(g, v, e1, e2)
+        assert verify_certificate(g, e1, e2, verdict_to_doc(v, e1, e2)) == (True, "ok")
 
 
 def test_decide_enumerates_common_cycles_only_in_enum_leaves(monkeypatch):
@@ -755,11 +761,7 @@ def test_each_slice_is_cut_once(monkeypatch, case):
     the document) Slice.sub calls each, and none for a vacuous pair,
     whose recorded parallels verify checks without a cut.  A 40-rung
     ladder then copies 916 edges on each side and a 160-rung ladder
-    4,748, cutting each part-1 split at the median straddling 2-cut;
-    cutting at the first one the linear pass names made it 4,944 and
-    77,424, and a second cut of each child with parallels and of the
-    root on top made it 191 cuts and 7,243 edges, and 791 cuts and
-    115,423 edges."""
+    4,748, cutting each part-1 split at the median straddling 2-cut."""
     cuts = []
     real_sub = Slice.sub
 

@@ -102,9 +102,8 @@ CASES = {
         lambda: _random(8, 13, 9, 4, 2),
         "5cc894b8f45733cc67977783a24ec96c9a886e2cbbefa13a52f438403031341f",
     ),
-    # named when its part-1 splits cut at the first straddling 2-cut and
-    # a child dropped an edge parallel to its pair; under the median cut
-    # no child does, and random/child-removed-s4 covers that kind
+    # no child of this case drops an edge parallel to its pair;
+    # random/child-removed-s4 reaches that node kind
     "random/child-removed": (
         lambda: _random(9, 9, 10, 6, 7),
         "5b89cd9e79c6153e7952ae19c257d0f51552d29c0681863922f384b27e4224a5",

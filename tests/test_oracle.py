@@ -261,18 +261,20 @@ def test_verify_accepts_dict_or_verdict():
 
 
 def test_verify_replays_a_deep_certificate_at_the_default_recursion_limit():
-    """A 250-rung ladder takes 255 part-1 splits, nested 8 deep; cut at
-    the first straddling 2-cut they nested 496 deep, and deciding it
-    needed a raised recursion limit.  Replaying its document walks a
+    """A 250-rung ladder whose pair is its first and last rung takes 255
+    part-1 splits, nested 8 deep; with its first two rungs as the pair
+    it takes 496 part-2/3 splits, nested 496 deep, and deciding it needs
+    a raised recursion limit.  Replaying either document walks a
     worklist and needs none."""
-    g, e1, e2 = ladder(250, 0)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(20_000)
-    try:
-        doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert verify_certificate(g, e1, e2, doc) == (True, "ok")
+    g, first, last = ladder(250, 0)
+    for e1, e2 in ((first, last), (first, first + 1)):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(20_000)
+        try:
+            doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert verify_certificate(g, e1, e2, doc) == (True, "ok")
 
 
 # --- rejection reasons ----------------------------------------------------

@@ -18,9 +18,7 @@ def test_part1_chain_copies_grow_no_faster_than_m_log_m(monkeypatch, doubled):
     """A ladder whose pair is its first and last rung reduces by a chain
     of part-1 splits.  The edges Slice.sub copies while deciding it grow
     2.18 to 2.23 times per doubling of the rungs, from 3,459 at 125 rungs
-    to 36,912 at 1,000 (plain).  Cutting each split at the first
-    straddling 2-cut, not the median one, made it about 4 times: 47,359
-    at 125 rungs and 188,484 at 250."""
+    to 36,912 at 1,000 (plain)."""
     copied = [0]
     real_sub = Slice.sub
 
