@@ -30,7 +30,7 @@ from .certificate import (
     verdict_to_doc,
 )
 from .connectivity import blocks
-from .core import SignedGraph, char_sign, sign_char, sign_product
+from .core import Edge, SignedGraph, char_sign, sign_char, sign_product
 from .decide import decide_tied, lovasz_three_edges
 from .errors import BadParams, LoopRejected, ParseError, SgError
 from .gen import GenSpec, generate, random_recipe
@@ -44,7 +44,7 @@ from .search import DEFAULT_BUDGET, SearchBudget
 def parse_text(text: str) -> SignedGraph:
     n: Optional[int] = None
     m: Optional[int] = None
-    items: list[tuple[int, int, int]] = []
+    edges: list[Edge] = []
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -75,16 +75,17 @@ def parse_text(text: str) -> SignedGraph:
             s = char_sign(tok[3])
         except ValueError:
             raise ParseError(f"sign must be '+' or '-', got {tok[3]!r}", lineno)
-        if len(items) == m:
+        if len(edges) == m:
             raise ParseError(f"more than the {m} promised edge lines", lineno)
-        items.append((u, v, s))
+        edges.append(Edge(u, v, s))
     if n is None or m is None:
         raise ParseError("missing 'sg <n> <m>' header", lineno + 1)
-    if len(items) != m:
+    if len(edges) != m:
         raise ParseError(
-            f"header promised {m} edges, found {len(items)}", lineno + 1
+            f"header promised {m} edges, found {len(edges)}", lineno + 1
         )
-    return SignedGraph.build(n, items)
+    # every line above is checked as SignedGraph.build would check it
+    return SignedGraph(n, tuple(edges))
 
 
 def _read_utf8(path: str, what: str) -> str:

@@ -157,14 +157,19 @@ class Slice:
         kept edges in the given order and are referenced by name, a
         string that is fresh: no reference of this slice and no other
         marker's.  The vertices are those the kept edges and markers
-        touch, in order.  Kept edges come from a valid graph and are
-        copied unchecked; markers are validated like any new edge.
+        touch, in order.  Each kept id is checked by ``g.edge``, and the
+        edge is then copied with its ends renumbered; markers are validated
+        like any new edge.  A full cut, every id 0..m-1 in order with no
+        marker and no isolated vertex, would copy an equal slice, so it
+        returns this slice itself and keeps the maps it has built.
         """
         names = [name for name, _, _, _ in markers]
         for name in names:
             if type(name) is not str or name in self.edge_index or names.count(name) > 1:
                 raise BadParams(f"marker name {name!r} is not a fresh string")
         kept = [self.g.edge(i) for i in keep]
+        if not markers and list(keep) == list(range(self.g.m)) and all(self.g.adjacency):
+            return self
         verts = sorted(
             {x for e in kept for x in (e.u, e.v)}
             | {x for _, u, v, _ in markers for x in (u, v)}
@@ -364,6 +369,13 @@ class Cycle:
         if len(set(verts)) != len(verts):
             raise NotACycle("repeated vertex")
         return cls(*_canonical(ids, tuple(verts)))
+
+    @classmethod
+    def unchecked(cls, edge_ids: Sequence[EdgeId], verts: Sequence[VertexId]) -> "Cycle":
+        """The cycle a search has walked, in canonical order: edge_ids[i]
+        joins verts[i] to verts[(i+1) % k].  Nothing is checked; the
+        caller's walk proves the sequence a simple cycle."""
+        return cls(*_canonical(tuple(edge_ids), tuple(verts)))
 
     @classmethod
     def from_edge_set(cls, g: SignedGraph, ids: Iterable[EdgeId]) -> "Cycle":

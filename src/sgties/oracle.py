@@ -68,6 +68,8 @@ class CommonCycleReport:
 
 
 _Ends = tuple[VertexId, ...]
+# a path as the searches give it: (edge ids, vertex sequence)
+_Path = tuple[tuple[EdgeId, ...], _Ends]
 
 
 def _meeting(
@@ -102,11 +104,11 @@ def _iter_common_cycles(
         return
     banned = frozenset((e1, e2))
     if shared:
-        for edges, _ in iter_paths(
+        for p in iter_paths(
             g, sources[0], targets[0],
             banned_vertices=shared, banned_edges=banned, budget=budget,
         ):
-            yield Cycle.from_edge_set(g, frozenset(edges) | banned)
+            yield _close(e1, e2, p, ((), tuple(shared)))
         return
     a1, b1 = sources
     for t1, t2 in (targets, targets[::-1]):
@@ -119,7 +121,7 @@ def _iter_common_cycles(
             banned_edges=banned,
             budget=budget,
         ):
-            for qe, _ in iter_paths(
+            for q in iter_paths(
                 g,
                 b1,
                 t2,
@@ -127,7 +129,15 @@ def _iter_common_cycles(
                 banned_edges=banned,
                 budget=budget,
             ):
-                yield Cycle.from_edge_set(g, frozenset(pe) | frozenset(qe) | banned)
+                yield _close(e1, e2, (pe, pv), q)
+
+
+def _close(e1: EdgeId, e2: EdgeId, p: _Path, q: _Path) -> Cycle:
+    """The common cycle of e1, e2 and two disjoint paths, each from an
+    end of e1 to an end of e2, in canonical order as found: p, e2, q
+    reversed, e1.  A vertex the pair shares is a path with no edges."""
+    (pe, pv), (qe, qv) = p, q
+    return Cycle.unchecked(pe + (e2,) + qe[::-1] + (e1,), pv + qv[::-1])
 
 
 def enumerate_common_cycles(
@@ -178,7 +188,7 @@ def find_common_cycle(
     )
     if len(paths) < k:
         return None, budget is None or not budget.exhausted
-    return Cycle.from_edge_set(g, banned.union(*(pe for pe, _ in paths))), True
+    return _close(e1, e2, paths[0], paths[1] if k == 2 else ((), tuple(shared))), True
 
 
 def oracle_tied(

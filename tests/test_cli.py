@@ -1,7 +1,9 @@
 import io
 import contextlib
 import json
+import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,8 @@ from sgties import (
     verify_certificate,
 )
 from sgties.cli import main, parse, parse_text, serialize, serialize_text
+from sgties.core import char_sign, sign_char
+from sgties.gen import GADGETS, GenSpec, generate
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 HAT = str(CORPUS / "hat.sg")
@@ -89,6 +93,98 @@ def test_cli_parse_errors_exit_2_with_the_message(tmp_path, text, message):
 def test_parse_rejects_loops_with_position():
     with pytest.raises(LoopRejected, match=r"line 2"):
         parse_text("sg 3 1\ne 1 1 +\n")
+
+
+_ID_TOKENS = ("-1", "x", "1.0", "True", "0x1", "+1", "01", "1_0", "\u0663")
+_SIGN_TOKENS = ("x", "1", "-1", "+-", "\u2212", "++")
+
+
+def _parse_outcome(text):
+    try:
+        return parse_text(text)
+    except (ParseError, LoopRejected) as exc:
+        return type(exc), str(exc)
+
+
+def _id_outcome(line, n, row):
+    """What an edge line with these id tokens earns, in the order the
+    parser checks: integers, then the range, then loops."""
+    try:
+        u, v = int(row[1]), int(row[2])
+    except ValueError:
+        return ParseError, f"line {line}: vertex ids must be integers"
+    if not (0 <= u < n and 0 <= v < n):
+        return ParseError, f"line {line}: vertex id outside 0..{n - 1}"
+    if u == v:
+        return LoopRejected, f"line {line}: loop at vertex {u} rejected"
+    return None
+
+
+def test_parse_accepts_only_what_build_accepts():
+    """Seeded one-line mutations of serialized graphs, each on edge line
+    k + 2 or in the header's edge count: every text is refused with the
+    message its bad line earns, or parses to the graph SignedGraph.build
+    makes of its lines, so the parser's own checks leave build nothing
+    to refuse."""
+    rng = random.Random(24)
+    seen = Counter()
+    for trial in range(1200):
+        n = rng.randint(2, 8)
+        g = random_signed_graph(n, rng.randint(1, 12), 0.5, trial)
+        rows = [["e", str(e.u), str(e.v), sign_char(e.sign)] for e in g.edges]
+        k, m = rng.randrange(g.m), g.m
+        line = k + 2
+        kind = rng.choice(("id", "loop", "sign", "tokens", "count"))
+        if kind == "id":
+            rows[k][rng.choice((1, 2))] = rng.choice(_ID_TOKENS + (str(n), str(rng.randrange(n))))
+            want = _id_outcome(line, n, rows[k])
+        elif kind == "loop":
+            rows[k][2] = rows[k][1]
+            want = LoopRejected, f"line {line}: loop at vertex {rows[k][1]} rejected"
+        elif kind == "sign":
+            rows[k][3] = tok = rng.choice(_SIGN_TOKENS)
+            want = ParseError, f"line {line}: sign must be '+' or '-', got {tok!r}"
+        elif kind == "tokens":
+            if rng.random() < 0.5:
+                rows[k].append(rng.choice(("+", "0", "#")))
+            else:
+                rows[k].pop(rng.randrange(1, 4))
+            want = ParseError, f"line {line}: expected edge line 'e <u> <v> <+|->'"
+        else:
+            m += rng.choice((-1, 1))
+            if m < g.m:
+                want = ParseError, f"line {g.m + 1}: more than the {m} promised edge lines"
+            else:
+                want = ParseError, f"line {g.m + 2}: header promised {m} edges, found {g.m}"
+        got = _parse_outcome(f"sg {n} {m}\n" + "".join(" ".join(r) + "\n" for r in rows))
+        if want is None:
+            items = [(int(u), int(v), char_sign(s)) for _, u, v, s in rows]
+            assert got == SignedGraph.build(n, items), (trial, rows)
+        else:
+            assert got == want, (trial, rows)
+        seen[kind, want is None] += 1
+    assert seen["id", True] and seen["id", False]
+    assert all(seen[kind, False] for kind in ("loop", "sign", "tokens", "count"))
+
+
+def test_parse_round_trips_the_corpus_and_every_gen_kind():
+    """Every corpus file and every generator kind parses to the graph
+    SignedGraph.build makes of the same triples, and back again."""
+    graphs = [parse(str(p)) for p in sorted(CORPUS.glob("*.sg"))]
+    assert len(graphs) == 4
+    specs = [
+        GenSpec("random", n=7, m=12, p_neg=0.5, seed=3),
+        GenSpec("random_3connected", n=9, p_neg=0.5, seed=2, extra_edges=4),
+        GenSpec("exhaustive", n=4, m=5),
+        GenSpec("composed_tied", seed=5),
+        GenSpec("ladder", n=6, seed=1),
+    ] + [GenSpec("gadget", gadget=name) for name in GADGETS]
+    for spec in specs:
+        graphs.extend(g for g, _ in generate(spec))
+    assert len(graphs) > len(specs) + 4
+    for g in graphs:
+        assert g == SignedGraph.build(g.n, [(e.u, e.v, e.sign) for e in g.edges])
+        assert parse_text(serialize_text(g)) == g
 
 
 # --- decide --------------------------------------------------------------------

@@ -250,8 +250,8 @@ def test_slice_sub_of_sub_maps_back_to_original_ids():
 
 
 def test_slice_sub_validates_markers_and_kept_ids():
-    """Kept edges are copied from a valid graph unchecked, but each kept
-    id is bounds-checked and each marker is validated like a new edge."""
+    """Each kept id is bounds-checked by g.edge and each marker is
+    validated like a new edge."""
     sl = Slice.identity(helpers.k4())
     with pytest.raises(LoopRejected):
         sl.sub([0, 1], [("m0", 0, 0, 1)])
@@ -259,6 +259,34 @@ def test_slice_sub_validates_markers_and_kept_ids():
         sl.sub([0, 1], [("m0", 0, 1, 2)])
     with pytest.raises(BadEdge):
         sl.sub([0, sl.g.m])
+
+
+def test_a_full_cut_returns_the_slice_itself():
+    """Every edge id in order, no marker and no isolated vertex would
+    copy an equal slice, so sub returns the slice itself with the maps
+    it has built; an isolated vertex, a marker, a missing edge or a
+    repeated id still gets a fresh, renumbered slice."""
+    g = helpers.k4()
+    sl = Slice.identity(g)
+    idx = sl.edge_index
+    assert sl.sub(range(g.m)) is sl and sl.sub(list(range(g.m))) is sl
+    assert sl.edge_index is idx
+    marked = sl.sub([0, 1, 2, 3], [("m0", 0, 1, -1)])
+    assert marked.sub(range(marked.g.m)) is marked
+    isolated = Slice.identity(SignedGraph.build(5, [(e.u, e.v, e.sign) for e in g.edges]))
+    fresh = {
+        "isolated vertex": (isolated, isolated.sub(range(g.m))),
+        "marker": (sl, sl.sub(range(g.m), [("m1", 0, 1, 1)])),
+        "missing edge": (sl, sl.sub(range(1, g.m))),
+        "repeated id": (sl, sl.sub([0, 1, 2, 3, 4, 4])),
+    }
+    for what, (base, out) in fresh.items():
+        assert out is not base and out.g is not base.g, what
+    assert fresh["isolated vertex"][1].vref == (0, 1, 2, 3)
+    assert fresh["isolated vertex"][1].g == g
+    assert fresh["marker"][1].eref == tuple(range(g.m)) + ("m1",)
+    assert fresh["missing edge"][1].eref == tuple(range(1, g.m))
+    assert fresh["repeated id"][1].eref == (0, 1, 2, 3, 4, 4)
 
 
 @pytest.mark.parametrize("name", [0, 5, True, None, 1.0, "m0"])

@@ -759,9 +759,11 @@ def test_each_slice_is_cut_once(monkeypatch, case):
     without the edges parallel to the pair, and each child once, without
     the edges and markers parallel to its own pair: 1 + (child nodes of
     the document) Slice.sub calls each, and none for a vacuous pair,
-    whose recorded parallels verify checks without a cut.  A 40-rung
-    ladder then copies 916 edges on each side and a 160-rung ladder
-    4,748, cutting each part-1 split at the median straddling 2-cut."""
+    whose recorded parallels verify checks without a cut.  The slices
+    those calls return, a root cut that keeps everything included, hold
+    916 edges in all on each side for a 40-rung ladder and 4,748 for a
+    160-rung ladder, cutting each part-1 split at the median straddling
+    2-cut."""
     cuts = []
     real_sub = Slice.sub
 
@@ -793,6 +795,34 @@ def test_each_slice_is_cut_once(monkeypatch, case):
         assert any(child["removed"] for child in children)
     if case == "root-removed":
         assert root["removed"]
+
+
+@pytest.mark.parametrize("case", ["ladder-40", "part-2", "part-3", "root-removed"])
+def test_a_root_cut_that_keeps_everything_copies_nothing(monkeypatch, case):
+    """When the pair's block is the whole input and no edge is parallel
+    to the pair, the root cut of decide and of verify returns the
+    input's identity slice itself, so both go on with the input graph
+    and the adjacency it has built; a root cut that removes a parallel
+    still returns a fresh slice."""
+    roots = []
+    real_sub = Slice.sub
+
+    def recording_sub(sl, *args, **kwargs):
+        out = real_sub(sl, *args, **kwargs)
+        roots.append((sl, out))
+        return out
+
+    monkeypatch.setattr(Slice, "sub", recording_sub)
+    g, e1, e2 = CUT_CASES[case]()
+    doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+    decided, roots[:] = roots[0], []
+    assert verify_certificate(g, e1, e2, doc) == (True, "ok")
+    for base, root in (decided, roots[0]):
+        assert base.g is g
+        if case == "root-removed":
+            assert root is not base and root.g.m < g.m
+        else:
+            assert root is base
 
 
 def _brute_straddling_cuts(g, e1, e2):

@@ -4,6 +4,7 @@ import json
 import random
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import helpers
 from sgties import (
     BudgetExhausted,
+    Cycle,
     KIND_TIED,
     KIND_UNTIED,
     KIND_VACUOUS,
@@ -18,6 +20,7 @@ from sgties import (
     SameEdge,
     SearchBudget,
     SignedGraph,
+    Slice,
     Splice,
     build_hat,
     build_hedgehog,
@@ -134,6 +137,48 @@ def test_unsigned_common_cycle_exists_exactly_when_enumeration_finds_one():
         else:
             assert c is None, seed
     assert min(meets.values()) >= 500
+
+
+def _meet(g, e1, e2):
+    ends1, ends2 = g.endpoints(e1), g.endpoints(e2)
+    return "parallel" if ends1 == ends2 else "shared" if ends1 & ends2 else "disjoint"
+
+
+def _marker_slice(rng, seed):
+    """A slice of a random 2-connected graph with three marker edges,
+    each parallel to a kept edge or joining two kept vertices."""
+    g = helpers.random_2_connected(rng, rng.randint(4, 8), rng.randint(1, 6))
+    keep = sorted(rng.sample(range(g.m), rng.randint(g.m // 2 + 1, g.m)))
+    ends = sorted({x for i in keep for x in g.endpoints(i)})
+    markers = [(f"m{k}", *rng.sample(ends, 2), rng.choice((1, -1))) for k in range(3)]
+    return Slice.identity(g).sub(keep, markers).g
+
+
+def test_found_cycles_are_canonical_as_built():
+    """The flow and both depth-first forms lay each common cycle out as
+    they walk it, with no re-walk of its edge set: each equals, in edges
+    and vertices, what from_edge_set rebuilds from its edges, and passes
+    from_edges.  Random signed graphs and marker slices, over all three
+    ways two edges meet."""
+    rng = random.Random(2024)
+    meets, cycles = Counter(), 0
+    for seed in range(600):
+        if seed % 2:
+            g = _marker_slice(rng, seed)
+        else:
+            n = rng.randint(2, 8)
+            g = random_signed_graph(n, rng.randint(2, 2 * n + 2), 0.5, seed)
+        e1, e2 = rng.sample(range(g.m), 2)
+        meets[_meet(g, e1, e2)] += 1
+        c, done = find_common_cycle(g, e1, e2)
+        rep = enumerate_common_cycles(g, e1, e2)
+        assert done and rep.complete
+        for cyc in rep.cycles + ((c,) if c is not None else ()):
+            rebuilt = Cycle.from_edge_set(g, cyc.edges)
+            assert (cyc.edges, cyc.vertices) == (rebuilt.edges, rebuilt.vertices), seed
+            assert Cycle.from_edges(g, cyc.edges) == cyc, seed
+            cycles += 1
+    assert min(meets.values()) >= 50 and cycles > 2000, (meets, cycles)
 
 
 def test_unsigned_common_cycle_reports_a_starved_budget():
