@@ -355,7 +355,7 @@ def _straddling_cuts(g: SignedGraph, e1: int, e2: int) -> _Cuts:
     lie in an interval, from a prefix maximum and a suffix minimum over
     i.  O(m).
     """
-    c, _ = find_common_cycle(g, e1, e2)
+    c = find_common_cycle(g, e1, e2)
     assert c is not None, "a 2-connected slice has a common cycle"
     # _halves lists c's vertices in order from e1's end, so Q runs backwards
     place = _halves(g, e2, c, c.edges.index(e1))
@@ -638,7 +638,7 @@ def _common_signs(g: SignedGraph, e1: int, e2: int) -> frozenset[Sign]:
             stack.extend(spec.node for spec in reversed(t.children))
         elif _evaluate_leaf(t) is None:
             return frozenset((POSITIVE, NEGATIVE))
-    c, _ = find_common_cycle(g, e1, e2)
+    c = find_common_cycle(g, e1, e2)
     assert c is not None, "no common cycle found despite a shared block"
     return frozenset((sign_product(g, c.edges),))
 
@@ -803,7 +803,7 @@ def _leaf_untied_witness(sl: Slice, e1: int, e2: int) -> _Witness:
     swapped for an ear, or found by self-reduction when no single ear
     changes the sign.
     """
-    c, _ = find_common_cycle(sl.g, e1, e2)
+    c = find_common_cycle(sl.g, e1, e2)
     assert c is not None, "a 2-connected leaf always has a common cycle"
     d = _ear(sl.g, e1, e2, c)
     if d is None:
@@ -856,7 +856,7 @@ def _lift_part23(split: ReductionSplit, w: _Witness) -> _Witness:
 def _lift_part1(split: ReductionSplit, child_idx: int, w: _Witness) -> _Witness:
     sib_spec = split.children[1 - child_idx]
     sib = sib_spec.node
-    c2, _ = find_common_cycle(sib.sl.g, sib.e1, sib.e2)
+    c2 = find_common_cycle(sib.sl.g, sib.e1, sib.e2)
     assert c2 is not None, "2-connected sibling lacks a common cycle"
     ((sib_marker, *_),) = sib_spec.markers
     ((own_marker, *_),) = split.children[child_idx].markers
@@ -906,7 +906,7 @@ def decide_tied(g: SignedGraph, e1: EdgeId, e2: EdgeId) -> Verdict:
     res = _evaluate(tree)
     if not isinstance(res, dict):
         return Verdict(kind=cert.KIND_UNTIED, witness=_finalize_pair(g, res))
-    c, _ = find_common_cycle(g, e1, e2)
+    c = find_common_cycle(g, e1, e2)
     # the pair shares a 2-connected block, so a common cycle exists
     assert c is not None, "no common cycle found despite a shared block"
     return Verdict(

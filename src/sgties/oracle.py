@@ -162,33 +162,27 @@ def find_common_cycle(
     g: SignedGraph,
     e1: EdgeId,
     e2: EdgeId,
-    *,
-    budget: Optional[SearchBudget] = None,
-) -> tuple[Optional[Cycle], bool]:
-    """A common cycle, built in linear time.
+) -> Optional[Cycle]:
+    """A common cycle, built in linear time, or None when there is none.
 
     A mutually parallel pair gives its 2-cycle, edges sharing a vertex v
     one path between their far ends in G−v, and disjoint edges two
     vertex-disjoint paths from {u1, v1} to {u2, v2}, found by
     unit-capacity flow; by Menger's theorem these exist exactly when a
-    common cycle does.  The flow runs uncapped unless a budget is given,
-    and then spends at most 4m units.
-
-    Returns (cycle, completeness); cycle None with complete True is a
-    proof of absence, with complete False just a budget failure.
+    common cycle does, so None proves absence.  The flow reads at most
+    4m adjacency entries.
     """
     two_cycle, shared, sources, targets = _meeting(g, e1, e2)
     if two_cycle is not None:
-        return two_cycle, True
+        return two_cycle
     banned = frozenset((e1, e2))
     k = len(sources)
     paths = disjoint_paths(
-        g, sources, targets, k,
-        banned_vertices=shared, banned_edges=banned, budget=budget,
+        g, sources, targets, k, banned_vertices=shared, banned_edges=banned
     )
     if len(paths) < k:
-        return None, budget is None or not budget.exhausted
-    return _close(e1, e2, paths[0], paths[1] if k == 2 else ((), tuple(shared))), True
+        return None
+    return _close(e1, e2, paths[0], paths[1] if k == 2 else ((), tuple(shared)))
 
 
 def oracle_tied(

@@ -6,9 +6,9 @@ enumeration) share it.  It is exponential in the worst case, so it
 always runs against a budget.  disjoint_paths finds k vertex-disjoint
 paths between two vertex sets by unit-capacity flow in O(k·m); the
 common-cycle search and the decision procedure's witness constructions
-ask for at most two.  A flow runs uncapped unless its caller passes a
-budget.  Everything here is exact and deterministic; a budget only caps
-how much work is done.
+ask for at most two.  A flow is linear by construction and takes no
+budget; only the enumeration does.  Everything here is exact and
+deterministic; a budget only caps how much work is done.
 """
 
 from __future__ import annotations
@@ -24,22 +24,21 @@ DEFAULT_BUDGET = 1_000_000
 
 @dataclass
 class SearchBudget:
-    """Mutable step counter capping path searches.
+    """Mutable step counter capping the depth-first enumeration.
 
-    One unit is charged per adjacency entry a search considers.  The
-    depth-first enumeration always takes a budget, since it may need
-    exponentially many units; a disjoint-path search takes one only when
-    its caller wants it counted or capped, and then needs at most
-    2·k·m.  Once ``spent`` passes ``limit`` the search stops early and
-    the caller must treat its result as incomplete.
+    One unit is charged per adjacency entry the enumeration considers;
+    it may need exponentially many, so it always runs against a budget.
+    The linear disjoint-path search takes none.  Once ``spent`` passes
+    ``limit`` the search stops early and the caller must treat its
+    result as incomplete.
     """
 
     limit: int = DEFAULT_BUDGET
     spent: int = field(default=0, compare=False)
 
-    def charge(self, amount: int = 1) -> bool:
-        """Consume budget; False means the budget is now exhausted."""
-        self.spent += amount
+    def charge(self) -> bool:
+        """Consume one unit; False means the budget is now exhausted."""
+        self.spent += 1
         return self.spent <= self.limit
 
     @property
@@ -118,7 +117,6 @@ def disjoint_paths(
     *,
     banned_vertices: frozenset[VertexId] = frozenset(),
     banned_edges: frozenset[EdgeId] = frozenset(),
-    budget: Optional[SearchBudget] = None,
 ) -> list[Path]:
     """Up to k vertex-disjoint source-to-target paths, as (edges, vertices).
 
@@ -127,14 +125,12 @@ def disjoint_paths(
     breadth-first augmentations over the residual graph.  Each path
     starts at its own source, ends at its own target and shares no
     vertex with another.  By Menger's theorem fewer than k paths come
-    back only when no k such paths exist, or when a given budget ran out
-    (check ``budget.exhausted``).  Each augmentation scans every
-    adjacency list at most once, so a call considers at most 2·k·m
-    entries.  With no budget it neither caps nor counts them; a given
-    budget is charged one unit per entry.  A path meets the sources only
-    at its start and the targets only at its end, so a path from a
-    source that is also a target has no edges.  Paths are listed in the
-    order of their sources.  Unexported; ids come checked from its callers.
+    back only when no k such paths exist.  Each augmentation scans every
+    adjacency list at most once, so a call reads at most 2·k·m entries.
+    A path meets the sources only at its start and the targets only at
+    its end, so a path from a source that is also a target has no edges.
+    Paths are listed in the order of their sources.  Unexported; ids
+    come checked from its callers.
     """
     srcs = [s for s in dict.fromkeys(sources) if s not in banned_vertices]
     tgts = {t for t in targets if t not in banned_vertices}
@@ -142,7 +138,7 @@ def disjoint_paths(
     pred: _Flow = [None] * g.n
     succ: _Flow = [None] * g.n
     for _ in range(k):
-        arcs = _augmenting_path(g, srcs, tgts, pred, succ, banned_vertices, banned_edges, budget)
+        arcs = _augmenting_path(g, srcs, tgts, pred, succ, banned_vertices, banned_edges)
         if arcs is None:
             break
         _augment(arcs, pred, succ)
@@ -168,12 +164,11 @@ def _augmenting_path(
     succ: _Flow,
     banned_vertices: frozenset[VertexId],
     banned_edges: frozenset[EdgeId],
-    budget: Optional[SearchBudget],
 ) -> Optional[list[_Arc]]:
     """Breadth-first search of the residual graph for one augmenting path.
 
     Returns its arcs from the target's out node back to the source
-    side, or None when no path exists or a given budget ran out.
+    side, or None when no path exists.
     """
     back: dict[int, tuple[int, int]] = {}  # node -> (previous node, edge id)
     queue: deque[int] = deque()
@@ -207,8 +202,6 @@ def _augmenting_path(
             for eid, w in g.adjacency[v]:
                 if eid in banned_edges:
                     continue
-                if budget is not None and not budget.charge():
-                    return None
                 # the flow's edge out of v is full; its edge into v leads
                 # back to w, whose in node v's in node reaches anyway
                 if w in banned_vertices or succ[v] == (eid, w) or pred[v] == (eid, w):

@@ -236,3 +236,22 @@ def first_cut_pair_by_scan(g: SignedGraph):
         if cuts:
             return u, min(cuts)
     return None
+
+
+def count_adjacency_reads(g: SignedGraph) -> Counter:
+    """Make g count the adjacency entries its searches iterate over.
+
+    Puts per-vertex tuples into g's cached adjacency that add one to the
+    returned counter's ``"reads"`` for each entry iterated, so a test can
+    bound a search's work without a budget.  Indexing is not counted.
+    """
+    reads = Counter()
+
+    class Counted(tuple):
+        def __iter__(self):
+            for entry in tuple.__iter__(self):
+                reads["reads"] += 1
+                yield entry
+
+    g.__dict__["adjacency"] = tuple(Counted(adj) for adj in g.adjacency)
+    return reads

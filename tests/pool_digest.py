@@ -18,11 +18,15 @@ but not verdicts shows that in one run.  The instances, in this order:
 
 Not collected by pytest.  Run from the repository root:
 
-    PYTHONPATH=src python tests/pool_digest.py
+    PYTHONPATH=src python tests/pool_digest.py [--expect DOC_DIGEST VERDICT_DIGEST]
+
+With ``--expect`` it also prints the expected digests on a second line
+and exits 1 unless both match.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -56,6 +60,12 @@ def instances():
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--expect", nargs=2, metavar=("DOC_DIGEST", "VERDICT_DIGEST"),
+        help="exit 1 unless the two digests match these",
+    )
+    args = parser.parse_args()
     docs, verdicts = hashlib.sha256(), hashlib.sha256()
     count = 0
     for g, e1, e2 in instances():
@@ -66,7 +76,12 @@ def main() -> None:
         verdicts.update(json.dumps([doc["kind"], doc["common_sign"]]).encode())
         verdicts.update(checked)
         count += 1
-    print(count, docs.hexdigest(), verdicts.hexdigest())
+    got = [docs.hexdigest(), verdicts.hexdigest()]
+    print(count, *got)
+    if args.expect is not None:
+        print("expected", *args.expect)
+        if got != args.expect:
+            sys.exit("digest mismatch")
 
 
 if __name__ == "__main__":

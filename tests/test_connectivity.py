@@ -32,7 +32,7 @@ from sgties import (
     side_vertices,
 )
 from sgties.connectivity import _separation_pair
-from sgties.search import SearchBudget, disjoint_paths
+from sgties.search import disjoint_paths
 
 
 def to_nx(g: SignedGraph) -> nx.Graph:
@@ -587,7 +587,8 @@ def test_disjoint_paths_reach_the_max_flow_of_the_split_graph():
     targets, meet no other source or target and share no vertex.  A
     source that is also a target may stand as a path of its own.  With
     k = 3 the later augmentations often have to reroute earlier paths.
-    With no budget the flow runs uncapped and finds the same paths."""
+    Each augmentation scans every adjacency list at most once, so a call
+    reads at most 2·k·m adjacency entries."""
     rng = random.Random(5)
     full = overlap = 0
     for i in range(1500):
@@ -600,13 +601,9 @@ def test_disjoint_paths_reach_the_max_flow_of_the_split_graph():
             tgts[0] = srcs[-1]
         bv = frozenset(picked[2 * k :])
         be = frozenset(rng.sample(range(g.m), 2))
-        b = SearchBudget()
-        paths = disjoint_paths(
-            g, srcs, tgts, k, banned_vertices=bv, banned_edges=be, budget=b
-        )
-        assert b.spent <= 2 * k * g.m
-        uncapped = disjoint_paths(g, srcs, tgts, k, banned_vertices=bv, banned_edges=be)
-        assert uncapped == paths
+        reads = helpers.count_adjacency_reads(g)
+        paths = disjoint_paths(g, srcs, tgts, k, banned_vertices=bv, banned_edges=be)
+        assert reads["reads"] <= 2 * k * g.m
         seen = set()
         for edges, verts in paths:
             assert verts[0] in srcs and verts[-1] in tgts

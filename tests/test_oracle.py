@@ -130,8 +130,8 @@ def test_unsigned_common_cycle_exists_exactly_when_enumeration_finds_one():
             "parallel" if ends1 == ends2 else "shared" if ends1 & ends2 else "disjoint"
         ] += 1
         rep = enumerate_common_cycles(g, e1, e2)
-        c, done = find_common_cycle(g, e1, e2)
-        assert done and rep.complete
+        c = find_common_cycle(g, e1, e2)
+        assert rep.complete
         if rep.cycles:
             assert c in rep.cycles, seed
         else:
@@ -170,9 +170,9 @@ def test_found_cycles_are_canonical_as_built():
             g = random_signed_graph(n, rng.randint(2, 2 * n + 2), 0.5, seed)
         e1, e2 = rng.sample(range(g.m), 2)
         meets[_meet(g, e1, e2)] += 1
-        c, done = find_common_cycle(g, e1, e2)
+        c = find_common_cycle(g, e1, e2)
         rep = enumerate_common_cycles(g, e1, e2)
-        assert done and rep.complete
+        assert rep.complete
         for cyc in rep.cycles + ((c,) if c is not None else ()):
             rebuilt = Cycle.from_edge_set(g, cyc.edges)
             assert (cyc.edges, cyc.vertices) == (rebuilt.edges, rebuilt.vertices), seed
@@ -181,39 +181,34 @@ def test_found_cycles_are_canonical_as_built():
     assert min(meets.values()) >= 50 and cycles > 2000, (meets, cycles)
 
 
-def test_unsigned_common_cycle_reports_a_starved_budget():
-    g, e1, e2 = ladder(10, 0)
-    for pair in ((e1, e2), (0, 10)):  # disjoint rungs; a rung and a rail edge
-        assert find_common_cycle(g, *pair, budget=SearchBudget(1)) == (None, False)
-
-
 @pytest.mark.parametrize("rungs", [10, 40, 80])
 def test_unsigned_common_cycle_spends_a_linear_budget(rungs):
-    """Two augmentations scan each adjacency list at most twice; the
-    depth-first search spent its whole 10**6 here from 20 rungs on."""
+    """Two augmentations scan each adjacency list at most twice, so the
+    flow reads at most 4m adjacency entries; the depth-first search spent
+    a whole 10**6 budget here from 20 rungs on."""
     g, e1, e2 = ladder(rungs, rungs)
-    b = SearchBudget()
-    c, done = find_common_cycle(g, e1, e2, budget=b)
-    assert done and len(c.edges) == 2 * rungs  # the outer cycle
-    assert b.spent <= 4 * g.m
+    reads = helpers.count_adjacency_reads(g)
+    c = find_common_cycle(g, e1, e2)
+    assert len(c.edges) == 2 * rungs  # the outer cycle
+    assert 0 < reads["reads"] <= 4 * g.m
 
 
 def test_unsigned_common_cycle_without_a_budget_charges_none(monkeypatch):
-    """The flow runs uncapped unless its caller passes a budget, so no
-    default cap can make the linear construction give up."""
+    """The flow takes no budget, so no cap can make the linear
+    construction give up."""
 
-    def charge(self, amount=1):
+    def charge(self):
         raise AssertionError("an unbudgeted flow charged a budget")
 
     monkeypatch.setattr(SearchBudget, "charge", charge)
     for rungs in (10, 80):
         g, e1, e2 = ladder(rungs, rungs)
-        c, done = find_common_cycle(g, e1, e2)
-        assert done and len(c.edges) == 2 * rungs
-        c, done = find_common_cycle(g, 0, rungs)  # a rung and a rail edge
-        assert done and c is not None
+        c = find_common_cycle(g, e1, e2)
+        assert len(c.edges) == 2 * rungs
+        c = find_common_cycle(g, 0, rungs)  # a rung and a rail edge
+        assert c is not None
     # edges of two blocks meeting at a cut vertex: absence, proven
-    assert find_common_cycle(helpers.two_triangles_shared_vertex(), 0, 4) == (None, True)
+    assert find_common_cycle(helpers.two_triangles_shared_vertex(), 0, 4) is None
 
 
 def test_oracle_tied_kinds():
