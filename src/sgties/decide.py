@@ -15,7 +15,9 @@ its marker.  Such a part-1 split does not cut where the linear 2-cut
 pass found a cut but at the median of all the 2-cuts that separate the
 pair, read off the bridges of a common cycle; each child keeps at most
 half of them, so a chain of part-1 splits nests about log2 of its
-length deep.  Leaves are 3-connected (or have at most SMALL_LEAF
+length deep.  Only a chain's first split runs the flow for that cycle
+and the sweep over its bridges: each child inherits its side's arc of
+the cycle, closed by the child's marker, and the cuts on its side.  Leaves are 3-connected (or have at most SMALL_LEAF
 vertices) and are answered by the three-case characterization, falling
 back to exhaustive enumeration on the tiny non-3-connected ones.
 
@@ -52,6 +54,7 @@ the certificate module for the document schema.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -190,11 +193,20 @@ def reduce(g: SignedGraph, e1: EdgeId, e2: EdgeId) -> ReductionTree:
     return _reduce(Slice.identity(g), e1, e2, itertools.count())
 
 
-def _reduce(sl: Slice, e1: int, e2: int, names: Iterator[int]) -> ReductionTree:
+def _reduce(
+    sl: Slice,
+    e1: int,
+    e2: int,
+    names: Iterator[int],
+    inherited: Optional[tuple[Slice, _Cuts]] = None,
+) -> ReductionTree:
     """Reduce a slice at a proper 2-separation, or stop at a leaf.
 
     The cut is the first one the linear pass names, unless the pair
-    straddles it (part 1); then it is the median straddling 2-cut.
+    straddles it (part 1); then it is the median straddling 2-cut.  A
+    part-1 child reads it off ``inherited``, its parent's slice and its
+    part of the parent's table; the first part-1 split of a chain runs a
+    flow and a sweep.
 
     A split plans its children as (side, head of the pair), all cut from
     one base slice with markers of the same signs: ``sl`` and one
@@ -218,10 +230,16 @@ def _reduce(sl: Slice, e1: int, e2: int, names: Iterator[int]) -> ReductionTree:
             want = s1 if other in s1 else s2
             (s1 if own in s1 else s2).discard(own)
             want.add(own)
+    cuts = None
     if (e1 in s1) != (e2 in s1):
         # part 1: the pair straddles the cut, so cut at the median of all
         # the 2-cuts that do; no pair edge joins that boundary pair
-        sep = _median_straddling_cut(sl.g, e1, e2)
+        if inherited is None:
+            cuts = _straddling_cuts(sl.g, e1, e2)
+        else:
+            cuts = _inherited(*inherited, sl, e1, e2)
+        at = cuts.median()
+        sep = _cut_at(sl.g, e1, cuts.p[at[0]], cuts.q[at[1]])
         s1, s2 = sep.side1, sep.side2
     bu, bv = sep.boundary
     sides = {1: tuple(sorted(s1)), 2: tuple(sorted(s2))}
@@ -240,7 +258,10 @@ def _reduce(sl: Slice, e1: int, e2: int, names: Iterator[int]) -> ReductionTree:
     for snum, head in plan:
         markers = tuple((f"m{next(names)}", bu, bv, s) for s in signs)
         tail = markers[0][0] if part == 1 else sl.eref[e2]
-        children.append(_make_child(base, sides[snum], (sl.eref[head], tail), markers, names))
+        half = cuts.part(*at, far=head != e1) if cuts is not None else None
+        children.append(
+            _make_child(base, sides[snum], (sl.eref[head], tail), markers, names, half)
+        )
     return ReductionSplit(
         sl, e1, e2, part, (bu, bv), sides[1], sides[2], tuple(children),
         kept, resign, neg_cycle,
@@ -253,6 +274,7 @@ def _make_child(
     pair: tuple[Ref, Ref],
     markers: tuple[_Marker, ...],
     names: Iterator[int],
+    cuts: Optional[_Cuts] = None,
 ) -> ChildSpec:
     """Cut one child slice out of ``sl`` and recurse.
 
@@ -260,7 +282,9 @@ def _make_child(
     original edge id or one of the new markers.  What the child leaves
     out is read from ``sl`` before its one cut: the edges of ``side``
     parallel to a pair edge, found in ``sl``'s adjacency, and the
-    markers with a pair edge's ends, never the pair itself.
+    markers with a pair edge's ends, never the pair itself.  A part-1
+    child is handed its part of the split's cut table, ``cuts``, in
+    ``sl``'s ids.
     """
     idx = sl.edge_index
     heads = [idx[r] for r in pair if r in idx]
@@ -279,7 +303,9 @@ def _make_child(
         pair_refs=pair,
         markers=markers,
         removed=tuple(sl.eref[i] for i in gone) + tuple(m[0] for m in lost),
-        node=_reduce(sub, cidx[pair[0]], cidx[pair[1]], names),
+        node=_reduce(
+            sub, cidx[pair[0]], cidx[pair[1]], names, None if cuts is None else (sl, cuts)
+        ),
     )
 
 
@@ -311,38 +337,145 @@ def _split_part23(sl: Slice, far: tuple[int, ...]) -> tuple[
 class _Cuts(NamedTuple):
     """The vertex pairs {p_i, q_j} that straddle a pair, by _straddling_cuts.
 
-    ``p`` and ``q`` are the two halves of the flow cycle.  Index i allows
-    the j from ``rows[i]``'s low to its high end (none when the high end
-    is below the low one) that no bridge rules out for every i;
-    ``below[j]`` counts those under j.  (0, 0) and (s, t) are allowed
-    too; they are the pair's own ends, not cuts, and come first and last
-    in the order (i + j, i).
+    ``p`` and ``q`` are the two halves of a common cycle, both numbered
+    from e1, and ``pe[i]`` joins p_i to p_(i+1), ``qe[j]`` q_j to q_(j+1).
+    (i, j) is allowed when lo[i] <= j <= hi[i] and no bridge rules out i
+    for every j (``open_p``) or j for every i (``open_q``); ``below[j]``
+    counts the open j under j.  lo and hi never decrease along P.  (0, 0)
+    and (s, t) are allowed too; they are the pair's own ends, not cuts,
+    and come first and last in the order (i + j, i).
     """
 
     p: tuple[VertexId, ...]
     q: tuple[VertexId, ...]
-    rows: tuple[tuple[int, int], ...]
+    pe: tuple[EdgeId, ...]
+    qe: tuple[EdgeId, ...]
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    open_p: tuple[bool, ...]
+    open_q: tuple[bool, ...]
     below: tuple[int, ...]
 
+    @classmethod
+    def of(cls, p, q, pe, qe, lo, hi, open_p, open_q) -> "_Cuts":
+        """The table with ``below`` counted from ``open_q``."""
+        below = (0, *itertools.accumulate(map(int, open_q)))
+        return cls(p, q, pe, qe, lo, hi, open_p, open_q, below)
+
     def allowed(self, i: int, j: int) -> bool:
-        lo, hi = self.rows[i]
-        return lo <= j <= hi and self.below[j + 1] > self.below[j]
+        return self.open_p[i] and self.open_q[j] and self.lo[i] <= j <= self.hi[i]
 
     def upto(self, d: int) -> int:
         """How many allowed (i, j) have i + j <= d."""
         n = 0
-        for i, (lo, hi) in enumerate(self.rows[: d + 1]):
+        for i, (ok, lo, hi) in enumerate(zip(self.open_p[: d + 1], self.lo, self.hi)):
             hi = min(hi, d - i)
-            if hi >= lo:
+            if ok and hi >= lo:
                 n += self.below[hi + 1] - self.below[lo]
         return n
+
+    def median(self) -> tuple[int, int]:
+        """The median (i, j) of the cuts in the order (i + j, i).
+
+        Found by counting, not by listing the cuts: a bare cycle has
+        Θ(s·t) of them.  O(s log |C|).
+        """
+        s, t = len(self.p) - 1, len(self.q) - 1
+        # (0, 0) comes first, so the median of the n cuts has rank r
+        n = self.upto(s + t) - 2
+        assert n > 0, "the pair straddles no 2-cut"
+        r = (n - 1) // 2 + 1
+        d_lo, d_hi = 0, s + t
+        while d_lo < d_hi:
+            mid = (d_lo + d_hi) // 2
+            if self.upto(mid) > r:
+                d_hi = mid
+            else:
+                d_lo = mid + 1
+        r -= self.upto(d_lo - 1) if d_lo else 0
+        on_diagonal = (
+            i for i in range(max(0, d_lo - t), min(s, d_lo) + 1) if self.allowed(i, d_lo - i)
+        )
+        i = next(itertools.islice(on_diagonal, r, None))
+        return i, d_lo - i
+
+    def part(self, i: int, j: int, far: bool) -> "_Cuts":
+        """The table of one child of the cut {p_i, q_j}, in this table's ids.
+
+        The child's cycle is its side's arc of this one, closed by the
+        child's marker p_i q_j.  The near child, e1's, keeps the indices
+        up to i and j; the far child, e2's, keeps those from i and j,
+        reversed so that they run from e2, which turns hi into its lo and
+        lo into its hi.  A bridge lies on one side of the cut and attaches
+        only at that side's indices (up to i and j near, from i and j
+        far), so the other side's bridges rule out none of the child's
+        cuts; at most they leave a bound beyond the child's last index,
+        which is clipped to it.
+        """
+        if not far:
+            return _Cuts.of(
+                self.p[: i + 1], self.q[: j + 1], self.pe[:i], self.qe[:j],
+                self.lo[: i + 1], tuple(min(h, j) for h in self.hi[: i + 1]),
+                self.open_p[: i + 1], self.open_q[: j + 1],
+            )
+        t = len(self.q) - 1
+        return _Cuts.of(
+            self.p[i:][::-1], self.q[j:][::-1], self.pe[i:][::-1], self.qe[j:][::-1],
+            tuple(t - h for h in self.hi[i:][::-1]),
+            tuple(t - max(lo, j) for lo in self.lo[i:][::-1]),
+            self.open_p[i:][::-1], self.open_q[j:][::-1],
+        )
+
+    def transposed(self) -> "_Cuts":
+        """The same cuts with the halves swapped.
+
+        j <= hi[i] says that no bridge attached to both halves reaches
+        beyond i on P and below j on Q, and lo[i] <= j that none reaches
+        below i and beyond j; read with the halves swapped, these are
+        i >= (the first i with hi[i] >= j) and i <= (the last i with
+        lo[i] <= j).
+        """
+        t = len(self.q) - 1
+        return _Cuts.of(
+            self.q, self.p, self.qe, self.pe,
+            tuple(bisect.bisect_left(self.hi, j) for j in range(t + 1)),
+            tuple(bisect.bisect_right(self.lo, j) - 1 for j in range(t + 1)),
+            self.open_q, self.open_p,
+        )
+
+
+def _inherited(parent: Slice, half: _Cuts, sl: Slice, e1: int, e2: int) -> _Cuts:
+    """The straddling-cut table of a part-1 child ``sl`` with the pair
+    (e1, e2), from ``half``, its part of the split's table in the ids of
+    the split's slice ``parent`` (_Cuts.part).
+
+    ``sl`` keeps every edge of the cycle, as none joins the ends of a
+    pair edge.  P is made the half that _halves lays out for the
+    canonical Cycle of the cycle, the one that begins at the vertex
+    after e1.  Walked P, e2, Q backwards, e1, the canonical order starts
+    at the smallest edge id and goes on toward its smaller neighbour, so
+    P comes after e1 exactly when that is this walk's direction.  The
+    cycle has at least three edges, as a cut is neither end pair.
+    """
+    v, e = sl.vert_index, sl.edge_index
+    cuts = half._replace(
+        p=tuple(v[parent.vref[x]] for x in half.p),
+        q=tuple(v[parent.vref[x]] for x in half.q),
+        pe=tuple(e[parent.eref[x]] for x in half.pe),
+        qe=tuple(e[parent.eref[x]] for x in half.qe),
+    )
+    walk = (*cuts.pe, e2, *cuts.qe[::-1], e1)
+    k = walk.index(min(walk))
+    return cuts if walk[k + 1 - len(walk)] < walk[k - 1] else cuts.transposed()
 
 
 def _straddling_cuts(g: SignedGraph, e1: int, e2: int) -> _Cuts:
     """Every 2-cut that separates e1 from e2, by one sweep of the bridges.
 
-    Let C be the flow cycle, P = p0..ps its half from e1's end to e2's
-    and Q = q0..qt the other, both numbered from e1.  Such a cut takes one
+    Let C be any common cycle, P = p0..ps its half from e1's end to e2's
+    and Q = q0..qt the other, both numbered from e1.  Here C is the flow
+    cycle; a part-1 child inherits its side's arc of its parent's C and
+    the table cut down to it instead (_Cuts.part).  Such a cut takes one
     vertex of each half (Menger), so it is some {p_i, q_j}.  C less it
     falls into the arc A of the p_x, x < i, and q_y, y < j, and the arc B
     of the rest; the cut separates the pair exactly when A and B are both
@@ -357,10 +490,11 @@ def _straddling_cuts(g: SignedGraph, e1: int, e2: int) -> _Cuts:
     """
     c = find_common_cycle(g, e1, e2)
     assert c is not None, "a 2-connected slice has a common cycle"
-    # _halves lists c's vertices in order from e1's end, so Q runs backwards
-    place = _halves(g, e2, c, c.edges.index(e1))
-    p = tuple(v for v, (h, _, _) in place.items() if h == 0)
-    q = tuple(v for v, (h, _, _) in place.items() if h == 1)[::-1]
+    # c from e1's end on, as _halves lays it out: P, e2, Q backwards, e1
+    r = c.edges.index(e1) + 1
+    vs, es = c.vertices[r:] + c.vertices[:r], c.edges[r:] + c.edges[:r]
+    k = es.index(e2)
+    p, q = vs[: k + 1], vs[k + 1 :][::-1]
     s, t = len(p) - 1, len(q) - 1
     # each vertex of c: (its half, its index along the half from e1)
     at = {v: (0, i) for i, v in enumerate(p)} | {v: (1, j) for j, v in enumerate(q)}
@@ -400,13 +534,23 @@ def _straddling_cuts(g: SignedGraph, e1: int, e2: int) -> _Cuts:
                 lo[a + 1] = max(lo[a + 1], max(att[1]))
             if b > 0:
                 hi[b - 1] = min(hi[b - 1], min(att[1]))
-    lo = list(itertools.accumulate(lo, max))
-    hi = list(itertools.accumulate(reversed(hi), min))[::-1]
-    rows = tuple(
-        (lo[i], hi[i] if d == 0 else -1) for i, d in enumerate(itertools.accumulate(dead[0]))
+    return _Cuts.of(
+        p, q, es[:k], es[k + 1 : -1][::-1],
+        tuple(itertools.accumulate(lo, max)),
+        tuple(itertools.accumulate(reversed(hi), min))[::-1],
+        *(tuple(d == 0 for d in itertools.accumulate(dh)) for dh in dead),
     )
-    below = (0, *itertools.accumulate(int(d == 0) for d in itertools.accumulate(dead[1])))
-    return _Cuts(p, q, rows, below)
+
+
+def _cut_at(g: SignedGraph, e1: int, a: VertexId, b: VertexId) -> Separation:
+    """The separation at the straddling 2-cut {a, b}: side1 is the
+    smaller of e1's component side and the rest, as in
+    _proper_2_separation."""
+    # a cut is not e1's ends, so e1 has an end outside it and lies on one side
+    near = frozenset(next(side for side in _component_sides(g, (a, b)) if e1 in side))
+    far = frozenset(range(g.m)) - near
+    side1, side2 = sorted((near, far), key=lambda side: (len(side), sorted(side)))
+    return Separation(side1, side2, (min(a, b), max(a, b)))
 
 
 def _median_straddling_cut(g: SignedGraph, e1: int, e2: int) -> Separation:
@@ -414,33 +558,11 @@ def _median_straddling_cut(g: SignedGraph, e1: int, e2: int) -> Separation:
 
     A child keeps only the straddling cuts on its side of it, at most
     half of them, so part-1 splits nest about log2 of their number deep.
-    The median is found by counting, not by listing the cuts: a bare
-    cycle has Θ(s·t) of them.  O(m + s log |C|).  side1 is the smaller of
-    e1's component side of the cut and the rest, as in
-    _proper_2_separation.
+    O(m + s log |C|).
     """
     cuts = _straddling_cuts(g, e1, e2)
-    s, t = len(cuts.p) - 1, len(cuts.q) - 1
-    # (0, 0) comes first, so the median of the n cuts has rank r
-    n = cuts.upto(s + t) - 2
-    assert n > 0, "the pair straddles no 2-cut"
-    r = (n - 1) // 2 + 1
-    d_lo, d_hi = 0, s + t
-    while d_lo < d_hi:
-        mid = (d_lo + d_hi) // 2
-        if cuts.upto(mid) > r:
-            d_hi = mid
-        else:
-            d_lo = mid + 1
-    r -= cuts.upto(d_lo - 1) if d_lo else 0
-    on_diagonal = (i for i in range(max(0, d_lo - t), min(s, d_lo) + 1) if cuts.allowed(i, d_lo - i))
-    i = next(itertools.islice(on_diagonal, r, None))
-    a, b = cuts.p[i], cuts.q[d_lo - i]
-    # (0, 0) is not a cut, so e1 has an end outside it and lies on one side
-    near = frozenset(next(side for side in _component_sides(g, (a, b)) if e1 in side))
-    far = frozenset(range(g.m)) - near
-    side1, side2 = sorted((near, far), key=lambda side: (len(side), sorted(side)))
-    return Separation(side1, side2, (min(a, b), max(a, b)))
+    i, j = cuts.median()
+    return _cut_at(g, e1, cuts.p[i], cuts.q[j])
 
 
 # --- leaf checks ----------------------------------------------------------

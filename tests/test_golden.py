@@ -21,6 +21,7 @@ from sgties import (
     ReductionSplit,
     compose_tied_instance,
     decide_tied,
+    ladder,
     random_3_connected,
     random_recipe,
     random_signed_graph,
@@ -148,6 +149,10 @@ BODIES = {
     "random/untied-part3": "33b440b43d957a8dbec9ed19cce2db1e8f01c64ae4251f542cc8cf63001dc7a2",
 }
 
+# sha256 over the sorted-key JSON verdict documents of ladder(k, s), in the
+# order k in (10, 40), s in 0..9, plain then doubled, concatenated
+LADDERS = "4343cec2fd76537bc41ef72ce24579a15115c6f40b2ef3418d25b531b04576d3"
+
 # untied cases whose witnesses are lifted through a root split of this part
 LIFTED = {"random/untied-part1": 1, "random/untied-part2": 2, "random/untied-part3": 3}
 
@@ -211,6 +216,21 @@ def test_cases_reach_every_node_kind():
         if cert is not None:
             _kinds(cert, seen)
     assert seen == ALL_KINDS
+
+
+def test_ladder_documents_are_pinned():
+    """Ladders whose pair is their first and last rung reduce by chains
+    of part-1 splits, whose children read their median cuts off a table
+    inherited from the split above, oriented as their own common cycle;
+    these 40 documents, tied and untied, are pinned together."""
+    h = hashlib.sha256()
+    for k in (10, 40):
+        for s in range(10):
+            for doubled in (False, True):
+                g, e1, e2 = ladder(k, s, doubled=doubled)
+                doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+                h.update(json.dumps(doc, sort_keys=True).encode())
+    assert h.hexdigest() == LADDERS
 
 
 @pytest.mark.parametrize("label", sorted(LIFTED))

@@ -8,18 +8,15 @@ an O(m log m) cost meets and a quadratic one (about 4) does not.
 
 import pytest
 
-from sgties import Slice, decide_tied, ladder
+import sgties.decide
+from sgties import SignedGraph, Slice, decide_tied, ladder, random_3_connected
 
 GROWTH = 2.5
 
 
-@pytest.mark.parametrize("doubled", [False, True], ids=["plain", "doubled"])
-def test_part1_chain_copies_grow_no_faster_than_m_log_m(monkeypatch, doubled):
-    """A ladder whose pair is its first and last rung reduces by a chain
-    of part-1 splits.  The edges of the slices Slice.sub returns while
-    deciding it, the root slice included, grow 2.18 to 2.23 times per
-    doubling of the rungs, from 3,459 at 125 rungs to 36,912 at 1,000
-    (plain)."""
+def _copied_edges(monkeypatch, instances):
+    """For each (g, e1, e2), the edges of the slices Slice.sub returns
+    while deciding it, the root slice included."""
     copied = [0]
     real_sub = Slice.sub
 
@@ -30,9 +27,97 @@ def test_part1_chain_copies_grow_no_faster_than_m_log_m(monkeypatch, doubled):
 
     monkeypatch.setattr(Slice, "sub", counting_sub)
     counts = []
-    for rungs in (125, 250, 500, 1000):
+    for g, e1, e2 in instances:
         copied[0] = 0
-        decide_tied(*ladder(rungs, 1, doubled=doubled))
+        decide_tied(g, e1, e2)
         counts.append(copied[0])
+    return counts
+
+
+def _assert_growth(counts):
     for small, large in zip(counts, counts[1:]):
         assert large <= GROWTH * small, counts
+
+
+def _flat(n, subdivided):
+    """random_3_connected(n, n, 0, 1) with edge 0 flipped, and the pair
+    (0, m-1); when ``subdivided``, every other edge is subdivided once,
+    so that each becomes a far side of its own.  Tied either way."""
+    g = random_3_connected(n, n, 0, 1)
+    (u, v, s), *rest = [(e.u, e.v, e.sign) for e in g.edges]
+    items = [(u, v, -s)]
+    for w, (u, v, s) in enumerate(rest[:-1], start=g.n):
+        items += [(u, w, s), (w, v, 1)] if subdivided else [(u, v, s)]
+    items.append(rest[-1])
+    h = SignedGraph.build(g.n + (len(rest) - 1 if subdivided else 0), items)
+    return h, 0, h.m - 1
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["plain", "doubled"])
+def test_part1_chain_copies_grow_no_faster_than_m_log_m(monkeypatch, doubled):
+    """A ladder whose pair is its first and last rung reduces by a chain
+    of part-1 splits.  The edges of the slices Slice.sub returns while
+    deciding it, the root slice included, grow 2.18 to 2.23 times per
+    doubling of the rungs, from 3,459 at 125 rungs to 36,912 at 1,000
+    (plain)."""
+    rungs = (125, 250, 500, 1000)
+    _assert_growth(_copied_edges(monkeypatch, (ladder(k, 1, doubled=doubled) for k in rungs)))
+
+
+def test_part1_chain_runs_one_flow(monkeypatch):
+    """Only the first split of a part-1 chain runs a flow and a bridge
+    sweep; each child inherits its side's arc of the common cycle and of
+    the cut table.  Deciding a ladder whose pair is its first and last
+    rung thus calls find_common_cycle twice, once for the chain and once
+    for the tied sign, at every size; one flow per split called it 46,
+    94, 190 and 382 times at these sizes."""
+    calls = [0]
+    real = sgties.decide.find_common_cycle
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(sgties.decide, "find_common_cycle", counting)
+    counts = []
+    for rungs in (40, 80, 160, 320):
+        calls[0] = 0
+        decide_tied(*ladder(rungs, 1))
+        counts.append(calls[0])
+    assert counts == [counts[0]] * 4, counts
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 14: each part-2/3 split replaces one rung, so copies grow 4 times",
+)
+def test_adjacent_rung_ladder_copies_grow_no_faster_than_m_log_m(monkeypatch):
+    """A ladder whose pair is two adjacent rungs, (0, 1), reduces by a
+    chain of part-2/3 splits that each replace the far end of the
+    ladder, one rung per level: 1,886, 7,536, 30,082 and 120,178 edges
+    copied at 25, 50, 100 and 200 rungs."""
+    rungs = (25, 50, 100, 200)
+    _assert_growth(_copied_edges(monkeypatch, ((ladder(k, 1)[0], 0, 1) for k in rungs)))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP items 14, 12 and 4: one nested part-2 split per subdivided edge",
+)
+def test_subdivided_flat_graph_copies_grow_no_faster_than_m_log_m(monkeypatch):
+    """A 3-connected graph with every edge but the pair subdivided
+    nests one part-2 split per subdivided edge, m/2 deep, and each level
+    copies the kept side: 4,890, 20,553 and 84,372 edges copied at
+    n = 20, 40 and 80."""
+    counts = _copied_edges(monkeypatch, (_flat(n, True) for n in (20, 40, 80)))
+    _assert_growth(counts)
+
+
+def test_flat_graph_copies_grow_no_faster_than_m_log_m(monkeypatch):
+    """The control for the subdivided family: the same 3-connected
+    graphs, unsubdivided, are one leaf each and copy only their root
+    slice, without the edges parallel to the pair: 57, 117 and 238
+    edges."""
+    _assert_growth(_copied_edges(monkeypatch, (_flat(n, False) for n in (20, 40, 80))))
