@@ -30,7 +30,7 @@ from .certificate import (
     verdict_to_doc,
 )
 from .connectivity import blocks
-from .core import Edge, SignedGraph, char_sign, sign_char, sign_product
+from .core import NEGATIVE, POSITIVE, Edge, SignedGraph, sign_char, sign_product
 from .decide import decide_tied, lovasz_three_edges
 from .errors import BadParams, LoopRejected, ParseError, SgError
 from .gen import GenSpec, generate, random_recipe
@@ -40,6 +40,8 @@ from .search import DEFAULT_BUDGET, SearchBudget
 
 # --- graph files ------------------------------------------------------------
 
+_SIGNS = {"+": POSITIVE, "-": NEGATIVE}
+
 
 def parse_text(text: str) -> SignedGraph:
     n: Optional[int] = None
@@ -47,10 +49,9 @@ def parse_text(text: str) -> SignedGraph:
     edges: list[Edge] = []
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tok = raw.split()
+        if not tok or tok[0].startswith("#"):
             continue
-        tok = line.split()
         if n is None or m is None:
             if tok[0] != "sg" or len(tok) != 3:
                 raise ParseError("expected header 'sg <n> <m>'", lineno)
@@ -71,9 +72,8 @@ def parse_text(text: str) -> SignedGraph:
             raise ParseError(f"vertex id outside 0..{n - 1}", lineno)
         if u == v:
             raise LoopRejected(f"line {lineno}: loop at vertex {u} rejected")
-        try:
-            s = char_sign(tok[3])
-        except ValueError:
+        s = _SIGNS.get(tok[3])
+        if s is None:
             raise ParseError(f"sign must be '+' or '-', got {tok[3]!r}", lineno)
         if len(edges) == m:
             raise ParseError(f"more than the {m} promised edge lines", lineno)

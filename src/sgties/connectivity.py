@@ -361,26 +361,46 @@ def _proper_2_separation(g: SignedGraph) -> Optional[Separation]:
     pair = _separation_pair(g)
     if pair is None:
         return None
+    return _smallest_side_cut(g, pair, _component_sides(g, pair))
+
+
+def _smallest_side_cut(
+    g: SignedGraph, pair: tuple[VertexId, VertexId], sides: list[list[EdgeId]]
+) -> Separation:
+    """The separation at the 2-cut pair whose side1 is the smallest of
+    its component ``sides`` (fewest edges, then smallest ids)."""
     # each side lists its ids in ascending order, so it is its own sort key;
     # edges joining the boundary pair join no component side, so side2
-    side1 = frozenset(min(_component_sides(g, pair), key=lambda s: (len(s), s)))
-    side2 = frozenset(range(g.m)) - side1
-    return Separation(side1, side2, pair)
+    side1 = frozenset(min(sides, key=lambda s: (len(s), s)))
+    return Separation(side1, frozenset(range(g.m)) - side1, pair)
 
 
-def _component_sides(g: SignedGraph, pair: tuple[VertexId, VertexId]) -> list[list[EdgeId]]:
-    """The edges of each component of g less the 2-cut pair, in ascending order.
+_Labels = tuple[list[int], int]
 
-    One edge pass: an edge joins the side of its non-boundary endpoint,
-    and an edge joining the pair joins none.
-    """
+
+def _cut_labels(g: SignedGraph, pair: tuple[VertexId, VertexId]) -> _Labels:
+    """Each vertex's component of g less the 2-cut pair, -1 on the pair,
+    and the number of components."""
     comps = components(g, frozenset(pair))
     assert len(comps) > 1, f"{pair} is not a 2-cut"
     label = [-1] * g.n
     for c, comp in enumerate(comps):
         for x in comp:
             label[x] = c
-    sides: list[list[EdgeId]] = [[] for _ in comps]
+    return label, len(comps)
+
+
+def _component_sides(
+    g: SignedGraph, pair: tuple[VertexId, VertexId], labels: Optional[_Labels] = None
+) -> list[list[EdgeId]]:
+    """The edges of each component of g less the 2-cut pair, in ascending
+    order; ``labels`` are the pair's ``_cut_labels`` when already taken.
+
+    One edge pass: an edge joins the side of its non-boundary endpoint,
+    and an edge joining the pair joins none.
+    """
+    label, count = labels or _cut_labels(g, pair)
+    sides: list[list[EdgeId]] = [[] for _ in range(count)]
     for i, e in enumerate(g.edges):
         c = label[e.u] if label[e.u] >= 0 else label[e.v]
         if c >= 0:

@@ -2,8 +2,10 @@
 
 Vertices are dense ints 0..n-1, edge ids dense ints 0..m-1 in insertion
 order; check_vertex, SignedGraph.edge and check_edges are the only checks
-of an id.  Graphs are immutable values; every mutating operation returns
-a new graph, together with relabeling maps whenever ids are compacted.
+of an id, and ids the code makes itself (a full cut in Slice.sub, a loop
+over g.edges) are not checked again.  An Edge is a named tuple.  Graphs
+are immutable values; every mutating operation returns a new graph,
+together with relabeling maps whenever ids are compacted.
 
 A slice is a subgraph together with the map back to the original ids;
 the decision procedure and the certificate verifier both cut the graph
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import BadEdge, BadParams, BadVertex, LoopRejected, NotACycle, SameEdge
 
@@ -47,8 +49,7 @@ def char_sign(c: str) -> Sign:
     raise ValueError(f"sign must be '+' or '-', got {c!r}")
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     u: VertexId
     v: VertexId
     sign: Sign
@@ -157,19 +158,21 @@ class Slice:
         kept edges in the given order and are referenced by name, a
         string that is fresh: no reference of this slice and no other
         marker's.  The vertices are those the kept edges and markers
-        touch, in order.  Each kept id is checked by ``g.edge``, and the
-        edge is then copied with its ends renumbered; markers are validated
-        like any new edge.  A full cut, every id 0..m-1 in order with no
+        touch, in order.  A full cut, the ints 0..m-1 in order with no
         marker and no isolated vertex, would copy an equal slice, so it
-        returns this slice itself and keeps the maps it has built.
+        returns this slice itself with the maps it has built and checks no
+        id one by one.  Otherwise each kept id is checked by ``g.edge`` and
+        its edge copied with its ends renumbered; markers are validated
+        like any new edge.
         """
+        full = not markers and list(keep) == list(range(self.g.m))
+        if full and {*map(type, keep)} <= {int} and all(self.g.adjacency):
+            return self
         names = [name for name, _, _, _ in markers]
         for name in names:
             if type(name) is not str or name in self.edge_index or names.count(name) > 1:
                 raise BadParams(f"marker name {name!r} is not a fresh string")
         kept = [self.g.edge(i) for i in keep]
-        if not markers and list(keep) == list(range(self.g.m)) and all(self.g.adjacency):
-            return self
         verts = sorted(
             {x for e in kept for x in (e.u, e.v)}
             | {x for _, u, v, _ in markers for x in (u, v)}

@@ -65,7 +65,9 @@ from .certificate import Verdict
 from .connectivity import (
     Separation,
     _component_sides,
-    _proper_2_separation,
+    _cut_labels,
+    _separation_pair,
+    _smallest_side_cut,
     blocks,
     components,
     is_2_connected,
@@ -215,23 +217,15 @@ def _reduce(
     """
     # sl is 2-connected: reduce checks its input, _block_tree passes a
     # block, and a side plus its markers, less the edges parallel to the
-    # pair, stays 2-connected; so the separation search skips that proof
+    # pair, stays 2-connected; so the 2-cut search skips that proof
     if sl.g.n <= SMALL_LEAF:
         return ReductionLeaf(sl, e1, e2)
-    sep = _proper_2_separation(sl.g)
-    if sep is None:
+    pair = _separation_pair(sl.g)
+    if pair is None:
         return ReductionLeaf(sl, e1, e2)
-    s1, s2 = set(sep.side1), set(sep.side2)
-    bset = frozenset(sep.boundary)
-    # an edge joining the boundary pair may sit on either side; keep the
-    # distinguished edges together when one of them is such an edge
-    for own, other in ((e1, e2), (e2, e1)):
-        if sl.g.endpoints(own) == bset:
-            want = s1 if other in s1 else s2
-            (s1 if own in s1 else s2).discard(own)
-            want.add(own)
+    sides_at_pair = _unstraddled_sides(sl.g, pair, e1, e2)
     cuts = None
-    if (e1 in s1) != (e2 in s1):
+    if sides_at_pair is None:
         # part 1: the pair straddles the cut, so cut at the median of all
         # the 2-cuts that do; no pair edge joins that boundary pair
         if inherited is None:
@@ -240,8 +234,10 @@ def _reduce(
             cuts = _inherited(*inherited, sl, e1, e2)
         at = cuts.median()
         sep = _cut_at(sl.g, e1, cuts.p[at[0]], cuts.q[at[1]])
-        s1, s2 = sep.side1, sep.side2
-    bu, bv = sep.boundary
+        s1, s2, pair = sep.side1, sep.side2, sep.boundary
+    else:
+        s1, s2 = sides_at_pair
+    bu, bv = pair
     sides = {1: tuple(sorted(s1)), 2: tuple(sorted(s2))}
     kept = None
     if (e1 in s1) != (e2 in s1):
@@ -542,6 +538,34 @@ def _straddling_cuts(g: SignedGraph, e1: int, e2: int) -> _Cuts:
     )
 
 
+def _unstraddled_sides(
+    g: SignedGraph, pair: tuple[VertexId, VertexId], e1: int, e2: int
+) -> Optional[tuple[set[int], set[int]]]:
+    """The two sides of the 2-cut ``pair`` as _proper_2_separation cuts
+    g, or None when the pair straddles them.  A pair edge joining the
+    boundary pair may sit on either side, so it joins its partner's.
+
+    Sides are built only for a cut the split uses: the pair straddles a
+    cut with two components exactly when its edges lie in different
+    ones, which the labels tell.  With three or more the smallest side
+    decides, so the sides are built first.
+    """
+    labels = _cut_labels(g, pair)
+    label, count = labels
+    c1, c2 = (max(label[g.edges[e].u], label[g.edges[e].v]) for e in (e1, e2))
+    if count == 2 and min(c1, c2) >= 0 and c1 != c2:
+        return None
+    sep = _smallest_side_cut(g, pair, _component_sides(g, pair, labels))
+    s1, s2 = set(sep.side1), set(sep.side2)
+    bset = frozenset(pair)
+    for own, other in ((e1, e2), (e2, e1)):
+        if g.endpoints(own) == bset:
+            want = s1 if other in s1 else s2
+            (s1 if own in s1 else s2).discard(own)
+            want.add(own)
+    return None if (e1 in s1) != (e2 in s1) else (s1, s2)
+
+
 def _cut_at(g: SignedGraph, e1: int, a: VertexId, b: VertexId) -> Separation:
     """The separation at the straddling 2-cut {a, b}: side1 is the
     smaller of e1's component side and the rest, as in
@@ -600,9 +624,9 @@ def _check_cases(sl: Slice, e1: int, e2: int) -> LeafVerdict:
 def _try_case1(sl: Slice, e1: int, e2: int) -> Optional[dict]:
     g = sl.g
     # parallel classes, in order of their smallest edge id
-    classes: dict[frozenset[int], list[int]] = {}
-    for eid, e in enumerate(g.edges):
-        classes.setdefault(e.endpoints(), []).append(eid)
+    classes: dict[tuple[int, int], list[int]] = {}
+    for eid, (u, v, _) in enumerate(g.edges):
+        classes.setdefault((u, v) if u < v else (v, u), []).append(eid)
     for f in classes.values():
         # the pair has no parallel companion, so its classes are singletons
         if len(f) < 2:

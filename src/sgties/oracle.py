@@ -281,16 +281,11 @@ def _switched_positive(
     what: str,
 ) -> None:
     # balance claim: after switching, every surviving edge is positive
-    for eid in range(g.m):
-        if eid in skip_edges:
+    for eid, (u, v, s) in enumerate(g.edges):
+        if eid in skip_edges or u in skip_vertices or v in skip_vertices:
             continue
-        e = g.edge(eid)
-        if e.u in skip_vertices or e.v in skip_vertices:
-            continue
-        s = e.sign
-        if (e.u in switch_local) != (e.v in switch_local):
-            s = -s
-        _need(s == POSITIVE, f"{what}: signing violated at edge {eid}")
+        if (s == POSITIVE) == ((u in switch_local) != (v in switch_local)):
+            raise _Fail(f"{what}: signing violated at edge {eid}")
 
 
 def _dropped(

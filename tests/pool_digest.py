@@ -20,8 +20,10 @@ Not collected by pytest.  Run from the repository root:
 
     PYTHONPATH=src python tests/pool_digest.py [--expect DOC_DIGEST VERDICT_DIGEST]
 
-With ``--expect`` it also prints the expected digests on a second line
-and exits 1 unless both match.
+Every document must verify: if any does not, it prints how many do not
+and the first one's instance index and reason, and exits 1.  With
+``--expect`` it also prints the expected digests on a second line and
+exits 1 unless both match.
 """
 
 from __future__ import annotations
@@ -68,9 +70,13 @@ def main() -> None:
     args = parser.parse_args()
     docs, verdicts = hashlib.sha256(), hashlib.sha256()
     count = 0
+    failed: list[tuple[int, str]] = []
     for g, e1, e2 in instances():
         doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
-        checked = repr(verify_certificate(g, e1, e2, doc)).encode()
+        ok, reason = verify_certificate(g, e1, e2, doc)
+        if not ok:
+            failed.append((count, reason))
+        checked = repr((ok, reason)).encode()
         docs.update(json.dumps(doc, sort_keys=True).encode())
         docs.update(checked)
         verdicts.update(json.dumps([doc["kind"], doc["common_sign"]]).encode())
@@ -80,8 +86,11 @@ def main() -> None:
     print(count, *got)
     if args.expect is not None:
         print("expected", *args.expect)
-        if got != args.expect:
-            sys.exit("digest mismatch")
+    if failed:
+        index, reason = failed[0]
+        sys.exit(f"{len(failed)} documents do not verify; first: instance {index}: {reason}")
+    if args.expect is not None and got != args.expect:
+        sys.exit("digest mismatch")
 
 
 if __name__ == "__main__":

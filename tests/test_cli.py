@@ -95,6 +95,46 @@ def test_parse_rejects_loops_with_position():
         parse_text("sg 3 1\ne 1 1 +\n")
 
 
+_TRIANGLE = SignedGraph.build(3, [(0, 1, 1), (1, 2, -1)])
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("sg 3 2\n \t \ne 0 1 +\ne 1 2 -\n", _TRIANGLE),
+        ("sg 3 3\n \t \ne 0 1 +\ne 1 2 -\n", (ParseError, 5, "header promised 3 edges, found 2")),
+        ("  # note\nsg 3 2\n\t# note\ne 0 1 +\ne 1 2 -\n", _TRIANGLE),
+        ("sg 3 2\n  # note\ne 0 0 +\n", (LoopRejected, 3, "loop at vertex 0 rejected")),
+        ("sg\t3\t2\ne\t0\t1\t+\ne 1\t2 \t-\n", _TRIANGLE),
+        ("sg\t3\t1\ne\t0\t5\t+\n", (ParseError, 2, "vertex id outside 0..2")),
+        ("sg 3 1\ne 0 1 +1\n", (ParseError, 2, "sign must be '+' or '-', got '+1'")),
+        ("sg 3 1\ne 0 1 + x\n", (ParseError, 2, "expected edge line 'e <u> <v> <+|->'")),
+        ("e 0 1 +\nsg 3 1\n", (ParseError, 1, "expected header 'sg <n> <m>'")),
+        ("sg 3 1\ne 0 1 +\ne 1 2 -\n", (ParseError, 3, "more than the 1 promised edge lines")),
+        ("sg 3 3\ne 0 1 +\ne 1 2 -\n", (ParseError, 4, "header promised 3 edges, found 2")),
+    ],
+    ids=[
+        "blank", "blank-counts", "indented-comment", "indented-comment-counts", "tabs",
+        "tabs-range", "sign-plus-one", "five-tokens", "edge-before-header", "one-too-many",
+        "one-too-few",
+    ],
+)
+def test_parse_error_table(text, want):
+    """Whitespace-only lines and indented comments are skipped but
+    counted, tabs separate tokens, and each bad line earns its exact
+    message and line number."""
+    if isinstance(want, SignedGraph):
+        assert parse_text(text) == want
+        return
+    kind, line, message = want
+    with pytest.raises(kind) as info:
+        parse_text(text)
+    assert type(info.value) is kind
+    assert str(info.value) == f"line {line}: {message}"
+    if kind is ParseError:
+        assert info.value.line == line
+
+
 _ID_TOKENS = ("-1", "x", "1.0", "True", "0x1", "+1", "01", "1_0", "\u0663")
 _SIGN_TOKENS = ("x", "1", "-1", "+-", "\u2212", "++")
 

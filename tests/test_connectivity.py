@@ -419,19 +419,19 @@ def _reduction_slices(rng: random.Random, count: int):
     """Every graph the reduction searches for a 2-cut while it decides
     ``count`` composed tied instances."""
     seen: list[SignedGraph] = []
-    real = sgties.decide._proper_2_separation
+    real = sgties.decide._separation_pair
 
     def recording(g):
         seen.append(g)
         return real(g)
 
-    sgties.decide._proper_2_separation = recording
+    sgties.decide._separation_pair = recording
     try:
         for _ in range(count):
             seed = rng.randrange(10**6)
             decide_tied(*compose_tied_instance(random_recipe(seed, rng.choice((2, 3, 4))), seed))
     finally:
-        sgties.decide._proper_2_separation = real
+        sgties.decide._separation_pair = real
     return [g for g in seen if g.n >= 4]
 
 

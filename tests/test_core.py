@@ -289,6 +289,54 @@ def test_a_full_cut_returns_the_slice_itself():
     assert fresh["repeated id"][1].eref == (0, 1, 2, 3, 4, 4)
 
 
+def test_a_full_cut_checks_no_id(monkeypatch):
+    """A full cut is told apart before any id is checked, so it makes no
+    SignedGraph.edge call; a full-length keep holding True or 1.0 is no
+    full cut, and its ids are checked one by one."""
+    g = helpers.k4()
+    sl = Slice.identity(g)
+    calls = [0]
+    real = SignedGraph.edge
+
+    def counting(graph, e):
+        calls[0] += 1
+        return real(graph, e)
+
+    monkeypatch.setattr(SignedGraph, "edge", counting)
+    assert sl.sub(range(g.m)) is sl and sl.sub(list(range(g.m))) is sl
+    assert calls == [0]
+    for bad in (True, 1.0):
+        with pytest.raises(BadEdge):
+            sl.sub([0, bad, 2, 3, 4, 5])
+    assert sl.sub(range(1, g.m)).eref == tuple(range(1, g.m))
+    assert calls[0] > 0
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, -1, "m"], ids=["True", "1.0", "-1", "m"])
+def test_a_partial_cut_checks_every_id(bad):
+    sl = Slice.identity(helpers.k4())
+    bad = sl.g.m if bad == "m" else bad
+    with pytest.raises(BadEdge, match="out of range"):
+        sl.sub([0, bad])
+
+
+def test_edge_is_an_immutable_record():
+    """Edge is a named tuple: its fields cannot be assigned, it keeps
+    its methods and its repr, and it equals the plain (u, v, sign)."""
+    e = SignedGraph.build(2, [(0, 1, 1)]).edge(0)
+    with pytest.raises(AttributeError):
+        e.u = 1
+    with pytest.raises(AttributeError):
+        e.sign = -1
+    assert repr(e) == "Edge(u=0, v=1, sign=1)"
+    assert e.endpoints() == frozenset((0, 1))
+    assert (e.other(0), e.other(1)) == (1, 0)
+    assert e.touches(1) and not e.touches(2)
+    with pytest.raises(BadVertex):
+        e.other(2)
+    assert e == (0, 1, 1) and tuple(e) == (0, 1, 1)
+
+
 @pytest.mark.parametrize("name", [0, 5, True, None, 1.0, "m0"])
 def test_slice_sub_takes_only_fresh_string_marker_names(name):
     """Every reference of a slice names exactly one edge: a marker name

@@ -685,7 +685,7 @@ def test_subdivided_rim_splits_in_one_pass(monkeypatch, n):
 
     for mod in (sgties.connectivity, sgties.decide):
         monkeypatch.setattr(mod, "blocks", counting_blocks)
-    monkeypatch.setattr(sgties.connectivity, "_separation_pair", counting_pass)
+        monkeypatch.setattr(mod, "_separation_pair", counting_pass)
     v = decide_tied(g, 0, g.m - 2)
     assert (v.kind, v.common_sign) == (KIND_TIED, -1)
     assert calls == {"blocks": 1, "pass": 2}

@@ -8,8 +8,9 @@ an O(m log m) cost meets and a quadratic one (about 4) does not.
 
 import pytest
 
+import sgties.connectivity
 import sgties.decide
-from sgties import SignedGraph, Slice, decide_tied, ladder, random_3_connected
+from sgties import SignedGraph, Slice, decide_tied, ladder, random_3_connected, verdict_to_doc
 
 GROWTH = 2.5
 
@@ -85,6 +86,34 @@ def test_part1_chain_runs_one_flow(monkeypatch):
         decide_tied(*ladder(rungs, 1))
         counts.append(calls[0])
     assert counts == [counts[0]] * 4, counts
+
+
+def test_a_split_builds_the_sides_of_one_cut(monkeypatch):
+    """A part-1 split re-cuts at the median straddling 2-cut, so it
+    builds the sides of that cut only: the labels of the cut the linear
+    pass names tell that the pair straddles it.  Deciding ladder(40, 1),
+    45 part-1 splits, builds sides 45 times; building those of both cuts
+    did it 90 times."""
+    calls = [0]
+    real = sgties.connectivity._component_sides
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    for mod in (sgties.connectivity, sgties.decide):
+        monkeypatch.setattr(mod, "_component_sides", counting)
+    g, e1, e2 = ladder(40, 1)
+    stack, parts = [verdict_to_doc(decide_tied(g, e1, e2), e1, e2)["certificate"]], []
+    while stack:
+        node = stack.pop()
+        if node["kind"] == "preprocess":
+            stack.append(node["inner"])
+        elif node["kind"] == "split":
+            parts.append(node["part"])
+            stack.extend(child["node"] for child in node["children"])
+    assert parts == [1] * 45
+    assert calls == [45]
 
 
 @pytest.mark.xfail(

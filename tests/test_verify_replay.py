@@ -173,3 +173,19 @@ def test_a_certificate_missing_a_field_is_malformed():
     bad = copy.deepcopy(doc)
     del bad["certificate"]["inner"]
     assert verify_certificate(g, 0, 3, bad) == (False, "malformed certificate: KeyError('inner')")
+
+
+def test_a_wrong_case3_switch_names_the_local_edge():
+    """The signing replay names the edge it rejects by its id in the
+    leaf's slice.  Preprocessing drops edge 0, parallel to e1, so each
+    leaf id is one less than the input's: switching at vertex 3 makes
+    input edge 3, (1, 3), negative, and the reason names leaf edge 2."""
+    g = SignedGraph.build(
+        4, [(0, 1, 1), (0, 2, 1), (2, 1, 1), (1, 3, 1), (3, 0, 1), (0, 1, -1), (2, 3, 1)]
+    )
+    doc = verdict_to_doc(decide_tied(g, 5, 6), 5, 6)
+    leaf = doc["certificate"]["inner"]
+    assert (doc["certificate"]["removed"], leaf) == ([0], {"kind": "case3", "switch": []})
+    assert verify_certificate(g, 5, 6, doc) == (True, "ok")
+    leaf["switch"] = [3]
+    assert verify_certificate(g, 5, 6, doc) == (False, "case3: signing violated at edge 2")
