@@ -74,16 +74,15 @@ def is_balanced(g: SignedGraph) -> BalanceResult:
             for eid, w in g.adjacency[v]:
                 if theta[w] != 0:
                     continue
-                theta[w] = theta[v] * g.sign(eid)
+                theta[w] = theta[v] * g.edges[eid].sign
                 parent_vertex[w] = v
                 parent_edge[w] = eid
                 depth[w] = depth[v] + 1
                 tree[eid] = True
                 queue.append(w)
-    for eid in range(g.m):
+    for eid, e in enumerate(g.edges):
         if tree[eid]:
             continue
-        e = g.edge(eid)
         if e.sign * theta[e.u] * theta[e.v] == 1:
             continue
         cycle = _fundamental_cycle(g, parent_vertex, parent_edge, depth, eid)
@@ -99,7 +98,7 @@ def _fundamental_cycle(
     eid: EdgeId,
 ) -> Cycle:
     # non-tree edge plus the tree path between its endpoints
-    e = g.edge(eid)
+    e = g.edges[eid]
     ids = {eid}
     a, b = e.u, e.v
     while depth[a] > depth[b]:

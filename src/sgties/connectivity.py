@@ -343,19 +343,10 @@ def find_proper_2_separation(g: SignedGraph) -> Optional[Separation]:
     then smallest ids).  Returns None exactly when no cut pair exists,
     i.e. when g is 3-connected or too small to separate properly.
 
-    This is the guarded entry: it first proves g 2-connected and raises
-    NotTwoConnected otherwise.  The search itself is
-    ``_proper_2_separation``, which skips that proof; only a caller that
-    already knows its graph is 2-connected may call it, as the reduction
-    does on every slice it splits.
+    It first proves g 2-connected and raises NotTwoConnected otherwise.
     """
     if not is_2_connected(g):
         raise NotTwoConnected("find_proper_2_separation needs a 2-connected graph")
-    return _proper_2_separation(g)
-
-
-def _proper_2_separation(g: SignedGraph) -> Optional[Separation]:
-    """find_proper_2_separation without its 2-connectivity guard."""
     if g.n < 4:
         return None
     pair = _separation_pair(g)

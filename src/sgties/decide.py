@@ -17,9 +17,10 @@ pair, read off the bridges of a common cycle; each child keeps at most
 half of them, so a chain of part-1 splits nests about log2 of its
 length deep.  Only a chain's first split runs the flow for that cycle
 and the sweep over its bridges: each child inherits its side's arc of
-the cycle, closed by the child's marker, and the cuts on its side.  Leaves are 3-connected (or have at most SMALL_LEAF
-vertices) and are answered by the three-case characterization, falling
-back to exhaustive enumeration on the tiny non-3-connected ones.
+the cycle, closed by the child's marker, and the cuts on its side.
+Leaves are 3-connected (or have at most SMALL_LEAF vertices) and are
+answered by the three-case characterization, falling back to
+exhaustive enumeration on the tiny non-3-connected ones.
 
 Evaluation settles the verdict and builds the certificate of a tied
 one.  Its first untied leaf builds the witnesses of an untied verdict
@@ -36,17 +37,19 @@ tied verdict's sign, the sibling's at a part-1 lift, the first cycle at
 an untied leaf) are built by two-path flow.  At an untied leaf the
 second cycle is the flow cycle with one segment of a half swapped for
 an ear whose sign differs from the segment's: a chord, a path through a
-balanced component, or a path through a fan.  A path of a required sign
-is searched only on a fan: two disjoint paths from two vertices to a
-negative cycle, which close exactly two paths between those vertices,
-of opposite signs (Menger's fan lemma), so the search is linear.  A
-part-3 marker path lies in the fan from the boundary to the split's
-negative cycle.  A part-2 side is balanced, so every boundary path
-through it is positive once the split's switch is applied, and its
-marker path is one BFS path.  When no single ear changes the sign of
-the flow cycle, the second cycle comes from self-reduction, which
-deletes every edge whose loss keeps a common cycle of the wanted sign,
-at one verdict per edge.
+balanced component, or a path through a fan.  One sweep (_bridges) lays
+a common cycle out from e1 and lists its bridges, the chords and the
+components off it; the part-1 cut table and the leaf's ear both read
+it.  A path of a required sign is searched only on a fan: two disjoint
+paths from two vertices to a negative cycle, which close exactly two
+paths between those vertices, of opposite signs (Menger's fan lemma),
+so the search is linear.  A part-3 marker path lies in the fan from the
+boundary to the split's negative cycle.  A part-2 side is balanced, so
+every boundary path through it is positive once the split's switch is
+applied, and its marker path is one BFS path.  When no single ear
+changes the sign of the flow cycle, the second cycle comes from
+self-reduction, which deletes every edge whose loss keeps a common
+cycle of the wanted sign, at one verdict per edge.
 
 All certificate references use original edge ids and marker names; see
 the certificate module for the document schema.
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -373,6 +377,8 @@ class _Cuts(NamedTuple):
     def median(self) -> tuple[int, int]:
         """The median (i, j) of the cuts in the order (i + j, i).
 
+        A child keeps only the cuts on its side of it, at most half of
+        them, so part-1 splits nest about log2 of their number deep.
         Found by counting, not by listing the cuts: a bare cycle has
         Θ(s·t) of them.  O(s log |C|).
         """
@@ -446,7 +452,7 @@ def _inherited(parent: Slice, half: _Cuts, sl: Slice, e1: int, e2: int) -> _Cuts
     the split's slice ``parent`` (_Cuts.part).
 
     ``sl`` keeps every edge of the cycle, as none joins the ends of a
-    pair edge.  P is made the half that _halves lays out for the
+    pair edge.  P is made the half that _bridges lays out for the
     canonical Cycle of the cycle, the one that begins at the vertex
     after e1.  Walked P, e2, Q backwards, e1, the canonical order starts
     at the smallest edge id and goes on toward its smaller neighbour, so
@@ -463,6 +469,55 @@ def _inherited(parent: Slice, half: _Cuts, sl: Slice, e1: int, e2: int) -> _Cuts
     walk = (*cuts.pe, e2, *cuts.qe[::-1], e1)
     k = walk.index(min(walk))
     return cuts if walk[k + 1 - len(walk)] < walk[k - 1] else cuts.transposed()
+
+
+class _Bridges(NamedTuple):
+    """A common cycle C laid out from e1, and its bridges, by _bridges.
+
+    ``p``, ``q``, ``pe`` and ``qe`` are C's halves as _Cuts holds them;
+    ``at`` maps each vertex of C to (its half, 0 or 1, its index).
+    ``chords`` are the edges off C with both ends on it, as (edge, end,
+    end) in id order.  ``comps`` holds each component K of G - V(C), in
+    components() order, as its inner edges and its attachment edges
+    (edge, end in K, end on C), read vertex by vertex off K's adjacency.
+    """
+
+    p: tuple[VertexId, ...]
+    q: tuple[VertexId, ...]
+    pe: tuple[EdgeId, ...]
+    qe: tuple[EdgeId, ...]
+    at: dict[VertexId, tuple[int, int]]
+    chords: list[tuple[EdgeId, VertexId, VertexId]]
+    comps: list[tuple[list[EdgeId], list[tuple[EdgeId, VertexId, VertexId]]]]
+
+
+def _bridges(g: SignedGraph, c: Cycle, e1: int, e2: int) -> _Bridges:
+    """The layout of the common cycle c from e1 and its bridges: the
+    cut table (_straddling_cuts) and the untied leaf's ear (_ear) both
+    read this one sweep.  O(m)."""
+    # c from e1's end on: P, e2, Q backwards, e1
+    r = c.edges.index(e1) + 1
+    vs, es = c.vertices[r:] + c.vertices[:r], c.edges[r:] + c.edges[:r]
+    k = es.index(e2)
+    p, q = vs[: k + 1], vs[k + 1 :][::-1]
+    at = {v: (0, i) for i, v in enumerate(p)} | {v: (1, j) for j, v in enumerate(q)}
+    in_c = frozenset(c.edges)
+    chords = [
+        (eid, e.u, e.v)
+        for eid, e in enumerate(g.edges)
+        if e.u in at and e.v in at and eid not in in_c
+    ]
+    comps = []
+    for comp in components(g, frozenset(at)):
+        inner, attach = [], []
+        for v in comp:
+            for eid, w in g.adjacency[v]:
+                if w in at:
+                    attach.append((eid, v, w))
+                elif v < w:
+                    inner.append(eid)
+        comps.append((inner, attach))
+    return _Bridges(p, q, es[:k], es[k + 1 : -1][::-1], at, chords, comps)
 
 
 def _straddling_cuts(g: SignedGraph, e1: int, e2: int) -> _Cuts:
@@ -486,38 +541,19 @@ def _straddling_cuts(g: SignedGraph, e1: int, e2: int) -> _Cuts:
     """
     c = find_common_cycle(g, e1, e2)
     assert c is not None, "a 2-connected slice has a common cycle"
-    # c from e1's end on, as _halves lays it out: P, e2, Q backwards, e1
-    r = c.edges.index(e1) + 1
-    vs, es = c.vertices[r:] + c.vertices[:r], c.edges[r:] + c.edges[:r]
-    k = es.index(e2)
-    p, q = vs[: k + 1], vs[k + 1 :][::-1]
+    p, q, pe, qe, at, chords, comps = _bridges(g, c, e1, e2)
     s, t = len(p) - 1, len(q) - 1
-    # each vertex of c: (its half, its index along the half from e1)
-    at = {v: (0, i) for i, v in enumerate(p)} | {v: (1, j) for j, v in enumerate(q)}
-    # each bridge's attachment indices on P and on Q
-    comps = components(g, frozenset(at))
-    label = [-1] * g.n
-    for b, comp in enumerate(comps):
-        for x in comp:
-            label[x] = b
-    bridges: list[tuple[list[int], list[int]]] = [([], []) for _ in comps]
-    in_c = frozenset(c.edges)
-    for eid, e in enumerate(g.edges):
-        ends = [at[x] for x in (e.u, e.v) if x in at]
-        if len(ends) == 2 and eid not in in_c:
-            bridges.append(([], []))
-            att = bridges[-1]
-        elif len(ends) == 1:
-            att = bridges[max(label[e.u], label[e.v])]
-        else:
-            continue
-        for h, x in ends:
-            att[h].append(x)
     # dead[h]: difference array of the indices of half h ruled out for
     # every index of the other; j < lo[i] and j > hi[i] are ruled out
     dead = ([0] * (s + 1), [0] * (t + 1))
     lo, hi = [0] * (s + 1), [t] * (s + 1)
-    for att in bridges:
+    ends = [(u, v) for _, u, v in chords] + [[x for _, _, x in att] for _, att in comps]
+    for bridge in ends:
+        # the bridge's attachment indices on P and on Q
+        att: tuple[list[int], list[int]] = ([], [])
+        for x in bridge:
+            h, i = at[x]
+            att[h].append(i)
         for h in (0, 1):
             if att[h]:
                 a, b = min(att[h]), max(att[h])
@@ -531,7 +567,7 @@ def _straddling_cuts(g: SignedGraph, e1: int, e2: int) -> _Cuts:
             if b > 0:
                 hi[b - 1] = min(hi[b - 1], min(att[1]))
     return _Cuts.of(
-        p, q, es[:k], es[k + 1 : -1][::-1],
+        p, q, pe, qe,
         tuple(itertools.accumulate(lo, max)),
         tuple(itertools.accumulate(reversed(hi), min))[::-1],
         *(tuple(d == 0 for d in itertools.accumulate(dh)) for dh in dead),
@@ -541,9 +577,10 @@ def _straddling_cuts(g: SignedGraph, e1: int, e2: int) -> _Cuts:
 def _unstraddled_sides(
     g: SignedGraph, pair: tuple[VertexId, VertexId], e1: int, e2: int
 ) -> Optional[tuple[set[int], set[int]]]:
-    """The two sides of the 2-cut ``pair`` as _proper_2_separation cuts
-    g, or None when the pair straddles them.  A pair edge joining the
-    boundary pair may sit on either side, so it joins its partner's.
+    """The two sides of the 2-cut ``pair``, side1 the smallest component
+    side (_smallest_side_cut), or None when the pair straddles them.  A
+    pair edge joining the boundary pair may sit on either side, so it
+    joins its partner's.
 
     Sides are built only for a cut the split uses: the pair straddles a
     cut with two components exactly when its edges lie in different
@@ -568,25 +605,13 @@ def _unstraddled_sides(
 
 def _cut_at(g: SignedGraph, e1: int, a: VertexId, b: VertexId) -> Separation:
     """The separation at the straddling 2-cut {a, b}: side1 is the
-    smaller of e1's component side and the rest, as in
-    _proper_2_separation."""
+    smaller of e1's component side and the rest (fewest edges, then
+    smallest ids)."""
     # a cut is not e1's ends, so e1 has an end outside it and lies on one side
     near = frozenset(next(side for side in _component_sides(g, (a, b)) if e1 in side))
     far = frozenset(range(g.m)) - near
     side1, side2 = sorted((near, far), key=lambda side: (len(side), sorted(side)))
     return Separation(side1, side2, (min(a, b), max(a, b)))
-
-
-def _median_straddling_cut(g: SignedGraph, e1: int, e2: int) -> Separation:
-    """The median 2-cut separating the pair, in the order (i + j, i).
-
-    A child keeps only the straddling cuts on its side of it, at most
-    half of them, so part-1 splits nest about log2 of their number deep.
-    O(m + s log |C|).
-    """
-    cuts = _straddling_cuts(g, e1, e2)
-    i, j = cuts.median()
-    return _cut_at(g, e1, cuts.p[i], cuts.q[j])
 
 
 # --- leaf checks ----------------------------------------------------------
@@ -814,24 +839,6 @@ def _fan(
     return frozenset(range(g.m)).difference(cycle.edges, p, q), (x, y)
 
 
-def _halves(g: SignedGraph, e2: int, c: Cycle, i: int) -> dict[VertexId, tuple[int, Sign, int]]:
-    """The layout of a common cycle c whose edge i is e1.
-
-    Each vertex of c maps to (its half, the sign of the half from its
-    start to the vertex, its position j along c after e1).  Half 0 runs
-    from e1's end to e2's at j = 1, 2, ...; half 1 from e2's other end
-    back to e1's, which sits at j = len(c.edges).
-    """
-    k = len(c.edges)
-    place: dict[VertexId, tuple[int, Sign, int]] = {}
-    half, s = 0, POSITIVE
-    for j in range(1, k + 1):
-        place[c.vertices[(i + j) % k]] = (half, s, j)
-        eid = c.edges[(i + j) % k]
-        half, s = (1, POSITIVE) if eid == e2 else (half, s * g.sign(eid))
-    return place
-
-
 def _ear(g: SignedGraph, e1: int, e2: int, c: Cycle) -> Optional[frozenset[EdgeId]]:
     """A common cycle of the other sign than c: c with one segment swapped for an ear.
 
@@ -844,45 +851,42 @@ def _ear(g: SignedGraph, e1: int, e2: int, c: Cycle) -> Optional[frozenset[EdgeI
     p of K has sign sign(a)·t(p)·sign(b)·t(q) when it leaves by edge b at
     q, whatever route it takes inside K.  If K is unbalanced, the fan from
     two attachment vertices on one half to a negative cycle of K holds x..y
-    paths of both signs.  The segment is read off the positions of x and
-    y, so the swap costs O(|c| + |ear|).  None when no chord or component
-    gives an ear.
+    paths of both signs.  Signs along a half are measured from e1, so
+    the segment from x to y has sign place[x]·place[y].  The segment is
+    read off the indices of x and y, so the swap costs O(|c| + |ear|).
+    None when no chord or component gives an ear.
     """
-    k = len(c.edges)
-    i = c.edges.index(e1)
-    place = _halves(g, e2, c, i)
-    in_c = frozenset(c.edges)
-    on_c = frozenset(place)
-    chords = (
-        (e.u, e.v, (eid,))
-        for eid, e in enumerate(g.edges)
-        if eid not in in_c and e.u in place and e.v in place
-        and place[e.u][0] == place[e.v][0] and e.sign != place[e.u][1] * place[e.v][1]
+    p, q, pe, qe, at, chords, comps = _bridges(g, c, e1, e2)
+    # each vertex of c: (its half, the sign of its half from e1 up to it)
+    place: dict[VertexId, tuple[int, Sign]] = {}
+    for h, (vs, es) in enumerate(((p, pe), (q, qe))):
+        signs = itertools.accumulate((g.edges[i].sign for i in es), operator.mul, initial=POSITIVE)
+        place.update((v, (h, s)) for v, s in zip(vs, signs))
+    on_c = frozenset(at)
+    by_chord = (
+        (u, v, (eid,))
+        for eid, u, v in chords
+        if place[u][0] == place[v][0] and g.edges[eid].sign != place[u][1] * place[v][1]
     )
-    through = (_component_ear(g, comp, place, on_c) for comp in components(g, on_c))
-    ear = next(itertools.chain(chords, filter(None, through)), None)
+    through = (_component_ear(g, inner, attach, place, on_c) for inner, attach in comps)
+    ear = next(itertools.chain(by_chord, filter(None, through)), None)
     if ear is None:
         return None
     x, y, path = ear
-    jx, jy = sorted((place[x][2], place[y][2]))
-    return in_c.difference(c.edges[(i + j) % k] for j in range(jx, jy)).union(path)
+    (h, i), (_, j) = sorted((at[x], at[y]))
+    return frozenset(c.edges).difference((pe, qe)[h][i:j]).union(path)
 
 
 def _component_ear(
     g: SignedGraph,
-    comp: frozenset[VertexId],
-    place: dict[VertexId, tuple[int, Sign, int]],
+    inner: list[EdgeId],
+    attach: list[tuple[EdgeId, VertexId, VertexId]],
+    place: dict[VertexId, tuple[int, Sign]],
     on_c: frozenset[VertexId],
 ) -> Optional[tuple[VertexId, VertexId, tuple[EdgeId, ...]]]:
-    """An ear of _ear's kind through one component of G - V(c), as its
-    ends x, y on c and its edges, or None."""
-    inner, attach = [], []
-    for v in comp:
-        for eid, w in g.adjacency[v]:
-            if w in on_c:
-                attach.append((eid, v, w))
-            elif v < w:
-                inner.append(eid)
+    """An ear of _ear's kind through one component K of G - V(c), as its
+    ends x, y on c and its edges, or None.  ``inner`` and ``attach`` are
+    K's inner and attachment edges as _bridges lists them."""
     ks = Slice.identity(g).sub(sorted(inner))
     bal = is_balanced(ks.g)
     nc = bal.negative_cycle
@@ -909,7 +913,7 @@ def _component_ear(
     kv = ks.vert_index
     ends: dict[tuple[int, Sign], dict[VertexId, tuple[EdgeId, VertexId]]] = {}
     for eid, v, x in attach:
-        hx, sx, _ = place[x]
+        hx, sx = place[x]
         t = bal.signing[kv[v]] if v in kv else POSITIVE
         ends.setdefault((hx, g.sign(eid) * t * sx), {}).setdefault(x, (eid, v))
     for (hx, val), xs in ends.items():

@@ -15,6 +15,7 @@ from sgties import (
     edge_in_both_signs,
     find_signed_path,
     is_balanced,
+    random_3_connected,
     signatures_equivalent,
     switch,
 )
@@ -78,6 +79,25 @@ def test_balance_ignores_isolated_vertices():
     r = is_balanced(g)
     assert r.balanced
     assert len(r.signing) == 4
+
+
+def test_balance_checks_no_id(monkeypatch):
+    """is_balanced reads every edge it walks off the graph's own edge
+    table and adjacency, so a flat graph, balanced with both signs,
+    costs no SignedGraph.edge call."""
+    g = switch(random_3_connected(40, 40, 0.0, 3), range(0, 40, 3))
+    calls = [0]
+    real = SignedGraph.edge
+
+    def counting(graph, e):
+        calls[0] += 1
+        return real(graph, e)
+
+    monkeypatch.setattr(SignedGraph, "edge", counting)
+    r = is_balanced(g)
+    assert calls == [0]
+    assert r.balanced and {e.sign for e in g.edges} == {1, -1}
+    assert all(e.sign == r.signing[e.u] * r.signing[e.v] for e in g.edges)
 
 
 def test_signatures_equivalent_accepts_switches():

@@ -35,6 +35,7 @@ from sgties import (
     decide_tied,
     delete_edges,
     enumerate_common_cycles,
+    find_common_cycle,
     find_signed_path,
     is_2_connected,
     is_3_connected,
@@ -870,7 +871,8 @@ def test_straddling_cut_sweep_matches_brute_force():
         if not brute:
             continue
         order = sorted((at[a] + at[b], pairs[frozenset((a, b))]) for a, b in brute)
-        sep = sgties.decide._median_straddling_cut(g, e1, e2)
+        i, j = cuts.median()
+        sep = sgties.decide._cut_at(g, e1, cuts.p[i], cuts.q[j])
         i, j = order[(len(order) - 1) // 2][1]
         assert set(sep.boundary) == {cuts.p[i], cuts.q[j]}
         assert (e1 in sep.side1) != (e2 in sep.side1)
@@ -879,16 +881,45 @@ def test_straddling_cut_sweep_matches_brute_force():
     assert total == 2_286
 
 
+def test_bridges_split_the_edges_off_the_common_cycle():
+    """The one sweep that the cut table and the untied leaf's ear share
+    lays the canonical common cycle out from e1 and lists its bridges:
+    every edge of g is an edge of C, a chord, or an inner or attachment
+    edge of exactly one component; attachment edges join their
+    component to C; chords come in id order.  On 2,000 random block
+    pairs and plain and doubled ladders."""
+    roots = _random_block_roots(2000)
+    roots += [ladder(k, s, doubled=d) for k in (12, 24) for s in range(3) for d in (False, True)]
+    for g, e1, e2 in roots:
+        c = find_common_cycle(g, e1, e2)
+        b = sgties.decide._bridges(g, c, e1, e2)
+        assert Cycle.from_edges(g, (*b.pe, e2, *b.qe[::-1], e1)) == c
+        assert g.endpoints(e1) == {b.p[0], b.q[0]} and g.endpoints(e2) == {b.p[-1], b.q[-1]}
+        assert b.at == {v: (h, i) for h, half in enumerate((b.p, b.q)) for i, v in enumerate(half)}
+        listed = [*c.edges, *(eid for eid, _, _ in b.chords)]
+        outside = set()
+        for inner, attach in b.comps:
+            ks = {x for eid in inner for x in g.endpoints(eid)} | {v for _, v, _ in attach}
+            assert not ks & outside and not ks & set(b.at)
+            outside |= ks
+            for eid, v, x in attach:
+                assert g.endpoints(eid) == {v, x} and x in b.at
+            listed += [*inner, *(eid for eid, _, _ in attach)]
+        assert sorted(listed) == list(range(g.m))
+        assert [eid for eid, _, _ in b.chords] == sorted(eid for eid, _, _ in b.chords)
+        assert all({u, v} == g.endpoints(eid) for eid, u, v in b.chords)
+        assert outside == set(range(g.n)) - set(b.at)
+
+
 def _check_inherited_table(g, e1, e2, cuts):
     """An inherited table is a cycle of g through the pair, laid out as
-    _halves lays out its canonical Cycle, and allows exactly g's
+    _bridges lays out its canonical Cycle, and allows exactly g's
     straddling 2-cuts plus the pair's own ends."""
     walk = (*cuts.pe, e2, *cuts.qe[::-1], e1)
     c = Cycle.from_edges(g, walk)
     assert c == Cycle.unchecked(walk, (*cuts.p, *cuts.q[::-1]))
-    place = sgties.decide._halves(g, e2, c, c.edges.index(e1))
-    assert cuts.p == tuple(v for v, (h, _, _) in place.items() if h == 0)
-    assert cuts.q == tuple(v for v, (h, _, _) in place.items() if h == 1)[::-1]
+    b = sgties.decide._bridges(g, c, e1, e2)
+    assert (cuts.p, cuts.q, cuts.pe, cuts.qe) == (b.p, b.q, b.pe, b.qe)
     _allowed_cuts(g, e1, e2, cuts)
 
 
@@ -899,7 +930,7 @@ def test_part1_children_inherit_the_cut_table(monkeypatch):
     no bridge sweep of its own.  Deciding the 2,000 random block pairs
     and plain and doubled ladders, each of the 449 tables read so allows
     exactly the straddling 2-cuts of the child's slice and lays its cycle
-    out as _halves does that cycle's canonical Cycle, so the child's
+    out as _bridges does that cycle's canonical Cycle, so the child's
     median is the one a sweep of that cycle would give.  Of the 2,798
     parts handed down, 1,399 are far children's (numbered from the
     split's e2), and 200 tables read were transposed (the canonical

@@ -125,6 +125,12 @@ CASES = {
         lambda: _random(7, 12, 107, 2, 9),
         "8bd847da2b82656aeddd3b212e8a9df4e59368a18e01d975421e619de1b6894b",
     ),
+    # its leaf's second cycle swaps in an ear through the fan of an
+    # unbalanced component, the one ear kind no other case reaches
+    "random/untied-fan": (
+        lambda: _random(6, 14, 3, 2, 5),
+        "692fa47bbb52dd8d6cce193c6f102196245c3d8fffc99ac9d575e9b37e00fca8",
+    ),
 }
 
 # label -> sha256 of the same JSON with the "witness" key removed, so the
@@ -147,6 +153,7 @@ BODIES = {
     "random/untied-part1": "195624033001e12562c367fe79eb0983c80617d7dff3674207cafba50db744af",
     "random/untied-part2": "b686ea8c6f264c615de9b1137c143f8dc36c855e5cf47fa91fa3d7a9700c1c05",
     "random/untied-part3": "33b440b43d957a8dbec9ed19cce2db1e8f01c64ae4251f542cc8cf63001dc7a2",
+    "random/untied-fan": "32db3785c1168b0b5f9b273e8742821588aafedf6b9f13d5df84d67957bf9384",
 }
 
 # sha256 over the sorted-key JSON verdict documents of ladder(k, s), in the
