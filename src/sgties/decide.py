@@ -57,7 +57,6 @@ the certificate module for the document schema.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
 from dataclasses import dataclass
@@ -343,7 +342,9 @@ class _Cuts(NamedTuple):
     for every j (``open_p``) or j for every i (``open_q``); ``below[j]``
     counts the open j under j.  lo and hi never decrease along P.  (0, 0)
     and (s, t) are allowed too; they are the pair's own ends, not cuts,
-    and come first and last in the order (i + j, i).
+    and come first and last in the order (i + j, i).  ``flip`` says that
+    the cycle's canonical direction runs Q before P; median() reads it,
+    and no table is rebuilt with the halves swapped.
     """
 
     p: tuple[VertexId, ...]
@@ -355,6 +356,7 @@ class _Cuts(NamedTuple):
     open_p: tuple[bool, ...]
     open_q: tuple[bool, ...]
     below: tuple[int, ...]
+    flip: bool = False
 
     @classmethod
     def of(cls, p, q, pe, qe, lo, hi, open_p, open_q) -> "_Cuts":
@@ -375,7 +377,11 @@ class _Cuts(NamedTuple):
         return n
 
     def median(self) -> tuple[int, int]:
-        """The median (i, j) of the cuts in the order (i + j, i).
+        """The median (i, j) of the cuts in the order (i + j, i), or
+        (i + j, j) when ``flip`` is set.  On a diagonal i + j = d that
+        order is (d, -i), and both orders count the same cuts per
+        diagonal, so the flipped median is on the same diagonal with the
+        same rank, read from the largest i.
 
         A child keeps only the cuts on its side of it, at most half of
         them, so part-1 splits nest about log2 of their number deep.
@@ -395,8 +401,9 @@ class _Cuts(NamedTuple):
             else:
                 d_lo = mid + 1
         r -= self.upto(d_lo - 1) if d_lo else 0
+        diagonal = range(max(0, d_lo - t), min(s, d_lo) + 1)
         on_diagonal = (
-            i for i in range(max(0, d_lo - t), min(s, d_lo) + 1) if self.allowed(i, d_lo - i)
+            i for i in (diagonal[::-1] if self.flip else diagonal) if self.allowed(i, d_lo - i)
         )
         i = next(itertools.islice(on_diagonal, r, None))
         return i, d_lo - i
@@ -428,23 +435,6 @@ class _Cuts(NamedTuple):
             self.open_p[i:][::-1], self.open_q[j:][::-1],
         )
 
-    def transposed(self) -> "_Cuts":
-        """The same cuts with the halves swapped.
-
-        j <= hi[i] says that no bridge attached to both halves reaches
-        beyond i on P and below j on Q, and lo[i] <= j that none reaches
-        below i and beyond j; read with the halves swapped, these are
-        i >= (the first i with hi[i] >= j) and i <= (the last i with
-        lo[i] <= j).
-        """
-        t = len(self.q) - 1
-        return _Cuts.of(
-            self.q, self.p, self.qe, self.pe,
-            tuple(bisect.bisect_left(self.hi, j) for j in range(t + 1)),
-            tuple(bisect.bisect_right(self.lo, j) - 1 for j in range(t + 1)),
-            self.open_q, self.open_p,
-        )
-
 
 def _inherited(parent: Slice, half: _Cuts, sl: Slice, e1: int, e2: int) -> _Cuts:
     """The straddling-cut table of a part-1 child ``sl`` with the pair
@@ -452,12 +442,14 @@ def _inherited(parent: Slice, half: _Cuts, sl: Slice, e1: int, e2: int) -> _Cuts
     the split's slice ``parent`` (_Cuts.part).
 
     ``sl`` keeps every edge of the cycle, as none joins the ends of a
-    pair edge.  P is made the half that _bridges lays out for the
-    canonical Cycle of the cycle, the one that begins at the vertex
-    after e1.  Walked P, e2, Q backwards, e1, the canonical order starts
-    at the smallest edge id and goes on toward its smaller neighbour, so
-    P comes after e1 exactly when that is this walk's direction.  The
-    cycle has at least three edges, as a cut is neither end pair.
+    pair edge.  The halves keep the parent's layout, and ``flip`` is set
+    when _bridges would lay the canonical Cycle of the cycle out with
+    the halves swapped, so that median() reads its diagonal from the
+    other end; no table is rebuilt.  Walked P, e2, Q backwards, e1, the
+    canonical order starts at the smallest edge id and goes on toward
+    its smaller neighbour, so P is _bridges' P exactly when that is this
+    walk's direction.  The cycle has at least three edges, as a cut is
+    neither end pair.
     """
     v, e = sl.vert_index, sl.edge_index
     cuts = half._replace(
@@ -468,7 +460,7 @@ def _inherited(parent: Slice, half: _Cuts, sl: Slice, e1: int, e2: int) -> _Cuts
     )
     walk = (*cuts.pe, e2, *cuts.qe[::-1], e1)
     k = walk.index(min(walk))
-    return cuts if walk[k + 1 - len(walk)] < walk[k - 1] else cuts.transposed()
+    return cuts._replace(flip=walk[k + 1 - len(walk)] > walk[k - 1])
 
 
 class _Bridges(NamedTuple):

@@ -860,7 +860,8 @@ def test_straddling_cut_sweep_matches_brute_force():
     pair's own ends, on 2,000 random block pairs: 2,286 cuts, none at
     825 pairs, and 1,121 pairs share a vertex.  Its count is the number
     allowed, and the part-1 cut is the median of the cuts in the order
-    (i + j, i), with e1 and e2 on different sides."""
+    (i + j, i), with e1 and e2 on different sides.  Flipped, the table
+    names the median in the order (i + j, -i)."""
     total = 0
     for g, e1, e2 in _random_block_roots(2000):
         cuts = sgties.decide._straddling_cuts(g, e1, e2)
@@ -878,6 +879,8 @@ def test_straddling_cut_sweep_matches_brute_force():
         assert (e1 in sep.side1) != (e2 in sep.side1)
         assert sep.side1 | sep.side2 == frozenset(range(g.m))
         assert side_vertices(g, sep.side1) & side_vertices(g, sep.side2) == set(sep.boundary)
+        flipped = sorted((d, -i, (i, j)) for d, (i, j) in order)
+        assert cuts._replace(flip=True).median() == flipped[(len(order) - 1) // 2][2]
     assert total == 2_286
 
 
@@ -913,14 +916,22 @@ def test_bridges_split_the_edges_off_the_common_cycle():
 
 def _check_inherited_table(g, e1, e2, cuts):
     """An inherited table is a cycle of g through the pair, laid out as
-    _bridges lays out its canonical Cycle, and allows exactly g's
-    straddling 2-cuts plus the pair's own ends."""
+    _bridges lays out its canonical Cycle, with the halves swapped when
+    the table is flipped; it allows exactly g's straddling 2-cuts plus
+    the pair's own ends, and its median is the median of those cuts in
+    _bridges' layout, in the order (i + j, i)."""
     walk = (*cuts.pe, e2, *cuts.qe[::-1], e1)
     c = Cycle.from_edges(g, walk)
     assert c == Cycle.unchecked(walk, (*cuts.p, *cuts.q[::-1]))
     b = sgties.decide._bridges(g, c, e1, e2)
-    assert (cuts.p, cuts.q, cuts.pe, cuts.qe) == (b.p, b.q, b.pe, b.qe)
-    _allowed_cuts(g, e1, e2, cuts)
+    halves = (cuts.q, cuts.p, cuts.qe, cuts.pe) if cuts.flip else (cuts.p, cuts.q, cuts.pe, cuts.qe)
+    assert halves == (b.p, b.q, b.pe, b.qe)
+    order = []
+    for pair in set(_allowed_cuts(g, e1, e2, cuts)) - {g.endpoints(e1), g.endpoints(e2)}:
+        (_, i), (_, j) = sorted(b.at[x] for x in pair)
+        order.append((i + j, i, pair))
+    i, j = cuts.median()
+    assert sorted(order)[(len(order) - 1) // 2][2] == {cuts.p[i], cuts.q[j]}
 
 
 def test_part1_children_inherit_the_cut_table(monkeypatch):
@@ -929,39 +940,34 @@ def test_part1_children_inherit_the_cut_table(monkeypatch):
     down to that arc; a child that splits part 1 again runs no flow and
     no bridge sweep of its own.  Deciding the 2,000 random block pairs
     and plain and doubled ladders, each of the 449 tables read so allows
-    exactly the straddling 2-cuts of the child's slice and lays its cycle
-    out as _bridges does that cycle's canonical Cycle, so the child's
-    median is the one a sweep of that cycle would give.  Of the 2,798
-    parts handed down, 1,399 are far children's (numbered from the
-    split's e2), and 200 tables read were transposed (the canonical
-    order swapped P and Q)."""
-    seen = {"read": 0, "far": 0, "transposed": 0}
+    exactly the straddling 2-cuts of the child's slice, lays its cycle
+    out as _bridges does that cycle's canonical Cycle (halves swapped
+    when flipped), and names the median that a sweep of that cycle
+    would give.  Of the 2,798 parts handed down, 1,399 are far
+    children's (numbered from the split's e2), and 221 tables read were
+    flipped (the canonical order swaps P and Q)."""
+    seen = {"read": 0, "far": 0, "flipped": 0}
     real_inherited = sgties.decide._inherited
     real_part = sgties.decide._Cuts.part
-    real_transposed = sgties.decide._Cuts.transposed
 
     def checking_inherited(parent, half, sl, e1, e2):
         cuts = real_inherited(parent, half, sl, e1, e2)
         _check_inherited_table(sl.g, e1, e2, cuts)
         seen["read"] += 1
+        seen["flipped"] += cuts.flip
         return cuts
 
     def counting_part(cuts, i, j, far):
         seen["far"] += far
         return real_part(cuts, i, j, far)
 
-    def counting_transposed(cuts):
-        seen["transposed"] += 1
-        return real_transposed(cuts)
-
     monkeypatch.setattr(sgties.decide, "_inherited", checking_inherited)
     monkeypatch.setattr(sgties.decide._Cuts, "part", counting_part)
-    monkeypatch.setattr(sgties.decide._Cuts, "transposed", counting_transposed)
     roots = _random_block_roots(2000)
     roots += [ladder(k, s, doubled=d) for k in (12, 24) for s in range(3) for d in (False, True)]
     for g, e1, e2 in roots:
         decide_tied(g, e1, e2)
-    assert seen == {"read": 449, "far": 1_399, "transposed": 200}
+    assert seen == {"read": 449, "far": 1_399, "flipped": 221}
 
 
 def test_reduce_marker_names_are_fresh_per_call():

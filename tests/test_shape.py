@@ -6,6 +6,8 @@ count at size 2s may be at most GROWTH times the count at size s, which
 an O(m log m) cost meets and a quadratic one (about 4) does not.
 """
 
+import random
+
 import pytest
 
 import sgties.connectivity
@@ -142,6 +144,31 @@ def test_subdivided_flat_graph_copies_grow_no_faster_than_m_log_m(monkeypatch):
     n = 20, 40 and 80."""
     counts = _copied_edges(monkeypatch, (_flat(n, True) for n in (20, 40, 80)))
     _assert_growth(counts)
+
+
+def _theta(k, seed):
+    """Vertices 0 and 1 joined by three internally disjoint paths of k
+    edges each, with seeded random signs; the pair is the first edge of
+    the first path and the first edge of the second."""
+    rng = random.Random(seed)
+    items, n = [], 2
+    for _ in range(3):
+        path = [0, *range(n, n + k - 1), 1]
+        n += k - 1
+        items += [(u, v, rng.choice((1, -1))) for u, v in zip(path, path[1:])]
+    return SignedGraph.build(n, items), 0, k
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 14: a theta is series-parallel, yet it nests one split per path edge",
+)
+def test_long_path_theta_copies_grow_no_faster_than_m_log_m(monkeypatch):
+    """A theta graph whose three paths have k edges each nests about k
+    splits deep: 1,387, 4,763, 17,242 and 64,902 edges copied at
+    k = 25, 50, 100 and 200."""
+    _assert_growth(_copied_edges(monkeypatch, (_theta(k, 1) for k in (25, 50, 100, 200))))
 
 
 def test_flat_graph_copies_grow_no_faster_than_m_log_m(monkeypatch):
