@@ -20,7 +20,13 @@ and the sweep over its bridges: each child inherits its side's arc of
 the cycle, closed by the child's marker, and the cuts on its side.
 Leaves are 3-connected (or have at most SMALL_LEAF vertices) and are
 answered by the three-case characterization, falling back to
-exhaustive enumeration on the tiny non-3-connected ones.
+exhaustive enumeration on the tiny non-3-connected ones.  A part-1
+chain cuts a repetitive graph into many tiny leaves of one shape.
+Whether such a leaf is 3-connected, and its common cycles, read only
+its vertex count, the ends of its edges and its pair, never a sign; so
+decide_tied works them out once per shape, in a dict keyed by (n, the
+(u, v) of every edge in local id order, e1, e2) that lives for that
+one call.  Each leaf still reads its cycles' signs off its own graph.
 
 Evaluation settles the verdict and builds the certificate of a tied
 one.  Its first untied leaf builds the witnesses of an untied verdict
@@ -696,6 +702,11 @@ def _try_case3(sl: Slice, e1: int, e2: int) -> Optional[dict]:
 # witnesses travel as unordered edge-reference sets until the very end
 _Witness = tuple[frozenset[Ref], frozenset[Ref]]
 
+# a small leaf's unsigned shape (n, the ends of each edge, e1, e2) ->
+# None when it is 3-connected, else its common cycles and whether their
+# enumeration completed; one dict per decide_tied call
+_Shapes = dict[tuple, Optional[tuple[tuple[Cycle, ...], bool]]]
+
 
 def _refs(sl: Slice, ids: Iterable[EdgeId]) -> frozenset[Ref]:
     return frozenset(sl.eref[i] for i in ids)
@@ -717,7 +728,7 @@ def _block_tree(
     return removed, _reduce(blk, idx[e1], idx[e2], itertools.count())
 
 
-def _evaluate(tree: ReductionTree) -> Union[dict, _Witness]:
+def _evaluate(tree: ReductionTree, shapes: _Shapes) -> Union[dict, _Witness]:
     """The certificate node of a tied subtree, or the witness of an untied one.
 
     Children are evaluated in order; the first untied one decides the
@@ -725,11 +736,11 @@ def _evaluate(tree: ReductionTree) -> Union[dict, _Witness]:
     lifts the witness its child returned on the way back up.
     """
     if isinstance(tree, ReductionLeaf):
-        node = _evaluate_leaf(tree)
-        return _leaf_untied_witness(tree.sl, tree.e1, tree.e2) if node is None else node
+        node = _evaluate_leaf(tree, shapes)
+        return _leaf_untied_witness(tree.sl, tree.e1, tree.e2, shapes) if node is None else node
     nodes = []
     for i, spec in enumerate(tree.children):
-        res = _evaluate(spec.node)
+        res = _evaluate(spec.node, shapes)
         if not isinstance(res, dict):
             return _lift_part1(tree, i, res) if tree.part == 1 else _lift_part23(tree, res)
         nodes.append(res)
@@ -763,28 +774,43 @@ def _split_doc(tree: ReductionSplit, child_nodes: list[dict]) -> dict:
     )
 
 
-def _evaluate_leaf(leaf: ReductionLeaf) -> Optional[dict]:
-    """The certificate node of a tied leaf; None when it is untied."""
+def _evaluate_leaf(leaf: ReductionLeaf, shapes: _Shapes) -> Optional[dict]:
+    """The certificate node of a tied leaf; None when it is untied.
+
+    A small leaf's 3-connectivity and common cycles read no sign, so
+    they are worked out once per shape in ``shapes``; the cycles' signs
+    are read off this leaf's own graph.
+    """
     sl, e1, e2 = leaf.sl, leaf.e1, leaf.e2
     g = sl.g
     # _reduce stops above SMALL_LEAF only where no 2-cut exists
-    if g.n > SMALL_LEAF or is_3_connected(g):
+    if g.n > SMALL_LEAF:
         return _check_cases(sl, e1, e2).node
-    rep = enumerate_common_cycles(g, e1, e2)
-    if not rep.complete:
+    key = (g.n, tuple(e[:2] for e in g.edges), e1, e2)
+    if key not in shapes:
+        if is_3_connected(g):
+            shapes[key] = None
+        else:
+            rep = enumerate_common_cycles(g, e1, e2)
+            shapes[key] = rep.cycles, rep.complete
+    known = shapes[key]
+    if known is None:
+        return _check_cases(sl, e1, e2).node
+    cycles, complete = known
+    if not complete:
         raise PreconditionViolated("leaf enumeration exceeded its budget")
-    if rep.positive_count and rep.negative_count:
+    assert cycles, "a 2-connected leaf always has a common cycle"
+    signs = {sign_product(g, c.edges) for c in cycles}
+    if len(signs) == 2:
         return None
-    assert rep.cycles, "a 2-connected leaf always has a common cycle"
-    sign = sign_product(g, rep.cycles[0].edges)
     docs = [
         cert.cycle_doc([sl.eref[i] for i in c.edges], [sl.vref[x] for x in c.vertices])
-        for c in rep.cycles
+        for c in cycles
     ]
-    return cert.enum_node(docs, sign)
+    return cert.enum_node(docs, signs.pop())
 
 
-def _common_signs(g: SignedGraph, e1: int, e2: int) -> frozenset[Sign]:
+def _common_signs(g: SignedGraph, e1: int, e2: int, shapes: _Shapes) -> frozenset[Sign]:
     """The signs of the pair's common cycles, read off its verdict.
 
     It is untied when a leaf is: leaves are tested in order up to the
@@ -799,7 +825,7 @@ def _common_signs(g: SignedGraph, e1: int, e2: int) -> frozenset[Sign]:
         t = stack.pop()
         if isinstance(t, ReductionSplit):
             stack.extend(spec.node for spec in reversed(t.children))
-        elif _evaluate_leaf(t) is None:
+        elif _evaluate_leaf(t, shapes) is None:
             return frozenset((POSITIVE, NEGATIVE))
     c = find_common_cycle(g, e1, e2)
     assert c is not None, "no common cycle found despite a shared block"
@@ -917,7 +943,7 @@ def _component_ear(
     return None
 
 
-def _self_reduce(sl: Slice, e1: int, e2: int, sign: Sign) -> frozenset[Ref]:
+def _self_reduce(sl: Slice, e1: int, e2: int, sign: Sign, shapes: _Shapes) -> frozenset[Ref]:
     """A common cycle of the given sign, by deleting every edge it can spare.
 
     Deleting edges never adds a common cycle, so an edge kept because
@@ -933,12 +959,12 @@ def _self_reduce(sl: Slice, e1: int, e2: int, sign: Sign) -> frozenset[Ref]:
         trial = [i for i in keep if i != eid]
         sub = base.sub(trial)
         idx = sub.edge_index
-        if sign in _common_signs(sub.g, idx[e1], idx[e2]):
+        if sign in _common_signs(sub.g, idx[e1], idx[e2], shapes):
             keep = trial
     return _refs(sl, keep)
 
 
-def _leaf_untied_witness(sl: Slice, e1: int, e2: int) -> _Witness:
+def _leaf_untied_witness(sl: Slice, e1: int, e2: int, shapes: _Shapes) -> _Witness:
     """An opposite-sign pair of common cycles of an untied leaf.
 
     The first is the flow cycle C.  The second is C with one segment
@@ -949,7 +975,7 @@ def _leaf_untied_witness(sl: Slice, e1: int, e2: int) -> _Witness:
     assert c is not None, "a 2-connected leaf always has a common cycle"
     d = _ear(sl.g, e1, e2, c)
     if d is None:
-        return _refs(sl, c.edges), _self_reduce(sl, e1, e2, -sign_product(sl.g, c.edges))
+        return _refs(sl, c.edges), _self_reduce(sl, e1, e2, -sign_product(sl.g, c.edges), shapes)
     return _refs(sl, c.edges), _refs(sl, d)
 
 
@@ -1045,7 +1071,7 @@ def decide_tied(g: SignedGraph, e1: EdgeId, e2: EdgeId) -> Verdict:
             reason="the edges lie in different blocks; no cycle contains both",
             certificate=cert.blocks_node(list(removed)),
         )
-    res = _evaluate(tree)
+    res = _evaluate(tree, {})
     if not isinstance(res, dict):
         return Verdict(kind=cert.KIND_UNTIED, witness=_finalize_pair(g, res))
     c = find_common_cycle(g, e1, e2)

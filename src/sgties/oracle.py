@@ -16,7 +16,13 @@ here.
 verify_certificate replays a tied certificate from the root down
 against the input graph using only primitive checks (cut arithmetic,
 sign arithmetic, block recomputation, small re-enumeration), trusting
-nothing from the decision procedure that produced it.
+nothing from the decision procedure that produced it.  An enum leaf's
+re-enumeration reads only its vertex count, the ends of its edges and
+its pair, never a sign, so one call runs it once per such shape and
+keeps the cycles and the complete flag in a dict keyed by (n, the
+(u, v) of every edge in local id order, e1, e2) that lives for that
+call.  Each leaf's cycle signs, its recorded sign and its recorded
+cycles are still checked against its own graph.
 """
 
 from __future__ import annotations
@@ -335,8 +341,13 @@ def _cut(
 # one node still to replay: its slice, distinguished pair and document
 _Job = tuple[Slice, int, int, dict]
 
+# an enum leaf's unsigned shape (n, the ends of each edge, e1, e2) -> its
+# common cycles and whether their enumeration completed; one dict per
+# verify_certificate call
+_Shapes = dict[tuple, tuple[tuple[Cycle, ...], bool]]
 
-def _replay_node(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
+
+def _replay_node(sl: Slice, e1: int, e2: int, node: dict, shapes: _Shapes) -> list[_Job]:
     """Check one node; its children come back as jobs, in document order."""
     kind = node.get("kind")
     if kind == cert.NODE_SPLIT:
@@ -344,7 +355,7 @@ def _replay_node(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
     if kind in (cert.NODE_CASE1, cert.NODE_CASE2, cert.NODE_CASE3):
         _replay_case(sl, e1, e2, node)
     elif kind == cert.NODE_ENUM:
-        _replay_enum(sl, e1, e2, node)
+        _replay_enum(sl, e1, e2, node, shapes)
     elif kind == cert.NODE_PARALLEL_PAIR:
         _need(
             sl.g.endpoints(e1) == sl.g.endpoints(e2),
@@ -496,11 +507,19 @@ def _replay_case(sl: Slice, e1: int, e2: int, node: dict) -> None:
         _switched_positive(sl.g, {e1, e2}, set(), switch_local, "case3")
 
 
-def _replay_enum(sl: Slice, e1: int, e2: int, node: dict) -> None:
-    rep = enumerate_common_cycles(sl.g, e1, e2)
-    _need(rep.complete, "enum: re-enumeration hit its budget")
-    _need(len(rep.cycles) >= 1, "enum: leaf has no common cycle")
-    signs = {sign_product(sl.g, c.edges) for c in rep.cycles}
+def _replay_enum(sl: Slice, e1: int, e2: int, node: dict, shapes: _Shapes) -> None:
+    """An enum leaf.  Its common cycles read no sign, so they are
+    enumerated once per shape in ``shapes``; every sign is read off this
+    leaf's own graph."""
+    g = sl.g
+    key = (g.n, tuple(e[:2] for e in g.edges), e1, e2)
+    if key not in shapes:
+        rep = enumerate_common_cycles(g, e1, e2)
+        shapes[key] = rep.cycles, rep.complete
+    cycles, complete = shapes[key]
+    _need(complete, "enum: re-enumeration hit its budget")
+    _need(len(cycles) >= 1, "enum: leaf has no common cycle")
+    signs = {sign_product(g, c.edges) for c in cycles}
     _need(len(signs) == 1, "enum: leaf cycles carry both signs")
     _need(
         _plain([node.get("sign")]) and node.get("sign") in signs,
@@ -513,7 +532,7 @@ def _replay_enum(sl: Slice, e1: int, e2: int, node: dict) -> None:
         _need(set(vs) == side_vertices(sl.g, ids), "enum: cycle vertices mismatch")
         recorded.add(frozenset(ids))
     _need(
-        recorded == {frozenset(c.edges) for c in rep.cycles},
+        recorded == {frozenset(c.edges) for c in cycles},
         "enum: recorded cycles differ from re-enumeration",
     )
 
@@ -573,8 +592,9 @@ def verify_certificate(
             _need(s == v.common_sign, "common witness sign mismatch")
         node = v.certificate
         _need(isinstance(node, dict), "tied verdict is missing its certificate")
+        shapes: _Shapes = {}
         if node.get("kind") == cert.NODE_PARALLEL_PAIR:
-            _replay_node(Slice.identity(g), e1, e2, node)
+            _replay_node(Slice.identity(g), e1, e2, node, shapes)
             return True, "ok"
         _need(
             node.get("kind") == cert.NODE_PREPROCESS,
@@ -595,7 +615,7 @@ def verify_certificate(
         )
         jobs = [(sli, p1, p2, node["inner"])]
         while jobs:
-            jobs.extend(reversed(_replay_node(*jobs.pop())))
+            jobs.extend(reversed(_replay_node(*jobs.pop(), shapes)))
         return True, "ok"
     except (_Fail, SgError) as exc:
         return False, str(exc)

@@ -424,6 +424,31 @@ def test_decide_enumerates_common_cycles_only_in_enum_leaves(monkeypatch):
     assert set(seen) == {("enumerate_common_cycles", "_evaluate_leaf")}
 
 
+def test_leaves_of_one_shape_with_different_pairs_get_their_own_cycles():
+    """The memo's key holds the pair as well as the shape.  On one
+    diamond the pair (0-1, 1-2) closes only a negative triangle and the
+    pair (0-1, 2-3) only a positive 4-cycle.  Sharing one memo, decide
+    and verify each keep an entry per pair, and each leaf gets its own
+    cycles."""
+    g = SignedGraph.build(4, [(0, 1, 1), (0, 2, 1), (1, 2, -1), (1, 3, 1), (2, 3, 1)])
+    sl = Slice.identity(g)
+    pairs = ((0, 2), (0, 4))
+    shapes = {}
+    nodes = [sgties.decide._evaluate_leaf(ReductionLeaf(sl, *p), shapes) for p in pairs]
+    assert len(shapes) == 2
+    assert [(n["cycles"], n["sign"]) for n in nodes] == [
+        ([{"edges": [0, 1, 2], "vertices": [1, 0, 2]}], -1),
+        ([{"edges": [0, 1, 4, 3], "vertices": [1, 0, 2, 3]}], 1),
+    ]
+    assert nodes == [sgties.decide._evaluate_leaf(ReductionLeaf(sl, *p), {}) for p in pairs]
+    replayed = {}
+    for p, node in zip(pairs, nodes):
+        sgties.oracle._replay_enum(sl, *p, node, replayed)
+    assert len(replayed) == 2
+    with pytest.raises(sgties.oracle._Fail, match="enum: recorded sign mismatch"):
+        sgties.oracle._replay_enum(sl, *pairs[1], nodes[0], replayed)
+
+
 # --- reduction trees ---------------------------------------------------------
 
 

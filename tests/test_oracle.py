@@ -13,6 +13,7 @@ import helpers
 from sgties import (
     BudgetExhausted,
     Cycle,
+    DEFAULT_BUDGET,
     KIND_TIED,
     KIND_UNTIED,
     KIND_VACUOUS,
@@ -62,6 +63,21 @@ def test_enumeration_matches_subset_oracle():
         assert len(rep.cycles) == len(got)  # no duplicates
         pos = sum(1 for s in want if helpers.set_sign(g, s) == 1)
         assert (rep.positive_count, rep.negative_count) == (pos, len(want) - pos)
+
+
+@pytest.mark.parametrize("limit", [DEFAULT_BUDGET, 6])
+def test_enumeration_reads_no_sign(limit):
+    """Re-signing a graph leaves its common cycles, their order and the
+    complete flag as they were, so decide and verify may share one
+    enumeration among leaves of one unsigned shape."""
+    rng = random.Random(303)
+    for t in range(150):
+        g = random_signed_graph(rng.randrange(3, 7), rng.randrange(2, 11), 0.5, seed=t)
+        e1, e2 = rng.sample(range(g.m), 2)
+        h = SignedGraph.build(g.n, [(e.u, e.v, rng.choice((1, -1))) for e in g.edges])
+        a = enumerate_common_cycles(g, e1, e2, SearchBudget(limit=limit))
+        b = enumerate_common_cycles(h, e1, e2, SearchBudget(limit=limit))
+        assert (a.cycles, a.complete) == (b.cycles, b.complete)
 
 
 def test_enumeration_order_is_deterministic():

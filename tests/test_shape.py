@@ -12,7 +12,16 @@ import pytest
 
 import sgties.connectivity
 import sgties.decide
-from sgties import SignedGraph, Slice, decide_tied, ladder, random_3_connected, verdict_to_doc
+import sgties.oracle
+from sgties import (
+    SignedGraph,
+    Slice,
+    decide_tied,
+    ladder,
+    random_3_connected,
+    verdict_to_doc,
+    verify_certificate,
+)
 
 GROWTH = 2.5
 
@@ -88,6 +97,53 @@ def test_part1_chain_runs_one_flow(monkeypatch):
         decide_tied(*ladder(rungs, 1))
         counts.append(calls[0])
     assert counts == [counts[0]] * 4, counts
+
+
+def _enumerations(monkeypatch):
+    """A one-element list counting the oracle's depth-first common-cycle
+    searches, one per enumeration."""
+    calls = [0]
+    real = sgties.oracle._iter_common_cycles
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(sgties.oracle, "_iter_common_cycles", counting)
+    return calls
+
+
+def _decide_and_verify_enumerations(calls, g, e1, e2):
+    """The enumerations of one decide_tied and of one verify_certificate
+    of its document."""
+    calls[0] = 0
+    doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+    decided = calls[0]
+    calls[0] = 0
+    assert verify_certificate(g, e1, e2, doc) == (True, "ok")
+    return decided, calls[0]
+
+
+def test_leaf_shapes_are_enumerated_once_per_call(monkeypatch):
+    """A part-1 chain cuts a ladder whose pair is its first and last
+    rung into enum leaves of 10 unsigned shapes at every size.  decide
+    and verify each enumerate every shape once per call; one enumeration
+    per enum leaf made 22, 46, 94 and 190 at these sizes."""
+    calls = _enumerations(monkeypatch)
+    counts = [
+        _decide_and_verify_enumerations(calls, *ladder(rungs, 1)) for rungs in (20, 40, 80, 160)
+    ]
+    assert counts == [(10, 10)] * 4, counts
+
+
+def test_no_leaf_shape_outlives_its_call(monkeypatch):
+    """Back-to-back calls on one ladder enumerate as much as the first
+    did: each decide_tied and each verify_certificate starts from an
+    empty memo, as a fresh process would."""
+    calls = _enumerations(monkeypatch)
+    g, e1, e2 = ladder(40, 1)
+    first = _decide_and_verify_enumerations(calls, g, e1, e2)
+    assert _decide_and_verify_enumerations(calls, g, e1, e2) == first == (10, 10)
 
 
 def test_a_split_builds_the_sides_of_one_cut(monkeypatch):

@@ -11,9 +11,11 @@ import random
 
 import pytest
 
+import sgties.oracle
 from sgties import (
     SignedGraph,
     decide_tied,
+    ladder,
     oracle_tied,
     random_3_connected,
     verdict_to_doc,
@@ -189,3 +191,45 @@ def test_a_wrong_case3_switch_names_the_local_edge():
     assert verify_certificate(g, 5, 6, doc) == (True, "ok")
     leaf["switch"] = [3]
     assert verify_certificate(g, 5, 6, doc) == (False, "case3: signing violated at edge 2")
+
+
+def test_a_flipped_sign_fails_its_own_enum_leaf_after_its_shape_is_memoized(monkeypatch):
+    """An enum leaf's common cycles are enumerated once per unsigned
+    shape, but each leaf's signs are read off its own graph.  Take the
+    last ladder leaf whose shape an earlier leaf had, and flip an input
+    edge on its common cycle; with the document's common sign and
+    witness nulled, so that only the leaves read signs, that leaf fails
+    its sign check though its cycles come from the memo."""
+    g, e1, e2 = ladder(40, 1)
+    doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+    doc["common_sign"], doc["witness"] = None, []
+    leaves = []  # (unsigned shape, document node) of each enum leaf replayed
+    real_replay = sgties.oracle._replay_enum
+
+    def recording(sl, p1, p2, node, shapes):
+        leaves.append(((sl.g.n, tuple(e[:2] for e in sl.g.edges), p1, p2), node))
+        return real_replay(sl, p1, p2, node, shapes)
+
+    enumerated = []
+    real_enumerate = sgties.oracle.enumerate_common_cycles
+
+    def counting(*args):
+        enumerated.append(args)
+        return real_enumerate(*args)
+
+    monkeypatch.setattr(sgties.oracle, "_replay_enum", recording)
+    monkeypatch.setattr(sgties.oracle, "enumerate_common_cycles", counting)
+    assert verify_certificate(g, e1, e2, doc) == (True, "ok")
+    shapes = [shape for shape, _ in leaves]
+    last = max(i for i, shape in enumerate(shapes) if shape in shapes[:i])
+    flip = next(r for r in leaves[last][1]["cycles"][0]["edges"] if type(r) is int)
+    h = SignedGraph.build(
+        g.n, [(e.u, e.v, -e.sign if i == flip else e.sign) for i, e in enumerate(g.edges)]
+    )
+    leaves.clear()
+    enumerated.clear()
+    ok, reason = verify_certificate(h, e1, e2, doc)
+    assert not ok
+    assert reason in ("enum: leaf cycles carry both signs", "enum: recorded sign mismatch")
+    assert len(leaves) == last + 1
+    assert len(enumerated) == len(set(shapes[: last + 1])) < last + 1
