@@ -15,9 +15,12 @@ its marker.  Such a part-1 split does not cut where the linear 2-cut
 pass found a cut but at the median of all the 2-cuts that separate the
 pair, read off the bridges of a common cycle; each child keeps at most
 half of them, so a chain of part-1 splits nests about log2 of its
-length deep.  Only a chain's first split runs the flow for that cycle
-and the sweep over its bridges: each child inherits its side's arc of
-the cycle, closed by the child's marker, and the cuts on its side.
+length deep.  Only a chain's first split runs the 2-cut pass, the flow
+for that cycle and the sweep over its bridges: each child inherits its
+side's arc of the cycle, closed by the child's marker, and the cuts on
+its side, and splits at their median while any is left.  When the
+chain starts at the root, its flow cycle also shows a tied verdict's
+sign, so a tied part-1 chain runs one flow.
 Leaves are 3-connected (or have at most SMALL_LEAF vertices) and are
 answered by the three-case characterization, falling back to
 exhaustive enumeration on the tiny non-3-connected ones.  A part-1
@@ -143,7 +146,9 @@ class ReductionSplit:
     by one positive marker.  part 3: the far side is unbalanced and is
     replaced by a positive and a negative marker.  ``kept`` comes from
     ``_reduce``; ``resign`` and ``neg_cycle`` are ``_split_part23``'s
-    decision on the far side, both None in part 1.  Every id is local to
+    decision on the far side, both None in part 1.  ``cycle`` is the
+    flow cycle whose bridges the first split of a part-1 chain swept for
+    its cut table, None at every other split.  Every id is local to
     ``sl``: witnesses are lifted through the replaced side inside it.
     """
 
@@ -158,6 +163,7 @@ class ReductionSplit:
     kept: Optional[int] = None  # parts 2/3: 1 or 2
     resign: Optional[tuple[VertexId, ...]] = None  # part 2: local switch set
     neg_cycle: Optional[Cycle] = None  # part 3: local, far-side edges only
+    cycle: Optional[Cycle] = None  # a part-1 chain's first split: local
 
 
 ReductionTree = Union[ReductionLeaf, ReductionSplit]
@@ -213,11 +219,14 @@ def _reduce(
 ) -> ReductionTree:
     """Reduce a slice at a proper 2-separation, or stop at a leaf.
 
-    The cut is the first one the linear pass names, unless the pair
-    straddles it (part 1); then it is the median straddling 2-cut.  A
-    part-1 child reads it off ``inherited``, its parent's slice and its
-    part of the parent's table; the first part-1 split of a chain runs a
-    flow and a sweep.
+    A part-1 child reads its cut table off ``inherited``, its parent's
+    slice and its part of the parent's table, and splits at the table's
+    median straddling 2-cut while the table allows one; so a part-1
+    chain runs the linear 2-cut pass once, at its first split.  Any
+    other slice, and a child whose table is empty, cuts where the pass
+    names a cut; when the pair straddles it (part 1), it builds the
+    table and cuts at the median instead, from the bridges of its flow
+    cycle, which it keeps on the split.
 
     A split plans its children as (side, head of the pair), all cut from
     one base slice with markers of the same signs: ``sl`` and one
@@ -229,19 +238,25 @@ def _reduce(
     # pair, stays 2-connected; so the 2-cut search skips that proof
     if sl.g.n <= SMALL_LEAF:
         return ReductionLeaf(sl, e1, e2)
-    pair = _separation_pair(sl.g)
-    if pair is None:
-        return ReductionLeaf(sl, e1, e2)
-    sides_at_pair = _unstraddled_sides(sl.g, pair, e1, e2)
-    cuts = None
-    if sides_at_pair is None:
-        # part 1: the pair straddles the cut, so cut at the median of all
+    cuts = at = cycle = None
+    if inherited is not None:
+        cuts = _inherited(*inherited, sl, e1, e2)
+        at = cuts.median()  # None when no 2-cut straddles the pair
+    if at is None:
+        pair = _separation_pair(sl.g)
+        if pair is None:
+            return ReductionLeaf(sl, e1, e2)
+        sides_at_pair = _unstraddled_sides(sl.g, pair, e1, e2)
+        if sides_at_pair is None:
+            assert inherited is None, "an empty inherited table missed a straddling cut"
+            cycle = find_common_cycle(sl.g, e1, e2)
+            assert cycle is not None, "a 2-connected slice has a common cycle"
+            cuts = _straddling_cuts(sl.g, cycle, e1, e2)
+            at = cuts.median()
+            assert at is not None, "the pair straddles no 2-cut"
+    if at is not None:
+        # part 1: the pair straddles a 2-cut, so cut at the median of all
         # the 2-cuts that do; no pair edge joins that boundary pair
-        if inherited is None:
-            cuts = _straddling_cuts(sl.g, e1, e2)
-        else:
-            cuts = _inherited(*inherited, sl, e1, e2)
-        at = cuts.median()
         sep = _cut_at(sl.g, e1, cuts.p[at[0]], cuts.q[at[1]])
         s1, s2, pair = sep.side1, sep.side2, sep.boundary
     else:
@@ -263,13 +278,13 @@ def _reduce(
     for snum, head in plan:
         markers = tuple((f"m{next(names)}", bu, bv, s) for s in signs)
         tail = markers[0][0] if part == 1 else sl.eref[e2]
-        half = cuts.part(*at, far=head != e1) if cuts is not None else None
+        half = cuts.part(*at, far=head != e1) if at is not None else None
         children.append(
             _make_child(base, sides[snum], (sl.eref[head], tail), markers, names, half)
         )
     return ReductionSplit(
         sl, e1, e2, part, (bu, bv), sides[1], sides[2], tuple(children),
-        kept, resign, neg_cycle,
+        kept, resign, neg_cycle, cycle,
     )
 
 
@@ -382,7 +397,7 @@ class _Cuts(NamedTuple):
                 n += self.below[hi + 1] - self.below[lo]
         return n
 
-    def median(self) -> tuple[int, int]:
+    def median(self) -> Optional[tuple[int, int]]:
         """The median (i, j) of the cuts in the order (i + j, i), or
         (i + j, j) when ``flip`` is set.  On a diagonal i + j = d that
         order is (d, -i), and both orders count the same cuts per
@@ -392,12 +407,13 @@ class _Cuts(NamedTuple):
         A child keeps only the cuts on its side of it, at most half of
         them, so part-1 splits nest about log2 of their number deep.
         Found by counting, not by listing the cuts: a bare cycle has
-        Θ(s·t) of them.  O(s log |C|).
+        Θ(s·t) of them.  O(s log |C|).  None when there is no cut.
         """
         s, t = len(self.p) - 1, len(self.q) - 1
         # (0, 0) comes first, so the median of the n cuts has rank r
         n = self.upto(s + t) - 2
-        assert n > 0, "the pair straddles no 2-cut"
+        if n == 0:
+            return None
         r = (n - 1) // 2 + 1
         d_lo, d_hi = 0, s + t
         while d_lo < d_hi:
@@ -518,12 +534,14 @@ def _bridges(g: SignedGraph, c: Cycle, e1: int, e2: int) -> _Bridges:
     return _Bridges(p, q, es[:k], es[k + 1 : -1][::-1], at, chords, comps)
 
 
-def _straddling_cuts(g: SignedGraph, e1: int, e2: int) -> _Cuts:
-    """Every 2-cut that separates e1 from e2, by one sweep of the bridges.
+def _straddling_cuts(g: SignedGraph, c: Cycle, e1: int, e2: int) -> _Cuts:
+    """Every 2-cut that separates e1 from e2, by one sweep of the bridges
+    of the common cycle c.
 
     Let C be any common cycle, P = p0..ps its half from e1's end to e2's
-    and Q = q0..qt the other, both numbered from e1.  Here C is the flow
-    cycle; a part-1 child inherits its side's arc of its parent's C and
+    and Q = q0..qt the other, both numbered from e1.  The first split of
+    a part-1 chain passes its flow cycle; a part-1 child inherits its
+    side's arc of its parent's C and
     the table cut down to it instead (_Cuts.part).  Such a cut takes one
     vertex of each half (Menger), so it is some {p_i, q_j}.  C less it
     falls into the arc A of the p_x, x < i, and q_y, y < j, and the arc B
@@ -537,8 +555,6 @@ def _straddling_cuts(g: SignedGraph, e1: int, e2: int) -> _Cuts:
     lie in an interval, from a prefix maximum and a suffix minimum over
     i.  O(m).
     """
-    c = find_common_cycle(g, e1, e2)
-    assert c is not None, "a 2-connected slice has a common cycle"
     p, q, pe, qe, at, chords, comps = _bridges(g, c, e1, e2)
     s, t = len(p) - 1, len(q) - 1
     # dead[h]: difference array of the indices of half h ruled out for
@@ -645,34 +661,38 @@ def _check_cases(sl: Slice, e1: int, e2: int) -> LeafVerdict:
 
 
 def _try_case1(sl: Slice, e1: int, e2: int) -> Optional[dict]:
+    """Case 1, tried only on a lone mixed class: a parallel class F with
+    both signs such that F plus the pair is an exact edge cut and
+    G - F - pair is balanced.  G - F - pair keeps every other class, and
+    two parallel edges of opposite signs close a negative 2-cycle, so it
+    is unbalanced whenever a second mixed class exists.  The pair has no
+    parallel companion, so its classes never count.  One O(m) test."""
     g = sl.g
-    # parallel classes, in order of their smallest edge id
     classes: dict[tuple[int, int], list[int]] = {}
     for eid, (u, v, _) in enumerate(g.edges):
         classes.setdefault((u, v) if u < v else (v, u), []).append(eid)
-    for f in classes.values():
-        # the pair has no parallel companion, so its classes are singletons
-        if len(f) < 2:
-            continue
-        if {g.sign(i) for i in f} != {POSITIVE, NEGATIVE}:
-            continue
-        # the leaf is 3-connected, so its simple graph is 3-edge-connected
-        # and losing F and the pair (three simple edges) leaves at most two
-        # components; the cut is exact iff there are two and all three cross
-        fplus = frozenset(f) | {e1, e2}
-        rest, _ = delete_edges(g, fplus)
-        comps = components(rest)
-        if len(comps) != 2 or any(len(g.endpoints(i) & comps[1]) != 1 for i in fplus):
-            continue
-        bal = is_balanced(rest)
-        if not bal.balanced:
-            continue
-        return cert.case1_node(
-            [sl.eref[i] for i in f],
-            [sl.vref[v] for v in comps[1]],
-            [sl.vref[v] for v in bal.switch],
-        )
-    return None
+    mixed = [
+        f for f in classes.values() if len(f) > 1 and len({g.edges[i].sign for i in f}) == 2
+    ]
+    if len(mixed) != 1:
+        return None
+    (f,) = mixed
+    # the leaf is 3-connected, so its simple graph is 3-edge-connected
+    # and losing F and the pair (three simple edges) leaves at most two
+    # components; the cut is exact iff there are two and all three cross
+    fplus = frozenset(f) | {e1, e2}
+    rest, _ = delete_edges(g, fplus)
+    comps = components(rest)
+    if len(comps) != 2 or any(len(g.endpoints(i) & comps[1]) != 1 for i in fplus):
+        return None
+    bal = is_balanced(rest)
+    if not bal.balanced:
+        return None
+    return cert.case1_node(
+        [sl.eref[i] for i in f],
+        [sl.vref[v] for v in comps[1]],
+        [sl.vref[v] for v in bal.switch],
+    )
 
 
 def _try_case2(sl: Slice, e1: int, e2: int) -> Optional[dict]:
@@ -815,7 +835,8 @@ def _common_signs(g: SignedGraph, e1: int, e2: int, shapes: _Shapes) -> frozense
 
     It is untied when a leaf is: leaves are tested in order up to the
     first untied one, building no certificate node and no witness.  A
-    tied verdict takes its sign from the flow cycle.
+    tied verdict takes its sign from the flow cycle, the root split's
+    when the root splits part 1.
     """
     _, tree = _block_tree(g, e1, e2)
     if tree is None:
@@ -827,6 +848,8 @@ def _common_signs(g: SignedGraph, e1: int, e2: int, shapes: _Shapes) -> frozense
             stack.extend(spec.node for spec in reversed(t.children))
         elif _evaluate_leaf(t, shapes) is None:
             return frozenset((POSITIVE, NEGATIVE))
+    if isinstance(tree, ReductionSplit) and tree.cycle is not None:
+        return frozenset((sign_product(tree.sl.g, tree.cycle.edges),))
     c = find_common_cycle(g, e1, e2)
     assert c is not None, "no common cycle found despite a shared block"
     return frozenset((sign_product(g, c.edges),))
@@ -1074,14 +1097,21 @@ def decide_tied(g: SignedGraph, e1: EdgeId, e2: EdgeId) -> Verdict:
     res = _evaluate(tree, {})
     if not isinstance(res, dict):
         return Verdict(kind=cert.KIND_UNTIED, witness=_finalize_pair(g, res))
-    c = find_common_cycle(g, e1, e2)
-    # the pair shares a 2-connected block, so a common cycle exists
-    assert c is not None, "no common cycle found despite a shared block"
+    blk = tree.sl
+    if isinstance(tree, ReductionSplit) and tree.cycle is not None:
+        # the root split part 1: its flow cycle shows the sign too
+        c = Cycle.unchecked(
+            [blk.eref[i] for i in tree.cycle.edges], [blk.vref[v] for v in tree.cycle.vertices]
+        )
+    else:
+        c = find_common_cycle(g, e1, e2)
+        # the pair shares a 2-connected block, so a common cycle exists
+        assert c is not None, "no common cycle found despite a shared block"
     return Verdict(
         kind=cert.KIND_TIED,
         common_sign=sign_product(g, c.edges),
         witness=(c,),
-        certificate=cert.preprocess_node(list(removed), list(tree.sl.eref), res),
+        certificate=cert.preprocess_node(list(removed), list(blk.eref), res),
     )
 
 

@@ -23,7 +23,11 @@ Not collected by pytest.  Run from the repository root:
 Every document must verify: if any does not, it prints how many do not
 and the first one's instance index and reason, and exits 1.  With
 ``--expect`` it also prints the expected digests on a second line and
-exits 1 unless both match.
+exits 1 unless both match.  A last line gives the mean bytes of the
+documents of each perfbench pool, as ``workload/seed=mean``, each
+document encoded as ``sgties decide --certificate`` writes it; this is
+the pool's ``cert_bytes.mean``, so a change that moves documents shows
+at once how far that metric moves.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -49,16 +54,18 @@ from sgties import (  # noqa: E402
 
 
 def instances():
+    """(pool, g, e1, e2), where pool is "workload/seed" for an instance
+    of a perfbench pool and None for the others."""
     for seed in range(1, 5):
         for workload in WORKLOADS:
             for i in range(pool_size(workload, 36)):
                 inst = instance(workload, seed, i)
-                yield inst.graph, inst.e1, inst.e2
+                yield f"{workload}/{seed}", inst.graph, inst.e1, inst.e2
     for _, g, e1, e2 in _seeded_pairs():
-        yield g, e1, e2
+        yield None, g, e1, e2
     for s in range(200):
         g = random_3_connected(40, 40, 0.1, s)
-        yield g, 0, g.m - 1
+        yield None, g, 0, g.m - 1
 
 
 def main() -> None:
@@ -71,8 +78,13 @@ def main() -> None:
     docs, verdicts = hashlib.sha256(), hashlib.sha256()
     count = 0
     failed: list[tuple[int, str]] = []
-    for g, e1, e2 in instances():
+    pool_bytes: dict[str, list[int]] = {}
+    for pool, g, e1, e2 in instances():
         doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+        if pool is not None:
+            # the CLI's encoding plus its trailing newline
+            text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            pool_bytes.setdefault(pool, []).append(len(text.encode()) + 1)
         ok, reason = verify_certificate(g, e1, e2, doc)
         if not ok:
             failed.append((count, reason))
@@ -86,6 +98,10 @@ def main() -> None:
     print(count, *got)
     if args.expect is not None:
         print("expected", *args.expect)
+    print(
+        "cert_bytes.mean",
+        *(f"{pool}={statistics.fmean(sizes):.2f}" for pool, sizes in pool_bytes.items()),
+    )
     if failed:
         index, reason = failed[0]
         sys.exit(f"{len(failed)} documents do not verify; first: instance {index}: {reason}")

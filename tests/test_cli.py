@@ -442,7 +442,7 @@ def test_cli_1000_rung_ladder_decides_and_verifies_at_the_default_recursion_limi
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 3: a pair of adjacent rungs reduces by a chain of "
+    reason="ROADMAP item 14: a pair of adjacent rungs reduces by a chain of "
     "part-2/3 splits, one per rung, and 300 rungs exceed the recursion limit",
 )
 def test_cli_300_rung_ladder_with_adjacent_rungs_as_the_pair_decides(tmp_path):

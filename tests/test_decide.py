@@ -889,7 +889,7 @@ def test_straddling_cut_sweep_matches_brute_force():
     names the median in the order (i + j, -i)."""
     total = 0
     for g, e1, e2 in _random_block_roots(2000):
-        cuts = sgties.decide._straddling_cuts(g, e1, e2)
+        cuts = sgties.decide._straddling_cuts(g, find_common_cycle(g, e1, e2), e1, e2)
         at = {v: i for i, v in enumerate(cuts.p)} | {v: j for j, v in enumerate(cuts.q)}
         pairs = _allowed_cuts(g, e1, e2, cuts)
         brute = set(pairs) - {g.endpoints(e1), g.endpoints(e2)}
@@ -943,8 +943,10 @@ def _check_inherited_table(g, e1, e2, cuts):
     """An inherited table is a cycle of g through the pair, laid out as
     _bridges lays out its canonical Cycle, with the halves swapped when
     the table is flipped; it allows exactly g's straddling 2-cuts plus
-    the pair's own ends, and its median is the median of those cuts in
-    _bridges' layout, in the order (i + j, i)."""
+    the pair's own ends.  When there are any, its median is the median
+    of those cuts in _bridges' layout, in the order (i + j, i); an empty
+    table, which comes only from a child that brute force finds no
+    straddling cut in, has none."""
     walk = (*cuts.pe, e2, *cuts.qe[::-1], e1)
     c = Cycle.from_edges(g, walk)
     assert c == Cycle.unchecked(walk, (*cuts.p, *cuts.q[::-1]))
@@ -955,22 +957,26 @@ def _check_inherited_table(g, e1, e2, cuts):
     for pair in set(_allowed_cuts(g, e1, e2, cuts)) - {g.endpoints(e1), g.endpoints(e2)}:
         (_, i), (_, j) = sorted(b.at[x] for x in pair)
         order.append((i + j, i, pair))
-    i, j = cuts.median()
-    assert sorted(order)[(len(order) - 1) // 2][2] == {cuts.p[i], cuts.q[j]}
+    if order:
+        i, j = cuts.median()
+        assert sorted(order)[(len(order) - 1) // 2][2] == {cuts.p[i], cuts.q[j]}
+    else:
+        assert cuts.median() is None
 
 
 def test_part1_children_inherit_the_cut_table(monkeypatch):
     """A part-1 split hands each child its side's arc of the split's
     common cycle, closed by the child's marker, with the cut table cut
-    down to that arc; a child that splits part 1 again runs no flow and
-    no bridge sweep of its own.  Deciding the 2,000 random block pairs
-    and plain and doubled ladders, each of the 449 tables read so allows
-    exactly the straddling 2-cuts of the child's slice, lays its cycle
-    out as _bridges does that cycle's canonical Cycle (halves swapped
-    when flipped), and names the median that a sweep of that cycle
-    would give.  Of the 2,798 parts handed down, 1,399 are far
-    children's (numbered from the split's e2), and 221 tables read were
-    flipped (the canonical order swaps P and Q)."""
+    down to that arc; a child whose table allows a cut splits part 1
+    again at its median, with no 2-cut pass, flow or bridge sweep of its
+    own.  Deciding the 2,000 random block pairs and plain and doubled
+    ladders, each of the 812 tables read so allows exactly the
+    straddling 2-cuts of the child's slice, lays its cycle out as
+    _bridges does that cycle's canonical Cycle (halves swapped when
+    flipped), and, unless it is empty (310 are), names the median that a
+    sweep of that cycle would give.  Of the 2,870 parts handed down,
+    1,435 are far children's (numbered from the split's e2), and 413
+    tables read were flipped (the canonical order swaps P and Q)."""
     seen = {"read": 0, "far": 0, "flipped": 0}
     real_inherited = sgties.decide._inherited
     real_part = sgties.decide._Cuts.part
@@ -992,7 +998,7 @@ def test_part1_children_inherit_the_cut_table(monkeypatch):
     roots += [ladder(k, s, doubled=d) for k in (12, 24) for s in range(3) for d in (False, True)]
     for g, e1, e2 in roots:
         decide_tied(g, e1, e2)
-    assert seen == {"read": 449, "far": 1_399, "flipped": 221}
+    assert seen == {"read": 812, "far": 1_435, "flipped": 413}
 
 
 def test_reduce_marker_names_are_fresh_per_call():

@@ -76,26 +76,43 @@ def test_part1_chain_copies_grow_no_faster_than_m_log_m(monkeypatch, doubled):
     _assert_growth(_copied_edges(monkeypatch, (ladder(k, 1, doubled=doubled) for k in rungs)))
 
 
-def test_part1_chain_runs_one_flow(monkeypatch):
-    """Only the first split of a part-1 chain runs a flow and a bridge
-    sweep; each child inherits its side's arc of the common cycle and of
-    the cut table.  Deciding a ladder whose pair is its first and last
-    rung thus calls find_common_cycle twice, once for the chain and once
-    for the tied sign, at every size; one flow per split called it 46,
-    94, 190 and 382 times at these sizes."""
+def _calls_per_ladder_decide(monkeypatch, module, name):
+    """The calls of ``module.name`` while deciding ladder(k, 1), whose
+    pair is its first and last rung, for k = 40, 80, 160 and 320."""
     calls = [0]
-    real = sgties.decide.find_common_cycle
+    real = getattr(module, name)
 
     def counting(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(sgties.decide, "find_common_cycle", counting)
+    monkeypatch.setattr(module, name, counting)
     counts = []
     for rungs in (40, 80, 160, 320):
         calls[0] = 0
         decide_tied(*ladder(rungs, 1))
         counts.append(calls[0])
+    return counts
+
+
+def test_part1_chain_runs_one_flow(monkeypatch):
+    """Only the first split of a part-1 chain runs a flow and a bridge
+    sweep; each child inherits its side's arc of the common cycle and of
+    the cut table.  A chain that starts at the root keeps its flow
+    cycle, which also shows the tied sign, so deciding a ladder whose
+    pair is its first and last rung calls find_common_cycle once at
+    every size.  A second flow for the tied sign made it 2, and one flow
+    per split 46, 94, 190 and 382 at these sizes."""
+    counts = _calls_per_ladder_decide(monkeypatch, sgties.decide, "find_common_cycle")
+    assert counts == [1] * 4, counts
+
+
+def test_part1_chain_runs_one_2_cut_pass(monkeypatch):
+    """A part-1 child whose inherited cut table still allows a cut splits
+    at its median without the linear 2-cut pass, so deciding a ladder
+    whose pair is its first and last rung runs the pass once, at the
+    root, at every size.  A pass per split made 45, 93, 189 and 381."""
+    counts = _calls_per_ladder_decide(monkeypatch, sgties.decide, "_separation_pair")
     assert counts == [counts[0]] * 4, counts
 
 
@@ -215,15 +232,14 @@ def _theta(k, seed):
     return SignedGraph.build(n, items), 0, k
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 14: a theta is series-parallel, yet it nests one split per path edge",
-)
 def test_long_path_theta_copies_grow_no_faster_than_m_log_m(monkeypatch):
-    """A theta graph whose three paths have k edges each nests about k
-    splits deep: 1,387, 4,763, 17,242 and 64,902 edges copied at
-    k = 25, 50, 100 and 200."""
+    """A theta graph whose three paths have k edges each reduces by
+    part-1 chains, and a child splits part 1 again while its inherited
+    table allows a cut: 567, 1,293, 2,897 and 6,407 edges copied at
+    k = 25, 50, 100 and 200, with splits nested 9 deep at k = 200.  When
+    each child ran the 2-cut pass first, it found a 2-edge far side and
+    nested one part-2 split per path edge: 1,387, 4,763, 17,242 and
+    64,902 edges, 207 deep."""
     _assert_growth(_copied_edges(monkeypatch, (_theta(k, 1) for k in (25, 50, 100, 200))))
 
 
@@ -233,3 +249,38 @@ def test_flat_graph_copies_grow_no_faster_than_m_log_m(monkeypatch):
     slice, without the edges parallel to the pair: 57, 117 and 238
     edges."""
     _assert_growth(_copied_edges(monkeypatch, (_flat(n, False) for n in (20, 40, 80))))
+
+
+def _mixed(n):
+    """random_3_connected(n, n, 0, 1) with the pair (0, m-1), and each
+    edge but the pair given a parallel copy of the opposite sign: one
+    3-connected leaf with m/2 - 1 parallel classes that hold both signs.
+    Untied."""
+    g = random_3_connected(n, n, 0, 1)
+    items = [(e.u, e.v, e.sign) for e in g.edges]
+    h = SignedGraph.build(g.n, items + [(u, v, -s) for u, v, s in items[1:-1]])
+    return h, 0, g.m - 1
+
+
+def test_mixed_class_leaf_deletes_no_faster_than_m_log_m(monkeypatch):
+    """Case 1 is tried only when the leaf has exactly one parallel class
+    with both signs: every other one would stay in G - F - pair as a
+    negative 2-cycle.  The edges that delete_edges returns per decide of
+    the mixed-class leaf are 230, 472, 952 and 1,912 at n = 40 to 320,
+    its one case-3 test; one case-1 test per mixed class copied 25,760,
+    109,504, 450,296 and 1,818,312."""
+    copied = [0]
+    real = sgties.decide.delete_edges
+
+    def counting(*args):
+        out = real(*args)
+        copied[0] += out[0].m
+        return out
+
+    monkeypatch.setattr(sgties.decide, "delete_edges", counting)
+    counts = []
+    for n in (40, 80, 160, 320):
+        copied[0] = 0
+        decide_tied(*_mixed(n))
+        counts.append(copied[0])
+    _assert_growth(counts)
