@@ -11,16 +11,17 @@ markers parallel to its own pair.  A balanced far side
 becomes one positive marker; an unbalanced one becomes a positive and a
 negative marker in parallel; when the distinguished edges fall on
 different sides, each side is asked whether its own edge is tied with
-its marker.  Such a part-1 split does not cut where the linear 2-cut
-pass found a cut but at the median of all the 2-cuts that separate the
-pair, read off the bridges of a common cycle; each child keeps at most
-half of them, so a chain of part-1 splits nests about log2 of its
-length deep.  Only a chain's first split runs the 2-cut pass, the flow
-for that cycle and the sweep over its bridges: each child inherits its
-side's arc of the cycle, closed by the child's marker, and the cuts on
-its side, and splits at their median while any is left.  When the
-chain starts at the root, its flow cycle also shows a tied verdict's
-sign, so a tied part-1 chain runs one flow.
+its marker.  Every split takes its two sides from connectivity's
+``_sides``, the one side rule.  A part-1 split does not cut where the
+linear 2-cut pass found a cut but at the median of all the 2-cuts that
+separate the pair, read off the bridges of a common cycle; each child
+keeps at most half of them, so a chain of part-1 splits nests about
+log2 of its length deep.  Only a chain's first split runs the 2-cut
+pass, the flow for that cycle and the sweep over its bridges: each
+child inherits its side's arc of the cycle, closed by the child's
+marker, and the cuts on its side, and splits at their median while any
+is left.  When the chain starts at the root, its flow cycle also shows
+a tied verdict's sign, so a tied part-1 chain runs one flow.
 Leaves are 3-connected (or have at most SMALL_LEAF vertices) and are
 answered by the three-case characterization, falling back to
 exhaustive enumeration on the tiny non-3-connected ones.  A part-1
@@ -75,11 +76,9 @@ from . import certificate as cert
 from .balance import find_signed_path, is_balanced
 from .certificate import Verdict
 from .connectivity import (
-    Separation,
     _component_sides,
-    _cut_labels,
     _separation_pair,
-    _smallest_side_cut,
+    _sides,
     blocks,
     components,
     is_2_connected,
@@ -246,8 +245,8 @@ def _reduce(
         pair = _separation_pair(sl.g)
         if pair is None:
             return ReductionLeaf(sl, e1, e2)
-        sides_at_pair = _unstraddled_sides(sl.g, pair, e1, e2)
-        if sides_at_pair is None:
+        sep = _unstraddled_sides(sl.g, pair, e1, e2)
+        if sep is None:
             assert inherited is None, "an empty inherited table missed a straddling cut"
             cycle = find_common_cycle(sl.g, e1, e2)
             assert cycle is not None, "a 2-connected slice has a common cycle"
@@ -258,11 +257,8 @@ def _reduce(
         # part 1: the pair straddles a 2-cut, so cut at the median of all
         # the 2-cuts that do; no pair edge joins that boundary pair
         sep = _cut_at(sl.g, e1, cuts.p[at[0]], cuts.q[at[1]])
-        s1, s2, pair = sep.side1, sep.side2, sep.boundary
-    else:
-        s1, s2 = sides_at_pair
-    bu, bv = pair
-    sides = {1: tuple(sorted(s1)), 2: tuple(sorted(s2))}
+    s1, s2, (bu, bv) = sep
+    sides = {1: s1, 2: s2}
     kept = None
     if (e1 in s1) != (e2 in s1):
         # each side keeps its own distinguished edge, paired with a
@@ -590,42 +586,29 @@ def _straddling_cuts(g: SignedGraph, c: Cycle, e1: int, e2: int) -> _Cuts:
 
 def _unstraddled_sides(
     g: SignedGraph, pair: tuple[VertexId, VertexId], e1: int, e2: int
-) -> Optional[tuple[set[int], set[int]]]:
-    """The two sides of the 2-cut ``pair``, side1 the smallest component
-    side (_smallest_side_cut), or None when the pair straddles them.  A
-    pair edge joining the boundary pair may sit on either side, so it
-    joins its partner's.
-
-    Sides are built only for a cut the split uses: the pair straddles a
-    cut with two components exactly when its edges lie in different
-    ones, which the labels tell.  With three or more the smallest side
-    decides, so the sides are built first.
+) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The two sides of the 2-cut ``pair``, ``_sides`` of its component
+    side with fewest edges, and ``pair``; or None when the pair
+    straddles them.  A pair edge joining the boundary pair may sit on
+    either side, so it joins its partner's.
     """
-    labels = _cut_labels(g, pair)
-    label, count = labels
-    c1, c2 = (max(label[g.edges[e].u], label[g.edges[e].v]) for e in (e1, e2))
-    if count == 2 and min(c1, c2) >= 0 and c1 != c2:
-        return None
-    sep = _smallest_side_cut(g, pair, _component_sides(g, pair, labels))
-    s1, s2 = set(sep.side1), set(sep.side2)
+    # that component side is the smaller side, so it is s1, and an edge
+    # joining the boundary pair is in s2
+    s1, s2 = _sides(g, min(_component_sides(g, pair), key=len))
     bset = frozenset(pair)
     for own, other in ((e1, e2), (e2, e1)):
-        if g.endpoints(own) == bset:
-            want = s1 if other in s1 else s2
-            (s1 if own in s1 else s2).discard(own)
-            want.add(own)
-    return None if (e1 in s1) != (e2 in s1) else (s1, s2)
+        if g.endpoints(own) == bset and other in s1:
+            s1 = tuple(sorted(s1 + (own,)))
+            s2 = tuple(i for i in s2 if i != own)
+    return None if (e1 in s1) != (e2 in s1) else (s1, s2, pair)
 
 
-def _cut_at(g: SignedGraph, e1: int, a: VertexId, b: VertexId) -> Separation:
-    """The separation at the straddling 2-cut {a, b}: side1 is the
-    smaller of e1's component side and the rest (fewest edges, then
-    smallest ids)."""
+def _cut_at(g: SignedGraph, e1: int, a: VertexId, b: VertexId) -> tuple[tuple[int, ...], ...]:
+    """The sides of the straddling 2-cut {a, b}, ``_sides`` of e1's
+    component side, and its boundary pair, the smaller vertex first."""
     # a cut is not e1's ends, so e1 has an end outside it and lies on one side
-    near = frozenset(next(side for side in _component_sides(g, (a, b)) if e1 in side))
-    far = frozenset(range(g.m)) - near
-    side1, side2 = sorted((near, far), key=lambda side: (len(side), sorted(side)))
-    return Separation(side1, side2, (min(a, b), max(a, b)))
+    near = next(side for side in _component_sides(g, (a, b)) if e1 in side)
+    return (*_sides(g, near), (min(a, b), max(a, b)))
 
 
 # --- leaf checks ----------------------------------------------------------

@@ -33,6 +33,18 @@ def test_all_positive_is_balanced():
     assert r.switch == frozenset()
 
 
+def test_an_unbalanced_result_has_no_switch():
+    assert is_balanced(helpers.triangle(1, -1, 1)).switch is None
+
+
+@pytest.mark.parametrize("banned", [0, 2], ids=["start", "goal"])
+def test_a_path_search_from_or_to_a_banned_vertex_finds_none(banned):
+    """No path leaves or reaches a banned vertex, so the search ends at
+    once, complete and with no path."""
+    r = find_signed_path(helpers.k4(), 0, 2, 1, banned_vertices=frozenset({banned}))
+    assert (r.path, r.complete) == (None, True)
+
+
 def test_single_negative_triangle():
     r = is_balanced(helpers.triangle(1, -1, 1))
     assert not r.balanced

@@ -547,8 +547,10 @@ def test_cli_verify_too_deeply_nested_certificate_is_a_parse_error(tmp_path):
             lambda doc: doc["witness"][0].update(edges=5),
             "error: witness cycle 1 has a non-list field 'edges'",
         ),
+        (lambda doc: doc.update(kind="tie"), "error: unknown verdict kind 'tie'"),
+        (lambda doc: doc.update(witness={}), "error: witness is not a list of cycles"),
     ],
-    ids=["e1", "vertices", "edges-type"],
+    ids=["e1", "vertices", "edges-type", "kind", "witness-type"],
 )
 def test_cli_verify_names_a_missing_or_mistyped_field(tmp_path, damage, message):
     cert = tmp_path / "cert.json"

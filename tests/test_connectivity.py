@@ -180,6 +180,15 @@ def test_two_triangles_give_two_blocks():
     assert bt.block_of(4) == frozenset({3, 4, 5})
 
 
+def test_an_edge_at_a_removed_vertex_is_in_no_block():
+    """Removing vertex 0 leaves edge (1, 2) a bridge, its own block, and
+    edge (0, 1) in none."""
+    bt = blocks(helpers.two_triangles_shared_vertex(), frozenset({0}))
+    assert bt.block_of(1) == frozenset({1})
+    with pytest.raises(KeyError, match="edge 0 is in no block"):
+        bt.block_of(0)
+
+
 def test_is_2_connected():
     assert is_2_connected(helpers.prism())
     assert is_2_connected(SignedGraph.build(2, [(0, 1, 1), (0, 1, -1)]))
@@ -188,6 +197,11 @@ def test_is_2_connected():
     assert not is_2_connected(SignedGraph.build(3, [(0, 1, 1), (1, 2, 1)]))
     # an isolated vertex beside a 2-connected block
     assert not is_2_connected(SignedGraph.build(4, [(0, 1, 1), (1, 2, 1), (2, 0, 1)]))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_a_graph_below_two_vertices_is_not_2_connected(n):
+    assert not is_2_connected(SignedGraph.build(n, []))
 
 
 def test_is_2_connected_matches_nx_on_simple_graphs():

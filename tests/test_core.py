@@ -26,6 +26,7 @@ from sgties import (
     random_signed_graph,
     switch,
 )
+from sgties.core import char_sign, sign_char
 
 
 def test_build_basic():
@@ -460,6 +461,34 @@ def test_cycle_sign_validates_graph_match():
     c = Cycle.from_edges(other, [0, 1, 2, 3])
     with pytest.raises((NotACycle, BadEdge)):
         cycle_sign(g, c)
+
+
+# a triangle on 0, 1, 2 and one on 1, 2, 3: the same edge ids, other vertices
+_SHIFTED = SignedGraph.build(4, [(1, 2, 1), (2, 3, 1), (3, 1, 1)])
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        # edges (0, 2) and (3, 1) share no vertex
+        (lambda: Cycle.from_edges(helpers.theta(), [1, 4, 3]), "consecutive edges do not chain"),
+        (lambda: Cycle.from_edge_set(helpers.theta(), [0]), "a cycle needs at least 2 edges"),
+        (
+            lambda: cycle_sign(helpers.triangle(), Cycle.from_edges(_SHIFTED, [0, 1, 2])),
+            "cycle does not match this graph",
+        ),
+    ],
+    ids=["not-chained", "one-edge-set", "other-vertices"],
+)
+def test_cycle_rejections_name_the_fault(make, message):
+    with pytest.raises(NotACycle, match=message):
+        make()
+
+
+def test_sign_characters_round_trip_and_reject_others():
+    assert [char_sign(sign_char(s)) for s in (1, -1)] == [1, -1]
+    with pytest.raises(ValueError, match="sign must be '\\+' or '-', got 'x'"):
+        char_sign("x")
 
 
 def test_hat_gadget_layout():

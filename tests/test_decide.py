@@ -898,12 +898,13 @@ def test_straddling_cut_sweep_matches_brute_force():
             continue
         order = sorted((at[a] + at[b], pairs[frozenset((a, b))]) for a, b in brute)
         i, j = cuts.median()
-        sep = sgties.decide._cut_at(g, e1, cuts.p[i], cuts.q[j])
+        side1, side2, boundary = sgties.decide._cut_at(g, e1, cuts.p[i], cuts.q[j])
         i, j = order[(len(order) - 1) // 2][1]
-        assert set(sep.boundary) == {cuts.p[i], cuts.q[j]}
-        assert (e1 in sep.side1) != (e2 in sep.side1)
-        assert sep.side1 | sep.side2 == frozenset(range(g.m))
-        assert side_vertices(g, sep.side1) & side_vertices(g, sep.side2) == set(sep.boundary)
+        assert set(boundary) == {cuts.p[i], cuts.q[j]}
+        assert (e1 in side1) != (e2 in side1)
+        assert sorted(side1 + side2) == list(range(g.m))
+        v1, v2 = side_vertices(g, frozenset(side1)), side_vertices(g, frozenset(side2))
+        assert v1 & v2 == set(boundary)
         flipped = sorted((d, -i, (i, j)) for d, (i, j) in order)
         assert cuts._replace(flip=True).median() == flipped[(len(order) - 1) // 2][2]
     assert total == 2_286
@@ -1062,6 +1063,15 @@ def test_check_leaf_untied():
 def test_check_leaf_requires_3_connected():
     with pytest.raises(PreconditionViolated):
         check_leaf(helpers.cycle_graph(4), 0, 2)
+
+
+def test_check_leaf_requires_a_pair_without_parallel_companions():
+    """A doubled pair edge keeps K4 3-connected, but the leaf test reads
+    the pair's parallel classes as singletons, so it refuses."""
+    g, _ = add_edge(helpers.k4(), 0, 1, -1)
+    assert is_3_connected(g)
+    with pytest.raises(PreconditionViolated, match="edge 0 has parallel companions"):
+        check_leaf(g, 0, 5)
 
 
 # --- witness lifting ----------------------------------------------------------

@@ -4,12 +4,14 @@ import random
 import pytest
 
 import helpers
+import sgties.gen
 from sgties import (
     BadParams,
     BadRecipe,
     GenSpec,
     Join,
     Leaf,
+    SignedGraph,
     Splice,
     compose_tied_instance,
     enumerate_common_cycles,
@@ -75,6 +77,12 @@ def test_random_3_connected_validation():
         random_3_connected(5, 4, 0.5, seed=1, simple=True)
 
 
+@pytest.mark.parametrize("p_neg", [-0.1, 1.5])
+def test_random_3_connected_rejects_p_neg_outside_0_1(p_neg):
+    with pytest.raises(BadParams, match="p_neg must lie in"):
+        random_3_connected(5, 0, p_neg, seed=1)
+
+
 def test_leaf_instances_are_tied_3_connected():
     for case in LEAF_CASES:
         for seed in range(8):
@@ -97,6 +105,20 @@ def test_case2d_leaf_offers_a_parallel_pair():
 def test_unknown_leaf_case_rejected():
     with pytest.raises(BadRecipe):
         compose_tied_instance(Leaf("case9"), 0)
+
+
+def test_unknown_recipe_node_rejected():
+    with pytest.raises(BadRecipe, match="unknown recipe node 'case1'"):
+        compose_tied_instance("case1", 0)
+
+
+def test_a_balanced_splice_needs_an_edge_beside_the_pair(monkeypatch):
+    """Every recipe's graph has an edge besides its pair, so the guard
+    is reached only through a base built as the pair alone."""
+    pair_only = SignedGraph.build(2, [(0, 1, 1), (0, 1, -1)])
+    monkeypatch.setattr(sgties.gen, "_build", lambda recipe, rng: (pair_only, 0, 1))
+    with pytest.raises(BadRecipe, match="no edge available for a balanced-side splice"):
+        sgties.gen._splice_balanced(Leaf("case1"), random.Random(0))
 
 
 def test_splice_balanced_keeps_ties():
