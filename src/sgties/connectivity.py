@@ -206,7 +206,11 @@ def _separation_pair(g: SignedGraph) -> Optional[tuple[VertexId, VertexId]]:
     an arc b->w with lowpt1(w) = v; then lowpt2(w) >= b, and the first
     DFS returned {v, b} as a type-1 pair unless v is the root, where the
     loop is not entered.  Seeded searches over 148,544 2-connected
-    graphs with n <= 12 never pop it.
+    graphs with n <= 12 never pop it.  Their pop on the return to v also
+    stops at a triple with a = v, and none is left there: between
+    end-of-stack marks the a's never decrease toward the top (a push
+    pops every larger a), and each return has popped the triples with
+    a = its vertex.  That pop is skipped at the root, the last return.
     """
     n = g.n
     adjacency = g.adjacency
@@ -329,7 +333,7 @@ def _separation_pair(g: SignedGraph) -> Optional[tuple[VertexId, VertexId]]:
                 while ts.pop() is not eos:
                     pass
             hv = high[v]
-            while ts[-1][1] != nv and ts[-1][2] != v and hv > ts[-1][0]:
+            while ts[-1][2] != v and hv > ts[-1][0]:
                 ts.pop()
             continue
         y, b = 0, -1

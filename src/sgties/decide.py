@@ -355,13 +355,14 @@ class _Cuts(NamedTuple):
 
     ``p`` and ``q`` are the two halves of a common cycle, both numbered
     from e1, and ``pe[i]`` joins p_i to p_(i+1), ``qe[j]`` q_j to q_(j+1).
-    (i, j) is allowed when lo[i] <= j <= hi[i] and no bridge rules out i
-    for every j (``open_p``) or j for every i (``open_q``); ``below[j]``
-    counts the open j under j.  lo and hi never decrease along P.  (0, 0)
-    and (s, t) are allowed too; they are the pair's own ends, not cuts,
-    and come first and last in the order (i + j, i).  ``flip`` says that
-    the cycle's canonical direction runs Q before P; median() reads it,
-    and no table is rebuilt with the halves swapped.
+    (i, j) is allowed when lo[i] <= j <= hi[i] and j is open, that is
+    below[j] < below[j + 1]: ``below[j]`` counts the open j under j.  A
+    bridge that rules out i for every j empties its interval, hi[i] <
+    lo[i], and one that rules out j for every i closes j.  (0, 0) and
+    (s, t) are allowed too; they are the pair's own ends, not cuts, and
+    come first and last in the order (i + j, i).  ``flip`` says that the
+    cycle's canonical direction runs Q before P; median() reads it, and
+    no table is rebuilt with the halves swapped.
     """
 
     p: tuple[VertexId, ...]
@@ -370,26 +371,18 @@ class _Cuts(NamedTuple):
     qe: tuple[EdgeId, ...]
     lo: tuple[int, ...]
     hi: tuple[int, ...]
-    open_p: tuple[bool, ...]
-    open_q: tuple[bool, ...]
     below: tuple[int, ...]
     flip: bool = False
 
-    @classmethod
-    def of(cls, p, q, pe, qe, lo, hi, open_p, open_q) -> "_Cuts":
-        """The table with ``below`` counted from ``open_q``."""
-        below = (0, *itertools.accumulate(map(int, open_q)))
-        return cls(p, q, pe, qe, lo, hi, open_p, open_q, below)
-
     def allowed(self, i: int, j: int) -> bool:
-        return self.open_p[i] and self.open_q[j] and self.lo[i] <= j <= self.hi[i]
+        return self.lo[i] <= j <= self.hi[i] and self.below[j] < self.below[j + 1]
 
     def upto(self, d: int) -> int:
         """How many allowed (i, j) have i + j <= d."""
         n = 0
-        for i, (ok, lo, hi) in enumerate(zip(self.open_p[: d + 1], self.lo, self.hi)):
+        for i, (lo, hi) in enumerate(zip(self.lo[: d + 1], self.hi)):
             hi = min(hi, d - i)
-            if ok and hi >= lo:
+            if hi >= lo:
                 n += self.below[hi + 1] - self.below[lo]
         return n
 
@@ -418,7 +411,7 @@ class _Cuts(NamedTuple):
                 d_hi = mid
             else:
                 d_lo = mid + 1
-        r -= self.upto(d_lo - 1) if d_lo else 0
+        r -= self.upto(d_lo - 1)
         diagonal = range(max(0, d_lo - t), min(s, d_lo) + 1)
         on_diagonal = (
             i for i in (diagonal[::-1] if self.flip else diagonal) if self.allowed(i, d_lo - i)
@@ -430,27 +423,29 @@ class _Cuts(NamedTuple):
         """The table of one child of the cut {p_i, q_j}, in this table's ids.
 
         The child's cycle is its side's arc of this one, closed by the
-        child's marker p_i q_j.  The near child, e1's, keeps the indices
-        up to i and j; the far child, e2's, keeps those from i and j,
-        reversed so that they run from e2, which turns hi into its lo and
-        lo into its hi.  A bridge lies on one side of the cut and attaches
-        only at that side's indices (up to i and j near, from i and j
-        far), so the other side's bridges rule out none of the child's
-        cuts; at most they leave a bound beyond the child's last index,
-        which is clipped to it.
+        child's marker p_i q_j.  The near child, e1's, keeps the indices up
+        to i and j; the far child, e2's, keeps those from i and j, reversed
+        so that they run from e2, which turns hi into its lo, lo into its
+        hi, and the count of open indices of Q under each index into the
+        count over it.  A bridge lies on one side of the cut and attaches
+        only at that side's indices (up to i and j near, from i and j far),
+        so the other side's bridges rule out none of the child's cuts; at
+        most they leave a bound beyond the child's last index, which is
+        clipped to it.  An empty interval stays empty: near,
+        min(hi, j) <= hi < lo; far, t - max(lo, j) <= t - lo < t - hi.
         """
         if not far:
-            return _Cuts.of(
+            return _Cuts(
                 self.p[: i + 1], self.q[: j + 1], self.pe[:i], self.qe[:j],
                 self.lo[: i + 1], tuple(min(h, j) for h in self.hi[: i + 1]),
-                self.open_p[: i + 1], self.open_q[: j + 1],
+                self.below[: j + 2],
             )
         t = len(self.q) - 1
-        return _Cuts.of(
+        return _Cuts(
             self.p[i:][::-1], self.q[j:][::-1], self.pe[i:][::-1], self.qe[j:][::-1],
             tuple(t - h for h in self.hi[i:][::-1]),
             tuple(t - max(lo, j) for lo in self.lo[i:][::-1]),
-            self.open_p[i:][::-1], self.open_q[j:][::-1],
+            tuple(self.below[-1] - b for b in self.below[j:][::-1]),
         )
 
 
@@ -537,19 +532,20 @@ def _straddling_cuts(g: SignedGraph, c: Cycle, e1: int, e2: int) -> _Cuts:
     Let C be any common cycle, P = p0..ps its half from e1's end to e2's
     and Q = q0..qt the other, both numbered from e1.  The first split of
     a part-1 chain passes its flow cycle; a part-1 child inherits its
-    side's arc of its parent's C and
-    the table cut down to it instead (_Cuts.part).  Such a cut takes one
-    vertex of each half (Menger), so it is some {p_i, q_j}.  C less it
-    falls into the arc A of the p_x, x < i, and q_y, y < j, and the arc B
-    of the rest; the cut separates the pair exactly when A and B are both
-    nonempty and no bridge of C (a chord, or a component of G - V(C) with
-    its attachment edges) is attached in both.  So a bridge attached to P
-    from a to b rules out every i strictly between, for every j; likewise
-    on Q.  One attached to both halves rules out the j below its largest
-    Q attachment when i is above its smallest P one, and the j above its
-    smallest when i is below its largest.  For each i the allowed j thus
-    lie in an interval, from a prefix maximum and a suffix minimum over
-    i.  O(m).
+    side's arc of its parent's C and the table cut down to it instead
+    (_Cuts.part).  Such a cut takes one vertex of each half (Menger), so
+    it is some {p_i, q_j}.  C less it falls into the arc A of the p_x,
+    x < i, and q_y, y < j, and the arc B of the rest; the cut separates
+    the pair exactly when A and B are both nonempty and no bridge of C (a
+    chord, or a component of G - V(C) with its attachment edges) is
+    attached in both.  So a bridge attached to P from a to b rules out
+    every i strictly between, for every j; likewise on Q.  One attached
+    to both halves rules out the j below its largest Q attachment when i
+    is above its smallest P one, and the j above its smallest when i is
+    below its largest.  For each i the allowed j thus lie in an interval,
+    from a prefix maximum and a suffix minimum over i.  An i ruled out
+    for every j gets the empty interval from t + 1, and a j ruled out for
+    every i is left out of the count ``below``.  O(m).
     """
     p, q, pe, qe, at, chords, comps = _bridges(g, c, e1, e2)
     s, t = len(p) - 1, len(q) - 1
@@ -576,11 +572,12 @@ def _straddling_cuts(g: SignedGraph, c: Cycle, e1: int, e2: int) -> _Cuts:
                 lo[a + 1] = max(lo[a + 1], max(att[1]))
             if b > 0:
                 hi[b - 1] = min(hi[b - 1], min(att[1]))
-    return _Cuts.of(
+    dead_p, dead_q = (itertools.accumulate(dh) for dh in dead)
+    return _Cuts(
         p, q, pe, qe,
-        tuple(itertools.accumulate(lo, max)),
+        tuple(t + 1 if d else x for d, x in zip(dead_p, itertools.accumulate(lo, max))),
         tuple(itertools.accumulate(reversed(hi), min))[::-1],
-        *(tuple(d == 0 for d in itertools.accumulate(dh)) for dh in dead),
+        (0, *itertools.accumulate(int(d == 0) for d in dead_q)),
     )
 
 
@@ -910,14 +907,14 @@ def _component_ear(
 ) -> Optional[tuple[VertexId, VertexId, tuple[EdgeId, ...]]]:
     """An ear of _ear's kind through one component K of G - V(c), as its
     ends x, y on c and its edges, or None.  ``inner`` and ``attach`` are
-    K's inner and attachment edges as _bridges lists them."""
-    ks = Slice.identity(g).sub(sorted(inner))
-    bal = is_balanced(ks.g)
+    K's inner and attachment edges as _bridges lists them; K's balance
+    is tested over all of g's vertices, so its edge i is ``inner[i]``."""
+    inner = sorted(inner)
+    bal = is_balanced(SignedGraph(g.n, tuple(g.edges[i] for i in inner)))
     nc = bal.negative_cycle
     if nc is not None:
-        d = Cycle(
-            tuple(ks.eref[i] for i in nc.edges), tuple(ks.vref[x] for x in nc.vertices)
-        )
+        # inner is sorted, so renaming its edges keeps the cycle canonical
+        d = Cycle(tuple(inner[i] for i in nc.edges), nc.vertices)
         by_half: dict[int, set[VertexId]] = {}
         for _, _, x in attach:
             by_half.setdefault(place[x][0], set()).add(x)
@@ -934,12 +931,10 @@ def _component_ear(
         return None
     # (half, sign an ear would carry from the half's start) ->
     # attachment vertex -> (attachment edge, its end in K)
-    kv = ks.vert_index
     ends: dict[tuple[int, Sign], dict[VertexId, tuple[EdgeId, VertexId]]] = {}
     for eid, v, x in attach:
         hx, sx = place[x]
-        t = bal.signing[kv[v]] if v in kv else POSITIVE
-        ends.setdefault((hx, g.sign(eid) * t * sx), {}).setdefault(x, (eid, v))
+        ends.setdefault((hx, g.sign(eid) * bal.signing[v] * sx), {}).setdefault(x, (eid, v))
     for (hx, val), xs in ends.items():
         for x, (a, p) in xs.items():
             for y, (b, q) in ends.get((hx, -val), {}).items():

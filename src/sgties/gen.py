@@ -290,10 +290,8 @@ def _splice_balanced(
     base: Recipe, rng: random.Random
 ) -> tuple[SignedGraph, EdgeId, EdgeId]:
     g, e1, e2 = _build(base, rng)
-    candidates = [i for i in range(g.m) if i not in (e1, e2)]
-    if not candidates:
-        raise BadRecipe("no edge available for a balanced-side splice")
-    p = rng.choice(candidates)
+    # every recipe builds at least 6 edges, so one lies beside the pair
+    p = rng.choice([i for i in range(g.m) if i not in (e1, e2)])
     ed = g.edge(p)
     if ed.sign == NEGATIVE:
         # tiedness is switch-invariant, so make the marker positive first

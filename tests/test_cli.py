@@ -1,5 +1,6 @@
 import io
 import contextlib
+import dataclasses
 import json
 import random
 import sys
@@ -11,6 +12,7 @@ import pytest
 import helpers
 import sgties.certificate
 import sgties.cli
+import sgties.decide
 from sgties import (
     LoopRejected,
     ParseError,
@@ -319,6 +321,23 @@ def test_cli_decide_internal_error_never_exits_untied(monkeypatch):
     assert out == ""
     assert err.startswith("error:")
     assert "opposite-sign cycle pair" in err
+
+
+def test_cli_decide_cut_short_leaf_enumeration_exits_2(monkeypatch, tmp_path):
+    """A leaf enumeration that ran out of budget is an error, not a verdict."""
+    real = sgties.decide.enumerate_common_cycles
+    monkeypatch.setattr(
+        sgties.decide,
+        "enumerate_common_cycles",
+        lambda g, e1, e2: dataclasses.replace(real(g, e1, e2), complete=False),
+    )
+    p = tmp_path / "c4.sg"
+    serialize(helpers.cycle_graph(4), str(p))
+    assert run("decide", str(p), "--e1", "0", "--e2", "2") == (
+        2,
+        "",
+        "error: leaf enumeration exceeded its budget\n",
+    )
 
 
 def test_cli_decide_recursion_error_exits_2_not_untied(monkeypatch):

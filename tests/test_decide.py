@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 
@@ -1063,6 +1064,22 @@ def test_check_leaf_untied():
 def test_check_leaf_requires_3_connected():
     with pytest.raises(PreconditionViolated):
         check_leaf(helpers.cycle_graph(4), 0, 2)
+
+
+def test_a_small_leaf_enumeration_cut_short_raises(monkeypatch):
+    """A small leaf that is not 3-connected is settled by listing its
+    common cycles; a list the budget cut short proves neither verdict,
+    so decide_tied raises.  The parallel-heavy 4-cycle exhausts the
+    budget only at sizes far too slow for the suite, so here the report
+    of the plain 4-cycle's one leaf is marked incomplete instead."""
+    real = sgties.decide.enumerate_common_cycles
+    monkeypatch.setattr(
+        sgties.decide,
+        "enumerate_common_cycles",
+        lambda g, e1, e2: dataclasses.replace(real(g, e1, e2), complete=False),
+    )
+    with pytest.raises(PreconditionViolated, match="leaf enumeration exceeded its budget"):
+        decide_tied(helpers.cycle_graph(4), 0, 2)
 
 
 def test_check_leaf_requires_a_pair_without_parallel_companions():

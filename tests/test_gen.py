@@ -1,17 +1,14 @@
 import itertools
-import random
 
 import pytest
 
 import helpers
-import sgties.gen
 from sgties import (
     BadParams,
     BadRecipe,
     GenSpec,
     Join,
     Leaf,
-    SignedGraph,
     Splice,
     compose_tied_instance,
     enumerate_common_cycles,
@@ -110,15 +107,6 @@ def test_unknown_leaf_case_rejected():
 def test_unknown_recipe_node_rejected():
     with pytest.raises(BadRecipe, match="unknown recipe node 'case1'"):
         compose_tied_instance("case1", 0)
-
-
-def test_a_balanced_splice_needs_an_edge_beside_the_pair(monkeypatch):
-    """Every recipe's graph has an edge besides its pair, so the guard
-    is reached only through a base built as the pair alone."""
-    pair_only = SignedGraph.build(2, [(0, 1, 1), (0, 1, -1)])
-    monkeypatch.setattr(sgties.gen, "_build", lambda recipe, rng: (pair_only, 0, 1))
-    with pytest.raises(BadRecipe, match="no edge available for a balanced-side splice"):
-        sgties.gen._splice_balanced(Leaf("case1"), random.Random(0))
 
 
 def test_splice_balanced_keeps_ties():

@@ -6,6 +6,7 @@ count at size 2s may be at most GROWTH times the count at size s, which
 an O(m log m) cost meets and a quadratic one (about 4) does not.
 """
 
+import json
 import random
 
 import pytest
@@ -250,6 +251,32 @@ def test_flat_graph_copies_grow_no_faster_than_m_log_m(monkeypatch):
     slice, without the edges parallel to the pair: 57, 117 and 238
     edges."""
     _assert_growth(_copied_edges(monkeypatch, (_flat(n, False) for n in (20, 40, 80))))
+
+
+def _parallel_4_cycle(k):
+    """The 4-cycle 0-1-2-3, all positive, with the pair (0, 1), (2, 3)
+    and k copies each of (1, 2) and (3, 0).  Tied."""
+    items = [(0, 1, 1), (2, 3, 1)] + [(1, 2, 1)] * k + [(3, 0, 1)] * k
+    return SignedGraph.build(4, items), 0, 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 6: the one enum leaf lists k² common cycles, 4 times per doubling",
+)
+def test_parallel_heavy_4_cycle_document_grows_no_faster_than_m_log_m():
+    """The pair's common cycles take one copy from each parallel class,
+    and the 4-cycle is a single small leaf, so its enum node lists all
+    k² of them: the document, encoded as ``sgties decide --certificate``
+    writes it, is 4,499, 17,379, 68,939 and 280,281 bytes at k = 10, 20,
+    40 and 80."""
+    counts = []
+    for k in (10, 20, 40, 80):
+        g, e1, e2 = _parallel_4_cycle(k)
+        doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+        counts.append(len(json.dumps(doc, sort_keys=True, separators=(",", ":"))))
+    _assert_growth(counts)
 
 
 def _mixed(n):
