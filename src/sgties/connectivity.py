@@ -206,7 +206,12 @@ def _separation_pair(g: SignedGraph) -> Optional[tuple[VertexId, VertexId]]:
     an arc b->w with lowpt1(w) = v; then lowpt2(w) >= b, and the first
     DFS returned {v, b} as a type-1 pair unless v is the root, where the
     loop is not entered.  Seeded searches over 148,544 2-connected
-    graphs with n <= 12 never pop it.  Their pop on the return to v also
+    graphs with n <= 12 never pop it.  Gutwenger & Mutzel also start a
+    path at the root's first arc; here it starts none, as no vertex's
+    first arc does.  The root of a 2-connected graph has one child, and
+    the triple (h, 1, 0) that arc would push is never read: a push pops
+    only larger a's and no a is below 1, the type-2 test skips the root,
+    and the root's return comes last.  Their pop on the return to v also
     stops at a triple with a = v, and none is left there: between
     end-of-stack marks the a's never decrease toward the top (a push
     pops every larger a), and each return has popped the triples with
@@ -301,7 +306,7 @@ def _separation_pair(g: SignedGraph) -> Optional[tuple[VertexId, VertexId]]:
     walk = [(0, iter(arcs[0]), True)]
     while walk:
         v, it, _ = walk[-1]
-        first = arcs[v][0] if v else -1  # the root's first arc starts a path too
+        first = arcs[v][0]
         nv = new[v]
         for w in it:
             if parent[w] == v:

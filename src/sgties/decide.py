@@ -86,6 +86,7 @@ from .connectivity import (
 )
 from .core import (
     Cycle,
+    Edge,
     EdgeId,
     NEGATIVE,
     POSITIVE,
@@ -907,14 +908,20 @@ def _component_ear(
 ) -> Optional[tuple[VertexId, VertexId, tuple[EdgeId, ...]]]:
     """An ear of _ear's kind through one component K of G - V(c), as its
     ends x, y on c and its edges, or None.  ``inner`` and ``attach`` are
-    K's inner and attachment edges as _bridges lists them; K's balance
-    is tested over all of g's vertices, so its edge i is ``inner[i]``."""
+    K's inner and attachment edges as _bridges lists them.  K's balance
+    is tested on its own graph, its vertices renumbered in increasing
+    id and its edge i ``inner[i]``, so the test costs O(|K|) and not
+    O(n); both numberings keep g's order, so the signing and the
+    negative cycle are those a test over all of g's vertices gives."""
     inner = sorted(inner)
-    bal = is_balanced(SignedGraph(g.n, tuple(g.edges[i] for i in inner)))
+    verts = sorted({x for i in inner for x in g.edges[i][:2]}.union(v for _, v, _ in attach))
+    local = {x: k for k, x in enumerate(verts)}
+    own = tuple(Edge(local[u], local[v], s) for u, v, s in (g.edges[i] for i in inner))
+    bal = is_balanced(SignedGraph(len(verts), own))
     nc = bal.negative_cycle
     if nc is not None:
-        # inner is sorted, so renaming its edges keeps the cycle canonical
-        d = Cycle(tuple(inner[i] for i in nc.edges), nc.vertices)
+        # inner and verts are sorted, so renaming keeps the cycle canonical
+        d = Cycle(tuple(inner[i] for i in nc.edges), tuple(verts[x] for x in nc.vertices))
         by_half: dict[int, set[VertexId]] = {}
         for _, _, x in attach:
             by_half.setdefault(place[x][0], set()).add(x)
@@ -934,7 +941,7 @@ def _component_ear(
     ends: dict[tuple[int, Sign], dict[VertexId, tuple[EdgeId, VertexId]]] = {}
     for eid, v, x in attach:
         hx, sx = place[x]
-        ends.setdefault((hx, g.sign(eid) * bal.signing[v] * sx), {}).setdefault(x, (eid, v))
+        ends.setdefault((hx, g.sign(eid) * bal.signing[local[v]] * sx), {}).setdefault(x, (eid, v))
     for (hx, val), xs in ends.items():
         for x, (a, p) in xs.items():
             for y, (b, q) in ends.get((hx, -val), {}).items():

@@ -16,7 +16,17 @@ here.
 verify_certificate replays a tied certificate from the root down
 against the input graph using only primitive checks (cut arithmetic,
 sign arithmetic, block recomputation, small re-enumeration), trusting
-nothing from the decision procedure that produced it.  An enum leaf's
+nothing from the decision procedure that produced it.  The root is cut
+out of the input once.  Below it, a node holds its edges as a dict from
+reference (an input edge id or a marker name) to (u, v, sign), the ends
+input vertex ids and the sign as the splits above switched it.  A split
+is checked on that dict and its vertex set, and each child is cut once
+as a new dict: its side, in the parent's order, then its markers, less
+its ``removed``.  Only a leaf gets a graph, renumbered once as Slice.sub
+would lay it out (vertices in increasing input id, edges in the order
+held), so leaf checks and their local-id messages read the same graph
+they always did; a part-3 split also builds one of its cycle's own
+edges.  An enum leaf's
 re-enumeration reads only its vertex count, the ends of its edges and
 its pair, never a sign, so one call runs it once per such shape and
 keeps the cycles and the complete flag in a dict keyed by (n, the
@@ -35,6 +45,7 @@ from .certificate import Verdict
 from .connectivity import blocks, is_3_connected, side_vertices
 from .core import (
     Cycle,
+    Edge,
     EdgeId,
     NEGATIVE,
     POSITIVE,
@@ -261,22 +272,33 @@ def _plain(values, kinds: frozenset[type] = frozenset((int,))) -> bool:
 _REFS = frozenset((int, str))
 
 
+def _known(have: Collection, refs: list, unknown: str) -> list:
+    for r in refs:
+        if r not in have:
+            raise _Fail(f"{unknown} {r!r}")
+    return refs
+
+
+def _edge_refs(edges: Collection[Ref], refs, what: str) -> list[Ref]:
+    """``refs`` as a list, each an int or a string that ``edges`` holds."""
+    _need(_plain(refs, _REFS), f"{what}: edge reference is neither an int nor a string")
+    return _known(edges, list(refs), f"{what}: unknown edge reference")
+
+
+def _vertex_refs(verts: Collection[VertexId], refs, what: str) -> list[VertexId]:
+    """``refs`` as a list, each an int that ``verts`` holds."""
+    _need(_plain(refs), f"{what}: vertex reference is not an int")
+    return _known(verts, list(refs), f"{what}: unknown vertex reference")
+
+
 def _resolve_edges(sl: Slice, refs, what: str) -> list[int]:
     idx = sl.edge_index
-    _need(_plain(refs, _REFS), f"{what}: edge reference is neither an int nor a string")
-    try:
-        return [idx[r] for r in refs]
-    except KeyError as exc:
-        raise _Fail(f"{what}: unknown edge reference {exc.args[0]!r}") from None
+    return [idx[r] for r in _edge_refs(idx, refs, what)]
 
 
 def _resolve_verts(sl: Slice, refs, what: str) -> list[int]:
     idx = sl.vert_index
-    _need(_plain(refs), f"{what}: vertex reference is not an int")
-    try:
-        return [idx[r] for r in refs]
-    except KeyError as exc:
-        raise _Fail(f"{what}: unknown vertex reference {exc.args[0]!r}") from None
+    return [idx[r] for r in _vertex_refs(idx, refs, what)]
 
 
 def _switched_positive(
@@ -294,52 +316,56 @@ def _switched_positive(
             raise _Fail(f"{what}: signing violated at edge {eid}")
 
 
-def _dropped(
-    base: Slice, keep: Collection[int], markers: list, pair: list, removed
-) -> set[Ref]:
-    """The ids of ``keep`` and the marker names that ``removed`` lists,
-    each checked to name one of them, not a pair edge, with the ends of
-    a pair edge.  A marker left out never reaches ``Slice.sub``, so every
-    marker name is checked here as ``sub`` checks those it adds."""
-    if not removed:
-        return set()
-    idx = base.edge_index
+# the edges of one node, by reference (an input edge id or a marker
+# name), each (u, v, sign) with its ends input vertex ids and its sign
+# as the splits above switched it; in the order Slice.sub would give
+_Edges = dict[Ref, tuple[VertexId, VertexId, Sign]]
+
+
+def _ends(edges: _Edges, refs: Collection[Ref]) -> set[VertexId]:
+    return {x for r in refs for x in edges[r][:2]}
+
+
+def _child(parent: Collection[Ref], side: _Edges, markers: list, pair: list, removed) -> _Edges:
+    """One child, made of ``side`` in place: the edges of one side of
+    ``parent``'s split in the parent's order, then the ``markers`` in
+    the given order, less what ``removed`` lists.  Each marker name must
+    be a string fresh in ``parent``, the pair must name edges of the
+    child, and each entry of ``removed`` an edge or marker of the child
+    that is no pair edge but has the ends of one."""
     names = [name for name, _, _, _ in markers]
     for name in names:
         _need(
-            type(name) is str and name not in idx and names.count(name) == 1,
+            type(name) is str and name not in parent and names.count(name) == 1,
             f"marker name {name!r} is not a fresh string",
         )
-
-    def ends(r, what: str) -> frozenset[int]:
-        if r in names:
-            return frozenset(markers[names.index(r)][1:3])
-        (i,) = _resolve_edges(base, [r], what)
-        _need(i in keep, f"{what}: unknown edge reference {r!r}")
-        return base.g.endpoints(i)
-
-    pair_ends = [ends(r, "child pair") for r in pair]
-    for r in removed:
-        at = ends(r, "removed")
-        _need(r not in pair, "removed: lists a distinguished edge")
-        _need(at in pair_ends, f"removed: edge {r!r} is not parallel to the pair")
-    return {idx.get(r, r) for r in removed}
-
-
-def _cut(
-    base: Slice, keep: Collection[int], markers: list, pair: list, removed
-) -> tuple[Slice, int, int]:
-    """One child of ``base`` by one ``sub``: the edges ``keep`` and the
-    ``markers``, less what ``removed`` lists; with its pair's ids."""
-    drop = _dropped(base, keep, markers, pair, removed)
-    kept = sorted(set(keep) - drop) if drop else sorted(keep)
-    sub = base.sub(kept, [m for m in markers if m[0] not in drop])
-    p1, p2 = _resolve_edges(sub, pair, "child pair")
-    return sub, p1, p2
+    side.update((name, (u, v, s)) for name, u, v, s in markers)
+    pair_ends = [frozenset(side[r][:2]) for r in _edge_refs(side, pair, "child pair")]
+    if removed:
+        for r in removed:
+            (r,) = _edge_refs(side, [r], "removed")
+            _need(r not in pair, "removed: lists a distinguished edge")
+            _need(
+                frozenset(side[r][:2]) in pair_ends,
+                f"removed: edge {r!r} is not parallel to the pair",
+            )
+        for r in removed:
+            side.pop(r, None)
+    return side
 
 
-# one node still to replay: its slice, distinguished pair and document
-_Job = tuple[Slice, int, int, dict]
+def _graph(edges: _Edges) -> Slice:
+    """The slice that holds ``edges``, renumbered once: its vertices in
+    increasing input id and its edges in the order held, as Slice.sub
+    lays out a cut."""
+    verts = sorted({x for e in edges.values() for x in e[:2]})
+    local = {x: i for i, x in enumerate(verts)}
+    g = SignedGraph(len(verts), tuple(Edge(local[u], local[v], s) for u, v, s in edges.values()))
+    return Slice(g, tuple(edges), tuple(verts))
+
+
+# one node still to replay: its edges, distinguished pair and document
+_Job = tuple[_Edges, Ref, Ref, dict]
 
 # an enum leaf's unsigned shape (n, the ends of each edge, e1, e2) -> its
 # common cycles and whether their enumeration completed; one dict per
@@ -347,11 +373,9 @@ _Job = tuple[Slice, int, int, dict]
 _Shapes = dict[tuple, tuple[tuple[Cycle, ...], bool]]
 
 
-def _replay_node(sl: Slice, e1: int, e2: int, node: dict, shapes: _Shapes) -> list[_Job]:
-    """Check one node; its children come back as jobs, in document order."""
+def _replay_leaf(sl: Slice, e1: int, e2: int, node: dict, shapes: _Shapes) -> None:
+    """Check one leaf, on its own graph."""
     kind = node.get("kind")
-    if kind == cert.NODE_SPLIT:
-        return _replay_split(sl, e1, e2, node)
     if kind in (cert.NODE_CASE1, cert.NODE_CASE2, cert.NODE_CASE3):
         _replay_case(sl, e1, e2, node)
     elif kind == cert.NODE_ENUM:
@@ -367,78 +391,88 @@ def _replay_node(sl: Slice, e1: int, e2: int, node: dict, shapes: _Shapes) -> li
         )
     else:
         raise _Fail(f"unexpected node kind {kind!r}")
-    return []
 
 
-def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
-    """Check a split node; its children come back as jobs.
+def _replay_split(edges: _Edges, r1: Ref, r2: Ref, node: dict) -> list[_Job]:
+    """Check a split node on its parent's edges; its children come back
+    as jobs, in document order.
 
-    Each part plans its children as (side, base slice, sorted marker
-    signs): part 1 both sides of ``sl``, part 2 the kept side of ``sl``
-    after the recorded switch, part 3 the kept side of ``sl``.  One loop
-    cuts every child out of its base, the one place a side is cut out.
+    Each part plans its children as (side, sorted marker signs): part 1
+    both sides, part 2 the kept side flipped by the recorded switch,
+    part 3 the kept side.  One loop cuts every child, the one place a
+    side becomes a child.  No graph is built but the part-3 cycle's.
     """
     part = node.get("part")
     _need(type(part) is int and part in (1, 2, 3), f"split: unknown part {part!r}")
-    bu, bv = _resolve_verts(sl, node["boundary"], "split boundary")
-    _need(bu != bv, "split: boundary vertices coincide")
-    side1 = _resolve_edges(sl, node["side1"], "side1")
-    side2 = _resolve_edges(sl, node["side2"], "side2")
-    # distinct ids of the slice, as many as it has edges, cover it once
+    side1 = _edge_refs(edges, node["side1"], "side1")
+    side2 = _edge_refs(edges, node["side2"], "side2")
+    # distinct references of the parent, as many as it has edges, cover it once
     _need(
-        len(set(side1 + side2)) == len(side1) + len(side2) == sl.g.m,
+        len(set(side1 + side2)) == len(side1) + len(side2) == len(edges),
         "split: sides do not partition the edges",
     )
     _need(len(side1) >= 1 and len(side2) >= 1, "split: empty side")
-    v1 = side_vertices(sl.g, side1)
-    v2 = side_vertices(sl.g, side2)
+    v1, v2 = _ends(edges, side1), _ends(edges, side2)
+    verts = v1 | v2
+    bu, bv = _vertex_refs(verts, node["boundary"], "split boundary")
+    _need(bu != bv, "split: boundary vertices coincide")
     _need(v1 & v2 == {bu, bv}, "split: sides meet outside the boundary pair")
     _need(v1 - {bu, bv} and v2 - {bu, bv}, "split: separation is not proper")
     sides = {1: side1, 2: side2}
     children = node.get("children") or []
     if part == 1:
         _need(len(children) == 2, "part 1 needs two children")
-        plan = [(side1, sl, [POSITIVE]), (side2, sl, [POSITIVE])]
+        first = set(side1)
+        plan = [
+            ({r: e for r, e in edges.items() if r in first}, [POSITIVE]),
+            ({r: e for r, e in edges.items() if r not in first}, [POSITIVE]),
+        ]
     else:
         kept = node.get("kept")
         _need(type(kept) is int and kept in (1, 2), f"split: bad kept side {kept!r}")
-        keep_side = sides[kept]
+        keep = set(sides[kept])
         drop_side = sides[3 - kept]
         _need(
-            e1 in set(keep_side) and e2 in set(keep_side),
+            r1 in keep and r2 in keep,
             "split: kept side must contain both distinguished edges",
         )
         _need(len(children) == 1, "parts 2 and 3 take a single child")
         _need(
-            (children[0].get("pair") or []) == [sl.eref[e1], sl.eref[e2]],
+            (children[0].get("pair") or []) == [r1, r2],
             "split: child pair must repeat the distinguished pair",
         )
         if part == 2:
             raw = node.get("switch")
             _need(isinstance(raw, list), "part 2: missing resign switch")
-            switch_local = set(_resolve_verts(sl, raw, "resign switch"))
-            work = sl.switched(switch_local)
-            for eid in drop_side:
+            flip = set(_vertex_refs(verts, raw, "resign switch"))
+            for r in drop_side:
+                u, v, s = edges[r]
                 _need(
-                    work.g.sign(eid) == POSITIVE,
+                    (s == POSITIVE) != ((u in flip) != (v in flip)),
                     "part 2: discarded side is not all-positive after the switch",
                 )
-            plan = [(keep_side, work, [POSITIVE])]
+            side = {
+                r: (u, v, -s if (u in flip) != (v in flip) else s)
+                for r, (u, v, s) in edges.items()
+                if r in keep
+            }
+            plan = [(side, [POSITIVE])]
         else:
             nc = node.get("neg_cycle")
             _need(isinstance(nc, dict), "part 3: missing negative cycle")
-            ids = _resolve_edges(sl, nc.get("edges") or [], "neg_cycle")
+            ids = _edge_refs(edges, nc.get("edges") or [], "neg_cycle")
             _need(set(ids) <= set(drop_side), "part 3: cycle leaves the discarded side")
-            cyc = Cycle.from_edge_set(sl.g, frozenset(ids))
+            own = _graph({r: edges[r] for r in ids})
+            cyc = Cycle.from_edge_set(own.g, range(own.g.m))
             _need(
-                sign_product(sl.g, cyc.edges) == NEGATIVE,
+                sign_product(own.g, cyc.edges) == NEGATIVE,
                 "part 3: recorded cycle is not negative",
             )
-            vs = _resolve_verts(sl, nc.get("vertices") or [], "neg_cycle vertices")
-            _need(set(cyc.vertices) == set(vs), "part 3: cycle vertices mismatch")
-            plan = [(keep_side, sl, [NEGATIVE, POSITIVE])]
+            vs = _vertex_refs(verts, nc.get("vertices") or [], "neg_cycle vertices")
+            _need(set(own.vref) == set(vs), "part 3: cycle vertices mismatch")
+            plan = [({r: e for r, e in edges.items() if r in keep}, [NEGATIVE, POSITIVE])]
     jobs, heads = [], set()
-    for (side, base, signs), child in zip(plan, children):
+    for (side, signs), child in zip(plan, children):
         mds = child.get("markers") or []
         got = [md["sign"] for md in mds]
         _need(
@@ -449,19 +483,20 @@ def _replay_split(sl: Slice, e1: int, e2: int, node: dict) -> list[_Job]:
         # neither loops nor strays
         markers = []
         for md in mds:
-            u, v = _resolve_verts(sl, (md["u"], md["v"]), "marker ends")
+            u, v = _vertex_refs(verts, (md["u"], md["v"]), "marker ends")
             _need({u, v} == {bu, bv}, "marker endpoints differ from the split boundary")
             markers.append((md["name"], u, v, md["sign"]))
         pair = child.get("pair") or []
         _need(len(pair) == 2, "child: malformed pair")
-        sub, p1, p2 = _cut(base, side, markers, pair, child.get("removed"))
+        sub = _child(edges, side, markers, pair, child.get("removed"))
+        p1, p2 = pair
         _need(p1 != p2, "child: malformed pair")
         if part == 1:
-            _need(sub.eref[p2] == mds[0]["name"], "part 1: pair must end with the marker")
-            heads.add(sub.eref[p1])
+            _need(p2 == mds[0]["name"], "part 1: pair must end with the marker")
+            heads.add(p1)
         jobs.append((sub, p1, p2, child["node"]))
     if part == 1:
-        _need(heads == {sl.eref[e1], sl.eref[e2]}, "part 1: children do not cover the pair")
+        _need(heads == {r1, r2}, "part 1: children do not cover the pair")
     return jobs
 
 
@@ -578,7 +613,7 @@ def verify_certificate(
             node = v.certificate or {}
             _need(node.get("kind") == cert.NODE_BLOCKS, "vacuous verdict needs a blocks record")
             # no common cycle: each lies in one block (see the preprocess root)
-            _dropped(Slice.identity(g), range(g.m), [], [e1, e2], node.get("removed"))
+            _child(range(g.m), dict(enumerate(g.edges)), [], [e1, e2], node.get("removed"))
             bt = blocks(g)
             _need(
                 bt.block_of(e1) != bt.block_of(e2),
@@ -594,7 +629,7 @@ def verify_certificate(
         _need(isinstance(node, dict), "tied verdict is missing its certificate")
         shapes: _Shapes = {}
         if node.get("kind") == cert.NODE_PARALLEL_PAIR:
-            _replay_node(Slice.identity(g), e1, e2, node, shapes)
+            _replay_leaf(Slice.identity(g), e1, e2, node, shapes)
             return True, "ok"
         _need(
             node.get("kind") == cert.NODE_PREPROCESS,
@@ -607,15 +642,30 @@ def verify_certificate(
         # removed edges, cut once
         b = blocks(g).block_of(e1)
         _need(e2 in b, "preprocess: edges are in different blocks")
-        sli, p1, p2 = _cut(Slice.identity(g), b, [], [e1, e2], node.get("removed"))
+        inner, removed = node["inner"], node.get("removed")
+        root: _Edges = {}
+        ids = sorted(b)
+        if removed or inner.get("kind") == cert.NODE_SPLIT:
+            # only a split and a removed list read the root's edges by
+            # reference; a leaf root with none is replayed on the cut alone
+            root = _child(range(g.m), {i: g.edges[i] for i in ids}, [], [e1, e2], removed)
+            ids = list(root)
+        sli = Slice.identity(g).sub(ids)
         block = node.get("block") or []
         _need(
             _plain(block) and sorted(block) == list(sli.eref),
             "preprocess: recorded block mismatch",
         )
-        jobs = [(sli, p1, p2, node["inner"])]
+        # splits are checked on their edges by reference; a leaf gets one
+        # graph, the root's leaf the root cut itself
+        jobs: list[_Job] = [(root, e1, e2, inner)]
         while jobs:
-            jobs.extend(reversed(_replay_node(*jobs.pop(), shapes)))
+            edges, r1, r2, inner = jobs.pop()
+            if inner.get("kind") == cert.NODE_SPLIT:
+                jobs.extend(reversed(_replay_split(edges, r1, r2, inner)))
+            else:
+                sl = sli if edges is root else _graph(edges)
+                _replay_leaf(sl, sl.edge_index[r1], sl.edge_index[r2], inner, shapes)
         return True, "ok"
     except (_Fail, SgError) as exc:
         return False, str(exc)

@@ -559,6 +559,22 @@ def test_linear_cut_search_names_the_cut_vertex_of_a_deep_path():
     assert not is_3_connected(g)
 
 
+def test_a_push_keeps_the_triples_with_its_own_lowpoint():
+    """A push pops only the triples whose a lies above its own, as in
+    Gutwenger & Mutzel's path search.  Popping those with an equal a as
+    well merges two candidates {a, b} into one and drops the upper b, so
+    on this graph the search would name {2, 4} instead of {1, 4}.  Both
+    are 2-cuts, but the pair named is the boundary of a document's
+    split, so it must not move."""
+    g = SignedGraph.build(
+        7,
+        [(4, 6, 1), (5, 4, 1), (0, 5, 1), (4, 6, 1), (2, 4, 1), (3, 4, 1), (6, 3, 1),
+         (2, 1, 1), (5, 2, 1), (0, 2, 1), (1, 6, 1), (2, 5, 1), (3, 1, 1), (4, 0, 1)],
+    )
+    assert _separation_pair(g) == (1, 4)
+    assert len(components(g, frozenset((1, 4)))) == 2
+
+
 def test_3_connectivity_counts_walks_not_vertices(monkeypatch):
     """On random_3_connected(n, n, 0, 1), is_3_connected makes one linear
     pass, which proves 2-connectivity on the way; find_proper_2_separation

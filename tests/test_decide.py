@@ -734,11 +734,13 @@ def test_each_slice_builds_its_edge_map_once(monkeypatch, doubled):
     """Deciding and verifying a 40-rung ladder, and the part-2 split of
     two_k4_on_boundary()'s pair (4, 0), builds the edge map of each
     reference tuple at most once (a switched slice shares its parent's),
-    and no more map entries than the slices cut out hold edges; a map
-    rebuilt at every lookup costs verify about 2.7 times that."""
+    and no more map entries than decide's slices and the verifier's
+    cuts hold edges; a map rebuilt at every lookup costs verify about
+    2.7 times that."""
     built, cut = [], []
     build = Slice.__dict__["edge_index"].func
     real_sub = Slice.sub
+    real_child = sgties.oracle._child
 
     def counting_build(sl):
         built.append(sl)  # held, so that no id is reused
@@ -749,8 +751,14 @@ def test_each_slice_builds_its_edge_map_once(monkeypatch, doubled):
         cut.append(out.g.m)
         return out
 
+    def counting_child(*args):
+        out = real_child(*args)
+        cut.append(len(out))
+        return out
+
     monkeypatch.setattr(Slice.__dict__["edge_index"], "func", counting_build)
     monkeypatch.setattr(Slice, "sub", counting_sub)
+    monkeypatch.setattr(sgties.oracle, "_child", counting_child)
     cases = [
         (ladder(40, 1, doubled=doubled), KIND_UNTIED if doubled else KIND_TIED),
         ((helpers.two_k4_on_boundary(), 4, 0), KIND_TIED),
@@ -776,30 +784,49 @@ CUT_CASES = {
     "part-3": lambda: compose_tied_instance(Splice(Leaf("case1"), balanced=False), 0),
     "child-removed": lambda: (random_signed_graph(9, 9, 0.5, 4), 2, 5),
     "root-removed": lambda: _last_edge_pair(random_3_connected(8, 6, 0.0, 0)),
+    "root-leaf": lambda: _last_edge_pair(random_3_connected(8, 6, 0.0, 4)),
     "vacuous-removed": lambda: (random_signed_graph(8, 12, 0.5, 0), 1, 4),
 }
 
 
 @pytest.mark.parametrize("case", list(CUT_CASES))
 def test_each_slice_is_cut_once(monkeypatch, case):
-    """Decide and verify each cut the pair's block of the input once,
-    without the edges parallel to the pair, and each child once, without
-    the edges and markers parallel to its own pair: 1 + (child nodes of
-    the document) Slice.sub calls each, and none for a vacuous pair,
-    whose recorded parallels verify checks without a cut.  The slices
-    those calls return, a root cut that keeps everything included, hold
-    916 edges in all on each side for a 40-rung ladder and 4,748 for a
-    160-rung ladder, cutting each part-1 split at the median straddling
-    2-cut."""
-    cuts = []
+    """Decide cuts the pair's block of the input once, without the
+    edges parallel to the pair, and each child once, without the edges
+    and markers parallel to its own pair: 1 + (child nodes of the
+    document) Slice.sub calls, and none for a vacuous pair.  Verify
+    makes its root cut by one Slice.sub, of as many edges, and each
+    child cut by reference, one oracle._child each, holding as many
+    edges as decide's; the root takes one oracle._child as well when a
+    split or a removed list reads its edges, and a leaf root with
+    neither none.  Verify builds one graph per leaf below the root and
+    per part-3 cycle.  A vacuous pair's recorded parallels take one
+    oracle._child and nothing else.  The cuts, a root cut that keeps
+    everything included, hold 916 edges in all on each side for a
+    40-rung ladder and 4,748 for a 160-rung ladder, cutting each part-1
+    split at the median straddling 2-cut."""
+    cuts, held, graphs = [], [], []
     real_sub = Slice.sub
+    real_child = sgties.oracle._child
+    real_graph = sgties.oracle._graph
 
     def counting_sub(sl, *args, **kwargs):
         out = real_sub(sl, *args, **kwargs)
         cuts.append(out.g.m)
         return out
 
+    def counting_child(*args):
+        out = real_child(*args)
+        held.append(len(out))
+        return out
+
+    def counting_graph(edges):
+        graphs.append(len(edges))
+        return real_graph(edges)
+
     monkeypatch.setattr(Slice, "sub", counting_sub)
+    monkeypatch.setattr(sgties.oracle, "_child", counting_child)
+    monkeypatch.setattr(sgties.oracle, "_graph", counting_graph)
     g, e1, e2 = CUT_CASES[case]()
     doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
     decided, cuts[:] = list(cuts), []
@@ -807,21 +834,33 @@ def test_each_slice_is_cut_once(monkeypatch, case):
     root = doc["certificate"]
     if case == "vacuous-removed":
         assert root["kind"] == "blocks" and root["removed"]
-        assert decided == cuts == []
+        assert decided == cuts == graphs == []
+        assert held == [g.m - len(root["removed"])]
         return
     assert root["kind"] == "preprocess"
     splits = list(_splits(root))
     children = [child for split in splits for child in split["children"]]
-    assert len(decided) == len(cuts) == 1 + len(children)
+    read = int(bool(root["removed"]) or root["inner"]["kind"] == "split")
+    assert len(decided) == 1 + len(children)
+    assert cuts == decided[:1]
+    assert len(held) == read + len(children)
+    assert held[:read] == decided[:read]
+    assert sum(held[read:]) == sum(decided[1:])
+    leaves = [child for child in children if child["node"]["kind"] != "split"]
+    cycles = [split for split in splits if split["part"] == 3]
+    assert len(graphs) == len(leaves) + len(cycles)
     copies = {"ladder-40": 916, "ladder-160": 4_748}
     if case in copies:
-        assert sum(decided) == sum(cuts) == copies[case]
+        assert sum(decided) == sum(held) == copies[case]
     if case.startswith("part-"):
         assert splits[0]["part"] == int(case[-1])
+        assert cycles or case == "part-2"
     if case == "child-removed":
         assert any(child["removed"] for child in children)
     if case == "root-removed":
         assert root["removed"]
+    if case == "root-leaf":
+        assert not root["removed"] and not splits and held == []
 
 
 @pytest.mark.parametrize("case", ["ladder-40", "part-2", "part-3", "root-removed"])

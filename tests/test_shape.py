@@ -15,6 +15,7 @@ import sgties.connectivity
 import sgties.decide
 import sgties.oracle
 from sgties import (
+    KIND_UNTIED,
     SignedGraph,
     Slice,
     decide_tied,
@@ -75,6 +76,32 @@ def test_part1_chain_copies_grow_no_faster_than_m_log_m(monkeypatch, doubled):
     (plain)."""
     rungs = (125, 250, 500, 1000)
     _assert_growth(_copied_edges(monkeypatch, (ladder(k, 1, doubled=doubled) for k in rungs)))
+
+
+def test_part1_chain_replay_cuts_grow_no_faster_than_m_log_m(monkeypatch):
+    """The verifier cuts each child of a part-1 chain once, by
+    reference, and builds a graph only at its leaves.  The edges its
+    cuts hold while it checks the document of a ladder whose pair is its
+    first and last rung, the root's cut included, are the edges decide's
+    slices hold: 3,459 at 125 rungs to 36,912 at 1,000."""
+    held = [0]
+    real_child = sgties.oracle._child
+
+    def counting_child(*args):
+        out = real_child(*args)
+        held[0] += len(out)
+        return out
+
+    monkeypatch.setattr(sgties.oracle, "_child", counting_child)
+    counts = []
+    for rungs in (125, 250, 500, 1000):
+        g, e1, e2 = ladder(rungs, 1)
+        doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+        held[0] = 0
+        assert verify_certificate(g, e1, e2, doc) == (True, "ok")
+        counts.append(held[0])
+    assert counts[0] == 3_459 and counts[-1] == 36_912, counts
+    _assert_growth(counts)
 
 
 def _calls_per_ladder_decide(monkeypatch, module, name):
@@ -312,3 +339,53 @@ def test_mixed_class_leaf_deletes_no_faster_than_m_log_m(monkeypatch):
         decide_tied(*_mixed(n))
         counts.append(copied[0])
     _assert_growth(counts)
+
+
+def _hub_fan(rim, negative_hub):
+    """The cycle 0..rim-1 plus, for each h, a hub vertex rim + h joined
+    to h, h+1 and h+2 (mod rim), all positive but hub negative_hub's
+    edge to h+2; the pair is the rim edges 0-1 and rim/2-(rim/2+1).  One
+    3-connected leaf, untied."""
+    items = [(h, (h + 1) % rim, 1) for h in range(rim)]
+    for h in range(rim):
+        items += [
+            (rim + h, (h + k) % rim, -1 if (h, k) == (negative_hub, 2) else 1) for k in range(3)
+        ]
+    return SignedGraph.build(2 * rim, items), 0, rim // 2
+
+
+def test_hub_fan_balance_tests_grow_no_faster_than_m_log_m(monkeypatch):
+    """With its negative edge on hub R/2 - 4, the hub fan's flow cycle
+    leaves one hub per component off it, and the ear search tests about
+    R/2 of them before the one with an ear.  Each is tested on its own
+    graph: the vertices plus edges that is_balanced receives per decide
+    are 645, 1,295, 2,595 and 5,195 at R = 100, 200, 400 and 800.
+    Testing each over all n vertices received 9,998 to 639,998, 4.0
+    times per doubling."""
+    seen = [0]
+    real = sgties.decide.is_balanced
+
+    def counting(g):
+        seen[0] += g.n + g.m
+        return real(g)
+
+    monkeypatch.setattr(sgties.decide, "is_balanced", counting)
+    counts = []
+    for rim in (100, 200, 400, 800):
+        seen[0] = 0
+        assert decide_tied(*_hub_fan(rim, rim // 2 - 4)).kind == KIND_UNTIED
+        counts.append(seen[0])
+    _assert_growth(counts)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: no single ear changes the sign; self-reduction cuts a slice per edge",
+)
+def test_hub_fan_without_a_single_ear_copies_grow_no_faster_than_m_log_m(monkeypatch):
+    """With its negative edge on hub R - 1, whose edges straddle e1, no
+    single ear changes the sign of the hub fan's flow cycle, so its
+    second witness comes from self-reduction, one verdict per edge:
+    7,713, 34,681 and 152,681 edges copied at R = 16, 32 and 64."""
+    _assert_growth(_copied_edges(monkeypatch, (_hub_fan(rim, rim - 1) for rim in (16, 32, 64))))

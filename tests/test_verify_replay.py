@@ -11,9 +11,14 @@ import random
 
 import pytest
 
+import helpers
 import sgties.oracle
 from sgties import (
+    Join,
+    Leaf,
     SignedGraph,
+    Splice,
+    compose_tied_instance,
     decide_tied,
     ladder,
     oracle_tied,
@@ -233,3 +238,76 @@ def test_a_flipped_sign_fails_its_own_enum_leaf_after_its_shape_is_memoized(monk
     assert reason in ("enum: leaf cycles carry both signs", "enum: recorded sign mismatch")
     assert len(leaves) == last + 1
     assert len(enumerated) == len(set(shapes[: last + 1])) < last + 1
+
+
+def _splits(node):
+    """Each split of a certificate with the names of the markers its
+    ancestors added, the edges it may refer to besides input ids."""
+    stack = [(node, frozenset())]
+    while stack:
+        node, names = stack.pop()
+        if node["kind"] == "preprocess":
+            stack.append((node["inner"], names))
+        elif node["kind"] == "split":
+            yield node, names
+            for child in node["children"]:
+                added = {md["name"] for md in child["markers"]}
+                stack.append((child["node"], names | added))
+
+
+def _flipped(g, i):
+    return SignedGraph.build(
+        g.n, [(e.u, e.v, -e.sign if j == i else e.sign) for j, e in enumerate(g.edges)]
+    )
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        lambda: ladder(40, 1),
+        lambda: compose_tied_instance(Join(Leaf("case1"), Leaf("case3")), 0),
+        lambda: (helpers.two_k4_on_boundary(), 4, 0),
+        lambda: compose_tied_instance(Splice(Leaf("case1"), balanced=False), 0),
+    ],
+    ids=["part-1-enum", "part-1-case", "part-2", "part-3"],
+)
+def test_a_document_with_its_sides_permuted_replays_alike(instance):
+    """A child holds its side's edges in its parent's order, whatever
+    order the document lists them in.  With every split's side1 and
+    side2 shuffled, the document still verifies, and on the graph with
+    any one edge's sign flipped it gets the reason the unshuffled
+    document gets, local edge ids included."""
+    g, e1, e2 = instance()
+    doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+    shuffled = copy.deepcopy(doc)
+    rng = random.Random(5)
+    for split, _ in _splits(shuffled["certificate"]):
+        for key in ("side1", "side2"):
+            rng.shuffle(split[key])
+    assert shuffled != doc
+    assert verify_certificate(g, e1, e2, shuffled) == (True, "ok")
+    for i in range(g.m):
+        h = _flipped(g, i)
+        assert verify_certificate(h, e1, e2, shuffled) == verify_certificate(h, e1, e2, doc)
+
+
+def test_a_marker_unknown_two_splits_down_is_an_unknown_edge_reference():
+    """Below the root a split refers to the input edges and ancestor
+    markers its parent holds, and to nothing else.  A split two levels
+    below the first whose side1 names a marker added in another branch
+    of the document, one its parent does not hold, is rejected."""
+    g, e1, e2 = ladder(40, 1)
+    doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+    everywhere = {name for _, names in _splits(doc["certificate"]) for name in names}
+    split, names = next(
+        (split, names)
+        for split, names in _splits(doc["certificate"])
+        if len(names) >= 2 and names & set(split["side1"])
+    )
+    stranger = min(everywhere - names)
+    side1 = split["side1"]
+    side1[side1.index(min(names & set(side1)))] = stranger
+    assert verify_certificate(g, e1, e2, doc) == (
+        False,
+        f"side1: unknown edge reference {stranger!r}",
+    )
