@@ -311,3 +311,300 @@ def test_a_marker_unknown_two_splits_down_is_an_unknown_edge_reference():
         False,
         f"side1: unknown edge reference {stranger!r}",
     )
+
+
+# --- every reason a split's replay gives ------------------------------------
+
+# a small document per part, its top split the preprocess root's inner node:
+# part 1 nests two more part-1 splits a side, part 2 keeps side 1 with an
+# empty switch, part 3 keeps side 2 and records the negative cycle (0, 6, 3, 7)
+_SPLIT_INSTANCES = {
+    1: lambda: ladder(6, 1),
+    2: lambda: (helpers.two_k4_on_boundary(), 4, 0),
+    3: lambda: compose_tied_instance(Splice(Leaf("case1"), balanced=False), 0),
+}
+
+
+def _split_doc(part):
+    g, e1, e2 = _SPLIT_INSTANCES[part]()
+    doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+    assert doc["certificate"]["inner"]["part"] == part
+    assert verify_certificate(g, e1, e2, doc) == (True, "ok")
+    return g, e1, e2, doc
+
+
+def _set(node, path, value):
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+# below a part-1 split: the first child's split, and that split's second child
+_C0 = ("children", 0, "node")
+_C01 = (*_C0, "children", 1)
+
+# (part, [(path from the top split, new value)], reason); every case but
+# those marked is a single-field mutation of _split_doc(part)
+SPLIT_REASONS = {
+    "part-unknown": (1, [(("part",), 4)], "split: unknown part 4"),
+    "part-true": (1, [(("part",), True)], "split: unknown part True"),
+    "side1-type": (
+        1, [(("side1", 0), True)], "side1: edge reference is neither an int nor a string"
+    ),
+    "side1-unknown": (1, [(("side1", 0), 99)], "side1: unknown edge reference 99"),
+    "side1-not-a-list": (
+        1, [(("side1",), 5)], "malformed certificate: TypeError(\"'int' object is not iterable\")"
+    ),
+    "side2-type": (
+        1, [(("side2", 0), None)], "side2: edge reference is neither an int nor a string"
+    ),
+    "side2-unknown": (1, [(("side2", 0), "m9")], "side2: unknown edge reference 'm9'"),
+    "side2-repeats": (1, [(("side2", 0), 0)], "split: sides do not partition the edges"),
+    # two fields: one side takes every edge
+    "empty-side": (
+        1,
+        [(("side1",), [0, 1, 2, 6, 7, 11, 12, 13, 3, 4, 5, 8, 9, 10, 14, 15]), (("side2",), [])],
+        "split: empty side",
+    ),
+    "boundary-type": (
+        1, [(("boundary", 1), True)], "split boundary: vertex reference is not an int"
+    ),
+    "boundary-unknown": (
+        1, [(("boundary", 1), 99)], "split boundary: unknown vertex reference 99"
+    ),
+    "boundary-short": (
+        1,
+        [(("boundary",), [2])],
+        "malformed certificate: ValueError('not enough values to unpack (expected 2, got 1)')",
+    ),
+    "boundary-coincide": (1, [(("boundary", 1), 2)], "split: boundary vertices coincide"),
+    "boundary-meet": (
+        1, [(("boundary", 1), 8)], "split: sides meet outside the boundary pair"
+    ),
+    # a crafted node: the child's split puts its two markers, both
+    # between the boundary pair, on a side of their own
+    "not-proper": (
+        3,
+        [
+            (
+                ("children", 0, "node"),
+                {
+                    "kind": "split",
+                    "part": 1,
+                    "boundary": [0, 3],
+                    "side1": ["m0", "m1"],
+                    "side2": [0, 1, 2, 3, 4, 5, 6, 7],
+                    "children": [],
+                },
+            )
+        ],
+        "split: separation is not proper",
+    ),
+    "part1-children": (1, [(("children",), None)], "part 1 needs two children"),
+    "part1-child-not-a-dict": (
+        1,
+        [(("children", 0), None)],
+        "malformed certificate: AttributeError(\"'NoneType' object has no attribute 'get'\")",
+    ),
+    "marker-sign": (
+        1,
+        [(("children", 0, "markers", 0, "sign"), -1)],
+        "part 1: child markers must carry the signs [1]",
+    ),
+    "marker-sign-true": (
+        1,
+        [(("children", 1, "markers", 0, "sign"), True)],
+        "part 1: child markers must carry the signs [1]",
+    ),
+    "marker-ends-type": (
+        1,
+        [(("children", 0, "markers", 0, "u"), True)],
+        "marker ends: vertex reference is not an int",
+    ),
+    "marker-ends-unknown": (
+        1,
+        [(("children", 0, "markers", 0, "v"), 99)],
+        "marker ends: unknown vertex reference 99",
+    ),
+    "marker-ends-boundary": (
+        1,
+        [(("children", 0, "markers", 0, "u"), 3)],
+        "marker endpoints differ from the split boundary",
+    ),
+    "marker-name-int": (
+        1,
+        [(("children", 0, "markers", 0, "name"), 5)],
+        "marker name 5 is not a fresh string",
+    ),
+    "marker-name-stale": (
+        1,
+        [((*_C0, "children", 0, "markers", 0, "name"), "m0")],
+        "marker name 'm0' is not a fresh string",
+    ),
+    "pair-short": (1, [(("children", 0, "pair"), [0])], "child: malformed pair"),
+    "pair-repeats": (1, [(("children", 0, "pair", 1), 0)], "child: malformed pair"),
+    "pair-type": (
+        1,
+        [(("children", 0, "pair", 0), True)],
+        "child pair: edge reference is neither an int nor a string",
+    ),
+    "pair-unknown": (
+        1, [(("children", 0, "pair", 0), 5)], "child pair: unknown edge reference 5"
+    ),
+    "pair-no-marker": (
+        1, [(("children", 0, "pair", 1), 1)], "part 1: pair must end with the marker"
+    ),
+    "pair-uncovered": (
+        1, [(("children", 0, "pair", 0), 1)], "part 1: children do not cover the pair"
+    ),
+    "removed-type": (
+        1,
+        [((*_C01, "removed", 0), True)],
+        "removed: edge reference is neither an int nor a string",
+    ),
+    "removed-unknown": (
+        1, [((*_C01, "removed", 0), 99)], "removed: unknown edge reference 99"
+    ),
+    "removed-distinguished": (
+        1, [((*_C01, "removed", 0), "m0")], "removed: lists a distinguished edge"
+    ),
+    "removed-not-parallel": (
+        1, [((*_C01, "removed", 0), 2)], "removed: edge 2 is not parallel to the pair"
+    ),
+    "kept-unknown": (2, [(("kept",), 3)], "split: bad kept side 3"),
+    "kept-true": (2, [(("kept",), True)], "split: bad kept side True"),
+    "kept-drops-the-pair": (
+        2, [(("kept",), 2)], "split: kept side must contain both distinguished edges"
+    ),
+    "part2-children": (2, [(("children",), [])], "parts 2 and 3 take a single child"),
+    "part2-pair": (
+        2,
+        [(("children", 0, "pair"), [0, 4])],
+        "split: child pair must repeat the distinguished pair",
+    ),
+    "switch-missing": (2, [(("switch",), None)], "part 2: missing resign switch"),
+    "switch-type": (2, [(("switch",), [True])], "resign switch: vertex reference is not an int"),
+    "switch-unknown": (2, [(("switch",), [99])], "resign switch: unknown vertex reference 99"),
+    "switch-breaks-balance": (
+        2, [(("switch",), [4])], "part 2: discarded side is not all-positive after the switch"
+    ),
+    "part2-marker-sign": (
+        2,
+        [(("children", 0, "markers", 0, "sign"), -1)],
+        "part 2: child markers must carry the signs [1]",
+    ),
+    "cycle-missing": (3, [(("neg_cycle",), None)], "part 3: missing negative cycle"),
+    "cycle-type": (
+        3,
+        [(("neg_cycle", "edges", 0), True)],
+        "neg_cycle: edge reference is neither an int nor a string",
+    ),
+    "cycle-unknown": (3, [(("neg_cycle", "edges", 0), 99)], "neg_cycle: unknown edge reference 99"),
+    "cycle-leaves": (
+        3, [(("neg_cycle", "edges", 0), 0)], "part 3: cycle leaves the discarded side"
+    ),
+    "cycle-not-closed": (
+        3, [(("neg_cycle", "edges"), [8, 9, 10])], "edge set is not 2-regular on its vertices"
+    ),
+    "cycle-positive": (
+        3, [(("neg_cycle", "edges"), [8, 12, 10])], "part 3: recorded cycle is not negative"
+    ),
+    "cycle-vertices-type": (
+        3,
+        [(("neg_cycle", "vertices", 0), True)],
+        "neg_cycle vertices: vertex reference is not an int",
+    ),
+    "cycle-vertices-unknown": (
+        3,
+        [(("neg_cycle", "vertices", 0), 99)],
+        "neg_cycle vertices: unknown vertex reference 99",
+    ),
+    "cycle-vertices": (
+        3, [(("neg_cycle", "vertices", 0), 1)], "part 3: cycle vertices mismatch"
+    ),
+    "part3-marker-signs": (
+        3,
+        [(("children", 0, "markers", 1, "sign"), 1)],
+        "part 3: child markers must carry the signs [-1, 1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SPLIT_REASONS)
+def test_each_split_reason_is_given_verbatim(case):
+    """Each reason the split replay and its reference readers give, from
+    a document with one field changed (two, or one crafted node, where
+    marked): the exact result, so a rework that moves a check or rewords
+    a reason shows here."""
+    part, edits, reason = SPLIT_REASONS[case]
+    g, e1, e2, doc = _split_doc(part)
+    for path, value in edits:
+        _set(doc["certificate"]["inner"], path, value)
+    assert verify_certificate(g, e1, e2, doc) == (False, reason)
+
+
+# --- every field replaced by a value of the wrong type ----------------------
+
+_STAND_INS = (None, True, 1.0, "x", [], {})
+
+# the split fields a part does not read
+_UNREAD = {1: {"kept", "switch", "neg_cycle"}, 2: {"neg_cycle"}, 3: {"switch"}}
+
+
+def _fields(node, path=()):
+    """The path of every field below the top of a document: each dict
+    value and each list entry."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield (*path, key)
+        if isinstance(value, (dict, list)):
+            yield from _fields(value, (*path, key))
+
+
+def _harmless(doc, path, old, new):
+    """Whether replacing the field at ``path`` by ``new`` leaves the
+    document meaning what it did: one empty value for another, an
+    unknown common sign, a fresh marker name nothing refers to, or a
+    field the split's part does not read."""
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    field = path[-1]
+    return (
+        (old in (None, []) and new in (None, [], {}))
+        or (field == "common_sign" and new is None)
+        or (field == "name" and new == "x")
+        or (
+            isinstance(holder, dict)
+            and holder.get("kind") == "split"
+            and field in _UNREAD[holder["part"]]
+        )
+    )
+
+
+@pytest.mark.parametrize("part", _SPLIT_INSTANCES)
+def test_a_field_of_the_wrong_type_is_rejected_and_never_raises(part):
+    """Every field of a small document per part (seeded instances: the
+    ladder at seed 1, the composed part-3 instance at seed 0), replaced
+    in turn by null, true, 1.0, "x", [] and {}: verify returns a result,
+    never raises, and accepts only where the document's meaning is
+    unchanged; every rejection has a reason."""
+    g, e1, e2, doc = _split_doc(part)
+    tried = rejected = 0
+    for path in list(_fields(doc)):
+        for new in _STAND_INS:
+            bad = copy.deepcopy(doc)
+            holder = bad
+            for key in path[:-1]:
+                holder = holder[key]
+            old = holder[path[-1]]
+            holder[path[-1]] = new
+            ok, reason = verify_certificate(g, e1, e2, bad)
+            tried += 1
+            if ok:
+                assert reason == "ok"
+                assert _harmless(doc, path, old, new), (path, new)
+            else:
+                rejected += 1
+                assert isinstance(reason, str) and reason and reason != "ok", (path, new)
+    assert rejected >= 0.9 * tried
