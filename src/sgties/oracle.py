@@ -19,20 +19,22 @@ sign arithmetic, block recomputation, small re-enumeration), trusting
 nothing from the decision procedure that produced it.  The root is cut
 out of the input once.  Below it, a node holds its edges as a dict from
 reference (an input edge id or a marker name) to (u, v, sign), the ends
-input vertex ids and the sign as the splits above switched it.  A split
-is checked on that dict and its vertex set, and each child is cut once
-as a new dict: its side, in the parent's order, then its markers, less
-its ``removed``.  Only a leaf gets a graph, renumbered once as Slice.sub
-would lay it out (vertices in increasing input id, edges in the order
-held), so leaf checks and their local-id messages read the same graph
-they always did; a part-3 split also builds one of its cycle's own
-edges.  An enum leaf's
-re-enumeration reads only its vertex count, the ends of its edges and
-its pair, never a sign, so one call runs it once per such shape and
-keeps the cycles and the complete flag in a dict keyed by (n, the
-(u, v) of every edge in local id order, e1, e2) that lives for that
-call.  Each leaf's cycle signs, its recorded sign and its recorded
-cycles are still checked against its own graph.
+input vertex ids and the sign as the splits above switched it.  Each
+reference list is read once, each entry's type tested and then its
+membership.  A split labels each parent edge with its side once, which
+checks the partition, and one pass over the parent cuts both sides;
+each child is made once as a new dict: its side, in the parent's order,
+then its markers, less its ``removed``.  Only a leaf gets a graph,
+renumbered once as Slice.sub would lay it out (vertices in increasing
+input id, edges in the order held), so leaf checks and their local-id
+messages read the same graph they always did; a part-3 split also
+builds one of its cycle's own edges.  An enum leaf's re-enumeration
+reads only its vertex count, the ends of its edges and its pair, never
+a sign, so one call runs it once per such shape and keeps the cycles
+and the complete flag in a dict keyed by (n, the (u, v) of every edge
+in local id order, e1, e2) that lives for that call.  Each leaf's cycle
+signs, its recorded sign and its recorded cycles are still checked
+against its own graph.
 """
 
 from __future__ import annotations
@@ -260,35 +262,31 @@ def _need(cond: bool, reason: str) -> None:
         raise _Fail(reason)
 
 
-def _plain(values, kinds: frozenset[type] = frozenset((int,))) -> bool:
-    """Every value's type is one of the kinds: int, or int and str for
-    edge references.  True == 1 == 1.0, and all three hash alike, so a
-    dict lookup, ``==`` or ``in`` would read JSON true or 1.0 as id 1,
-    sign +1 or part 1; every check that reads a document value rules
-    them out."""
-    return set(map(type, values)) <= kinds
-
-
-_REFS = frozenset((int, str))
-
-
-def _known(have: Collection, refs: list, unknown: str) -> list:
+def _edge_refs(edges: Collection[Ref], refs, what: str) -> list[Ref]:
+    """``refs`` as a list, each an int or a string that ``edges`` holds,
+    read in one pass that tests each entry's exact type, then whether
+    it is held.  True == 1 == 1.0 and all three hash alike, so ``in``,
+    ``==`` or a lookup would read JSON true or 1.0 as id 1, sign +1 or
+    part 1: every check that reads a document value tests its type."""
+    refs = list(refs)
     for r in refs:
-        if r not in have:
-            raise _Fail(f"{unknown} {r!r}")
+        if type(r) is not int and type(r) is not str:
+            raise _Fail(f"{what}: edge reference is neither an int nor a string")
+        if r not in edges:
+            raise _Fail(f"{what}: unknown edge reference {r!r}")
     return refs
 
 
-def _edge_refs(edges: Collection[Ref], refs, what: str) -> list[Ref]:
-    """``refs`` as a list, each an int or a string that ``edges`` holds."""
-    _need(_plain(refs, _REFS), f"{what}: edge reference is neither an int nor a string")
-    return _known(edges, list(refs), f"{what}: unknown edge reference")
-
-
 def _vertex_refs(verts: Collection[VertexId], refs, what: str) -> list[VertexId]:
-    """``refs`` as a list, each an int that ``verts`` holds."""
-    _need(_plain(refs), f"{what}: vertex reference is not an int")
-    return _known(verts, list(refs), f"{what}: unknown vertex reference")
+    """``refs`` as a list, each an int that ``verts`` holds, read as
+    _edge_refs reads."""
+    refs = list(refs)
+    for r in refs:
+        if type(r) is not int:
+            raise _Fail(f"{what}: vertex reference is not an int")
+        if r not in verts:
+            raise _Fail(f"{what}: unknown vertex reference {r!r}")
+    return refs
 
 
 def _resolve_edges(sl: Slice, refs, what: str) -> list[int]:
@@ -322,10 +320,6 @@ def _switched_positive(
 _Edges = dict[Ref, tuple[VertexId, VertexId, Sign]]
 
 
-def _ends(edges: _Edges, refs: Collection[Ref]) -> set[VertexId]:
-    return {x for r in refs for x in edges[r][:2]}
-
-
 def _child(parent: Collection[Ref], side: _Edges, markers: list, pair: list, removed) -> _Edges:
     """One child, made of ``side`` in place: the edges of one side of
     ``parent``'s split in the parent's order, then the ``markers`` in
@@ -341,16 +335,15 @@ def _child(parent: Collection[Ref], side: _Edges, markers: list, pair: list, rem
         )
     side.update((name, (u, v, s)) for name, u, v, s in markers)
     pair_ends = [frozenset(side[r][:2]) for r in _edge_refs(side, pair, "child pair")]
-    if removed:
-        for r in removed:
-            (r,) = _edge_refs(side, [r], "removed")
-            _need(r not in pair, "removed: lists a distinguished edge")
-            _need(
-                frozenset(side[r][:2]) in pair_ends,
-                f"removed: edge {r!r} is not parallel to the pair",
-            )
-        for r in removed:
-            side.pop(r, None)
+    removed = _edge_refs(side, removed or [], "removed")
+    for r in removed:
+        _need(r not in pair, "removed: lists a distinguished edge")
+        _need(
+            frozenset(side[r][:2]) in pair_ends,
+            f"removed: edge {r!r} is not parallel to the pair",
+        )
+    for r in removed:
+        side.pop(r, None)
     return side
 
 
@@ -386,7 +379,7 @@ def _replay_leaf(sl: Slice, e1: int, e2: int, node: dict, shapes: _Shapes) -> No
             "parallel-pair: edges are not mutually parallel",
         )
         _need(
-            _plain([node.get("sign")]) and node.get("sign") == sl.g.sign(e1) * sl.g.sign(e2),
+            type(node.get("sign")) is int and node.get("sign") == sl.g.sign(e1) * sl.g.sign(e2),
             "parallel-pair: recorded sign mismatch",
         )
     else:
@@ -397,43 +390,45 @@ def _replay_split(edges: _Edges, r1: Ref, r2: Ref, node: dict) -> list[_Job]:
     """Check a split node on its parent's edges; its children come back
     as jobs, in document order.
 
-    Each part plans its children as (side, sorted marker signs): part 1
-    both sides, part 2 the kept side flipped by the recorded switch,
-    part 3 the kept side.  One loop cuts every child, the one place a
-    side becomes a child.  No graph is built but the part-3 cycle's.
+    Each parent edge is labelled 1 or 2 by its side once, and one pass
+    over the parent cuts both sides in its order.  Each part plans its
+    children as (side, sorted marker signs): part 1 both sides, part 2
+    the kept side flipped by the recorded switch, part 3 the kept side.
+    One loop cuts every child.  No graph is built but the part-3 cycle's.
     """
     part = node.get("part")
     _need(type(part) is int and part in (1, 2, 3), f"split: unknown part {part!r}")
     side1 = _edge_refs(edges, node["side1"], "side1")
     side2 = _edge_refs(edges, node["side2"], "side2")
+    label = dict.fromkeys(side1, 1)
+    label.update(dict.fromkeys(side2, 2))
     # distinct references of the parent, as many as it has edges, cover it once
     _need(
-        len(set(side1 + side2)) == len(side1) + len(side2) == len(edges),
+        len(label) == len(side1) + len(side2) == len(edges),
         "split: sides do not partition the edges",
     )
     _need(len(side1) >= 1 and len(side2) >= 1, "split: empty side")
-    v1, v2 = _ends(edges, side1), _ends(edges, side2)
+    cut: dict[int, _Edges] = {1: {}, 2: {}}
+    ends: dict[int, set[VertexId]] = {1: set(), 2: set()}
+    for r, e in edges.items():
+        k = label[r]
+        cut[k][r] = e
+        ends[k].update(e[:2])
+    v1, v2 = ends[1], ends[2]
     verts = v1 | v2
     bu, bv = _vertex_refs(verts, node["boundary"], "split boundary")
     _need(bu != bv, "split: boundary vertices coincide")
     _need(v1 & v2 == {bu, bv}, "split: sides meet outside the boundary pair")
     _need(v1 - {bu, bv} and v2 - {bu, bv}, "split: separation is not proper")
-    sides = {1: side1, 2: side2}
     children = node.get("children") or []
     if part == 1:
         _need(len(children) == 2, "part 1 needs two children")
-        first = set(side1)
-        plan = [
-            ({r: e for r, e in edges.items() if r in first}, [POSITIVE]),
-            ({r: e for r, e in edges.items() if r not in first}, [POSITIVE]),
-        ]
+        plan = [(cut[1], [POSITIVE]), (cut[2], [POSITIVE])]
     else:
         kept = node.get("kept")
         _need(type(kept) is int and kept in (1, 2), f"split: bad kept side {kept!r}")
-        keep = set(sides[kept])
-        drop_side = sides[3 - kept]
         _need(
-            r1 in keep and r2 in keep,
+            label[r1] == kept == label[r2],
             "split: kept side must contain both distinguished edges",
         )
         _need(len(children) == 1, "parts 2 and 3 take a single child")
@@ -445,23 +440,21 @@ def _replay_split(edges: _Edges, r1: Ref, r2: Ref, node: dict) -> list[_Job]:
             raw = node.get("switch")
             _need(isinstance(raw, list), "part 2: missing resign switch")
             flip = set(_vertex_refs(verts, raw, "resign switch"))
-            for r in drop_side:
-                u, v, s = edges[r]
+            for u, v, s in cut[3 - kept].values():
                 _need(
                     (s == POSITIVE) != ((u in flip) != (v in flip)),
                     "part 2: discarded side is not all-positive after the switch",
                 )
             side = {
                 r: (u, v, -s if (u in flip) != (v in flip) else s)
-                for r, (u, v, s) in edges.items()
-                if r in keep
+                for r, (u, v, s) in cut[kept].items()
             }
             plan = [(side, [POSITIVE])]
         else:
             nc = node.get("neg_cycle")
             _need(isinstance(nc, dict), "part 3: missing negative cycle")
             ids = _edge_refs(edges, nc.get("edges") or [], "neg_cycle")
-            _need(set(ids) <= set(drop_side), "part 3: cycle leaves the discarded side")
+            _need(all(label[r] != kept for r in ids), "part 3: cycle leaves the discarded side")
             own = _graph({r: edges[r] for r in ids})
             cyc = Cycle.from_edge_set(own.g, range(own.g.m))
             _need(
@@ -470,13 +463,13 @@ def _replay_split(edges: _Edges, r1: Ref, r2: Ref, node: dict) -> list[_Job]:
             )
             vs = _vertex_refs(verts, nc.get("vertices") or [], "neg_cycle vertices")
             _need(set(own.vref) == set(vs), "part 3: cycle vertices mismatch")
-            plan = [({r: e for r, e in edges.items() if r in keep}, [NEGATIVE, POSITIVE])]
+            plan = [(cut[kept], [NEGATIVE, POSITIVE])]
     jobs, heads = [], set()
     for (side, signs), child in zip(plan, children):
         mds = child.get("markers") or []
         got = [md["sign"] for md in mds]
         _need(
-            _plain(got) and sorted(got) == signs,
+            all(type(s) is int for s in got) and sorted(got) == signs,
             f"part {part}: child markers must carry the signs {signs}",
         )
         # the boundary is two distinct vertices, so markers can be
@@ -557,7 +550,7 @@ def _replay_enum(sl: Slice, e1: int, e2: int, node: dict, shapes: _Shapes) -> No
     signs = {sign_product(g, c.edges) for c in cycles}
     _need(len(signs) == 1, "enum: leaf cycles carry both signs")
     _need(
-        _plain([node.get("sign")]) and node.get("sign") in signs,
+        type(node.get("sign")) is int and node.get("sign") in signs,
         "enum: recorded sign mismatch",
     )
     recorded = set()
@@ -653,7 +646,7 @@ def verify_certificate(
         sli = Slice.identity(g).sub(ids)
         block = node.get("block") or []
         _need(
-            _plain(block) and sorted(block) == list(sli.eref),
+            all(type(i) is int for i in block) and sorted(block) == list(sli.eref),
             "preprocess: recorded block mismatch",
         )
         # splits are checked on their edges by reference; a leaf gets one

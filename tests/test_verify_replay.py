@@ -343,6 +343,10 @@ def _set(node, path, value):
 _C0 = ("children", 0, "node")
 _C01 = (*_C0, "children", 1)
 
+def _marker_split(side1, side2):
+    return {"kind": "split", "part": 1, "boundary": [0, 3], "side1": side1, "side2": side2}
+
+
 # (part, [(path from the top split, new value)], reason); every case but
 # those marked is a single-field mutation of _split_doc(part)
 SPLIT_REASONS = {
@@ -381,24 +385,13 @@ SPLIT_REASONS = {
     "boundary-meet": (
         1, [(("boundary", 1), 8)], "split: sides meet outside the boundary pair"
     ),
-    # a crafted node: the child's split puts its two markers, both
-    # between the boundary pair, on a side of their own
-    "not-proper": (
-        3,
-        [
-            (
-                ("children", 0, "node"),
-                {
-                    "kind": "split",
-                    "part": 1,
-                    "boundary": [0, 3],
-                    "side1": ["m0", "m1"],
-                    "side2": [0, 1, 2, 3, 4, 5, 6, 7],
-                    "children": [],
-                },
-            )
-        ],
-        "split: separation is not proper",
+    # crafted nodes: the child's split puts one of its two markers, each
+    # between the boundary pair, on a side of its own
+    "not-proper-side1": (
+        3, [(_C0, _marker_split(["m0"], [*range(8), "m1"]))], "split: separation is not proper"
+    ),
+    "not-proper-side2": (
+        3, [(_C0, _marker_split([*range(8), "m0"], ["m1"]))], "split: separation is not proper"
     ),
     "part1-children": (1, [(("children",), None)], "part 1 needs two children"),
     "part1-child-not-a-dict": (
@@ -527,6 +520,15 @@ SPLIT_REASONS = {
         [(("children", 0, "markers", 1, "sign"), 1)],
         "part 3: child markers must carry the signs [-1, 1]",
     ),
+    # two faults in one list: each list is read in one pass, so the
+    # earlier entry names the fault, and every entry of ``removed`` is
+    # read before any is checked against the pair
+    "unknown-before-type": (
+        1, [(("side1", 0), 99), (("side1", 1), True)], "side1: unknown edge reference 99"
+    ),
+    "removed-unknown-after-unparallel": (
+        1, [((*_C01, "removed"), [2, 99])], "removed: unknown edge reference 99"
+    ),
 }
 
 
@@ -561,7 +563,7 @@ def _fields(node, path=()):
             yield from _fields(value, (*path, key))
 
 
-def _harmless(doc, path, old, new):
+def _harmless(doc, path, new):
     """Whether replacing the field at ``path`` by ``new`` leaves the
     document meaning what it did: one empty value for another, an
     unknown common sign, a fresh marker name nothing refers to, or a
@@ -570,6 +572,7 @@ def _harmless(doc, path, old, new):
     for key in path[:-1]:
         holder = holder[key]
     field = path[-1]
+    old = holder[field]
     return (
         (old in (None, []) and new in (None, [], {}))
         or (field == "common_sign" and new is None)
@@ -591,19 +594,15 @@ def test_a_field_of_the_wrong_type_is_rejected_and_never_raises(part):
     unchanged; every rejection has a reason."""
     g, e1, e2, doc = _split_doc(part)
     tried = rejected = 0
-    for path in list(_fields(doc)):
+    for path in _fields(doc):
         for new in _STAND_INS:
             bad = copy.deepcopy(doc)
-            holder = bad
-            for key in path[:-1]:
-                holder = holder[key]
-            old = holder[path[-1]]
-            holder[path[-1]] = new
+            _set(bad, path, new)
             ok, reason = verify_certificate(g, e1, e2, bad)
             tried += 1
             if ok:
                 assert reason == "ok"
-                assert _harmless(doc, path, old, new), (path, new)
+                assert _harmless(doc, path, new), (path, new)
             else:
                 rejected += 1
                 assert isinstance(reason, str) and reason and reason != "ok", (path, new)
