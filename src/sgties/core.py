@@ -10,7 +10,9 @@ together with relabeling maps whenever ids are compacted.
 A slice is a subgraph together with the map back to the original ids;
 the decision procedure and the certificate verifier both cut the graph
 along 2-separations into slices, and marker edges added across a
-separation are named instead of numbered.
+separation are named instead of numbered.  One function, renumbered,
+lays out every cut, the prover's and the verifier's: the vertices its
+edges touch in increasing id, and its edges in the order given.
 """
 from __future__ import annotations
 
@@ -120,6 +122,17 @@ class SignedGraph:
         return len(self.adjacency[check_vertex(self.n, v)])
 
 
+def renumbered(edges: Sequence[tuple[int, int, int]]) -> tuple[SignedGraph, tuple[int, ...]]:
+    """The graph of these (u, v, sign) edges in the order given, on the
+    vertices they touch renumbered in increasing id, and those ids, so
+    that local vertex i is ``verts[i]``.  Both numberings keep the order
+    of the ids they replace."""
+    verts = sorted({x for e in edges for x in e[:2]})
+    local = {x: i for i, x in enumerate(verts)}
+    g = SignedGraph(len(verts), tuple(Edge(local[u], local[v], s) for u, v, s in edges))
+    return g, tuple(verts)
+
+
 @dataclass(frozen=True)
 class Slice:
     """A working subgraph plus maps back into the original graph.
@@ -157,13 +170,11 @@ class Slice:
         Each marker is (name, local u, local v, sign); markers follow the
         kept edges in the given order and are referenced by name, a
         string that is fresh: no reference of this slice and no other
-        marker's.  The vertices are those the kept edges and markers
-        touch, in order.  A full cut, the ints 0..m-1 in order with no
-        marker and no isolated vertex, would copy an equal slice, so it
-        returns this slice itself with the maps it has built and checks no
-        id one by one.  Otherwise each kept id is checked by ``g.edge`` and
-        its edge copied with its ends renumbered; markers are validated
-        like any new edge.
+        marker's.  A full cut, the ints 0..m-1 in order with no marker
+        and no isolated vertex, would copy an equal slice, so it returns
+        this slice itself with the maps it has built and checks no id one
+        by one.  Otherwise each kept id is checked by ``g.edge`` and each
+        marker like a new edge of ``g``, and renumbered lays out the cut.
         """
         full = not markers and list(keep) == list(range(self.g.m))
         if full and {*map(type, keep)} <= {int} and all(self.g.adjacency):
@@ -172,22 +183,13 @@ class Slice:
         for name in names:
             if type(name) is not str or name in self.edge_index or names.count(name) > 1:
                 raise BadParams(f"marker name {name!r} is not a fresh string")
-        kept = [self.g.edge(i) for i in keep]
-        verts = sorted(
-            {x for e in kept for x in (e.u, e.v)}
-            | {x for _, u, v, _ in markers for x in (u, v)}
-        )
-        vmap = {old: new for new, old in enumerate(verts)}
-        edges = [Edge(vmap[e.u], vmap[e.v], e.sign) for e in kept]
+        edges = [self.g.edge(i) for i in keep]
         for _, u, v, s in markers:
-            _check_ends(len(verts), vmap[u], vmap[v])
-            edges.append(Edge(vmap[u], vmap[v], check_sign(s)))
+            _check_ends(self.g.n, u, v)
+            edges.append(Edge(u, v, check_sign(s)))
+        g, verts = renumbered(edges)
         eref = [self.eref[i] for i in keep] + names
-        return Slice(
-            SignedGraph(len(verts), tuple(edges)),
-            tuple(eref),
-            tuple(self.vref[v] for v in verts),
-        )
+        return Slice(g, tuple(eref), tuple(self.vref[v] for v in verts))
 
     def switched(self, s: Iterable[VertexId]) -> "Slice":
         """This slice with its graph switched at s.  Switching changes

@@ -86,7 +86,6 @@ from .connectivity import (
 )
 from .core import (
     Cycle,
-    Edge,
     EdgeId,
     NEGATIVE,
     POSITIVE,
@@ -98,6 +97,7 @@ from .core import (
     check_edges,
     delete_edges,
     parallel_class,
+    renumbered,
     sign_product,
 )
 from .errors import NotTwoConnected, PreconditionViolated
@@ -231,6 +231,8 @@ def _reduce(
     A split plans its children as (side, head of the pair), all cut from
     one base slice with markers of the same signs: ``sl`` and one
     positive marker in part 1, ``_split_part23``'s choice in parts 2/3.
+    It is part 1 exactly when it cuts at a median (``at``), since
+    ``_unstraddled_sides`` gives only a cut the pair does not straddle.
     Each child's marker names are drawn just before its recursion.
     """
     # sl is 2-connected: reduce checks its input, _block_tree passes a
@@ -260,17 +262,16 @@ def _reduce(
         sep = _cut_at(sl.g, e1, cuts.p[at[0]], cuts.q[at[1]])
     s1, s2, (bu, bv) = sep
     sides = {1: s1, 2: s2}
-    kept = None
-    if (e1 in s1) != (e2 in s1):
+    near = 1 if e1 in s1 else 2
+    if at is not None:
         # each side keeps its own distinguished edge, paired with a
         # positive marker that stands in for the other side
-        part, base, signs, resign, neg_cycle = 1, sl, (POSITIVE,), None, None
-        head1, head2 = (e1, e2) if e1 in s1 else (e2, e1)
-        plan = ((1, head1), (2, head2))
+        kept, part, base, signs, resign, neg_cycle = None, 1, sl, (POSITIVE,), None, None
+        plan = sorted(((near, e1), (3 - near, e2)))
     else:
-        kept = 1 if e1 in s1 else 2
+        kept = near
         part, base, signs, resign, neg_cycle = _split_part23(sl, sides[3 - kept])
-        plan = ((kept, e1),)
+        plan = [(kept, e1)]
     children = []
     for snum, head in plan:
         markers = tuple((f"m{next(names)}", bu, bv, s) for s in signs)
@@ -334,20 +335,21 @@ def _split_part23(sl: Slice, far: tuple[int, ...]) -> tuple[
     Returns ``(part, base, signs, resign, neg_cycle)``: the part, the
     slice the kept side is cut from, the signs of the markers that stand
     in for the far side, the part-2 switch set and the part-3 negative
-    cycle, both in ``sl``'s ids.  Balance is tested on the far side's
-    edges over all of ``sl``'s vertices, so its edge i is ``far[i]``.
+    cycle, both in ``sl``'s ids.  Balance is tested on the far side's own
+    graph, so the test costs O(|far side|).
     """
-    bal = is_balanced(SignedGraph(sl.g.n, tuple(sl.g.edges[i] for i in far)))
+    own, verts = renumbered([sl.g.edges[i] for i in far])
+    bal = is_balanced(own)
     nc = bal.negative_cycle
     if nc is not None:
         # part 3: the far side holds a negative cycle, so a positive and a
         # negative marker stand in for it
-        # far is sorted, so renaming its edges keeps the cycle canonical
-        cycle = Cycle(tuple(far[i] for i in nc.edges), nc.vertices)
+        # far and verts are sorted, so renaming keeps the cycle canonical
+        cycle = Cycle(tuple(far[i] for i in nc.edges), tuple(verts[x] for x in nc.vertices))
         return 3, sl, (POSITIVE, NEGATIVE), None, cycle
     # part 2: switch the whole graph so the far side is all-positive,
     # then stand it in with a single positive marker
-    resign = tuple(sorted(bal.switch))
+    resign = tuple(verts[x] for x in sorted(bal.switch))
     return 2, sl.switched(resign), (POSITIVE,), resign, None
 
 
@@ -829,11 +831,19 @@ def _common_signs(g: SignedGraph, e1: int, e2: int, shapes: _Shapes) -> frozense
             stack.extend(spec.node for spec in reversed(t.children))
         elif _evaluate_leaf(t, shapes) is None:
             return frozenset((POSITIVE, NEGATIVE))
-    if isinstance(tree, ReductionSplit) and tree.cycle is not None:
-        return frozenset((sign_product(tree.sl.g, tree.cycle.edges),))
-    c = find_common_cycle(g, e1, e2)
+    c = _root_cycle(tree) or find_common_cycle(g, e1, e2)
     assert c is not None, "no common cycle found despite a shared block"
     return frozenset((sign_product(g, c.edges),))
+
+
+def _root_cycle(tree: ReductionTree) -> Optional[Cycle]:
+    """A tied verdict's sign cycle when the root splits part 1, its flow
+    cycle in input ids; else None, and the caller runs a flow itself
+    (the benchmark's tied-sign span is told apart by its caller)."""
+    if isinstance(tree, ReductionSplit) and tree.cycle is not None:
+        blk, c = tree.sl, tree.cycle
+        return Cycle.unchecked([blk.eref[i] for i in c.edges], [blk.vref[v] for v in c.vertices])
+    return None
 
 
 def _fan(
@@ -909,15 +919,11 @@ def _component_ear(
     """An ear of _ear's kind through one component K of G - V(c), as its
     ends x, y on c and its edges, or None.  ``inner`` and ``attach`` are
     K's inner and attachment edges as _bridges lists them.  K's balance
-    is tested on its own graph, its vertices renumbered in increasing
-    id and its edge i ``inner[i]``, so the test costs O(|K|) and not
-    O(n); both numberings keep g's order, so the signing and the
-    negative cycle are those a test over all of g's vertices gives."""
+    is tested on its own graph, so the test costs O(|K|) and not O(n).
+    A K of one vertex has no inner edge, and its potential is +1."""
     inner = sorted(inner)
-    verts = sorted({x for i in inner for x in g.edges[i][:2]}.union(v for _, v, _ in attach))
-    local = {x: k for k, x in enumerate(verts)}
-    own = tuple(Edge(local[u], local[v], s) for u, v, s in (g.edges[i] for i in inner))
-    bal = is_balanced(SignedGraph(len(verts), own))
+    own, verts = renumbered([g.edges[i] for i in inner])
+    bal = is_balanced(own)
     nc = bal.negative_cycle
     if nc is not None:
         # inner and verts are sorted, so renaming keeps the cycle canonical
@@ -938,10 +944,12 @@ def _component_ear(
         return None
     # (half, sign an ear would carry from the half's start) ->
     # attachment vertex -> (attachment edge, its end in K)
+    potential = dict(zip(verts, bal.signing))
     ends: dict[tuple[int, Sign], dict[VertexId, tuple[EdgeId, VertexId]]] = {}
     for eid, v, x in attach:
         hx, sx = place[x]
-        ends.setdefault((hx, g.sign(eid) * bal.signing[local[v]] * sx), {}).setdefault(x, (eid, v))
+        sign = g.sign(eid) * potential.get(v, POSITIVE) * sx
+        ends.setdefault((hx, sign), {}).setdefault(x, (eid, v))
     for (hx, val), xs in ends.items():
         for x, (a, p) in xs.items():
             for y, (b, q) in ends.get((hx, -val), {}).items():
@@ -1082,21 +1090,14 @@ def decide_tied(g: SignedGraph, e1: EdgeId, e2: EdgeId) -> Verdict:
     res = _evaluate(tree, {})
     if not isinstance(res, dict):
         return Verdict(kind=cert.KIND_UNTIED, witness=_finalize_pair(g, res))
-    blk = tree.sl
-    if isinstance(tree, ReductionSplit) and tree.cycle is not None:
-        # the root split part 1: its flow cycle shows the sign too
-        c = Cycle.unchecked(
-            [blk.eref[i] for i in tree.cycle.edges], [blk.vref[v] for v in tree.cycle.vertices]
-        )
-    else:
-        c = find_common_cycle(g, e1, e2)
-        # the pair shares a 2-connected block, so a common cycle exists
-        assert c is not None, "no common cycle found despite a shared block"
+    # the pair shares a 2-connected block, so a common cycle exists
+    c = _root_cycle(tree) or find_common_cycle(g, e1, e2)
+    assert c is not None, "no common cycle found despite a shared block"
     return Verdict(
         kind=cert.KIND_TIED,
         common_sign=sign_product(g, c.edges),
         witness=(c,),
-        certificate=cert.preprocess_node(list(removed), list(blk.eref), res),
+        certificate=cert.preprocess_node(list(removed), list(tree.sl.eref), res),
     )
 
 

@@ -25,11 +25,10 @@ membership.  A split labels each parent edge with its side once, which
 checks the partition, and one pass over the parent cuts both sides;
 each child is made once as a new dict: its side, in the parent's order,
 then its markers, less its ``removed``.  Only a leaf gets a graph,
-renumbered once as Slice.sub would lay it out (vertices in increasing
-input id, edges in the order held), so leaf checks and their local-id
-messages read the same graph they always did; a part-3 split also
-builds one of its cycle's own edges.  An enum leaf's re-enumeration
-reads only its vertex count, the ends of its edges and its pair, never
+laid out once by core's renumbered, the one layout of every cut, so
+leaf checks and their local-id messages read the graph the prover
+cut; a part-3 split also builds one of its cycle's own edges.  An
+enum leaf's re-enumeration reads only its vertex count, the ends of its edges and its pair, never
 a sign, so one call runs it once per such shape and keeps the cycles
 and the complete flag in a dict keyed by (n, the (u, v) of every edge
 in local id order, e1, e2) that lives for that call.  Each leaf's cycle
@@ -47,7 +46,6 @@ from .certificate import Verdict
 from .connectivity import blocks, is_3_connected, side_vertices
 from .core import (
     Cycle,
-    Edge,
     EdgeId,
     NEGATIVE,
     POSITIVE,
@@ -57,6 +55,7 @@ from .core import (
     Slice,
     VertexId,
     check_edges,
+    renumbered,
     sign_product,
 )
 from .errors import BudgetExhausted, SgError
@@ -348,13 +347,9 @@ def _child(parent: Collection[Ref], side: _Edges, markers: list, pair: list, rem
 
 
 def _graph(edges: _Edges) -> Slice:
-    """The slice that holds ``edges``, renumbered once: its vertices in
-    increasing input id and its edges in the order held, as Slice.sub
-    lays out a cut."""
-    verts = sorted({x for e in edges.values() for x in e[:2]})
-    local = {x: i for i, x in enumerate(verts)}
-    g = SignedGraph(len(verts), tuple(Edge(local[u], local[v], s) for u, v, s in edges.values()))
-    return Slice(g, tuple(edges), tuple(verts))
+    """The slice that holds ``edges``, laid out once by renumbered."""
+    g, verts = renumbered(list(edges.values()))
+    return Slice(g, tuple(edges), verts)
 
 
 # one node still to replay: its edges, distinguished pair and document

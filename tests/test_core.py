@@ -260,6 +260,10 @@ def test_slice_sub_validates_markers_and_kept_ids():
         sl.sub([0, 1], [("m0", 0, 1, 2)])
     with pytest.raises(BadEdge):
         sl.sub([0, sl.g.m])
+    # each marker end is checked against the parent's vertices
+    for end in (99, -1, True):
+        with pytest.raises(BadVertex):
+            sl.sub([0, 1], [("m0", 0, end, 1)])
 
 
 def test_a_full_cut_returns_the_slice_itself():

@@ -359,7 +359,7 @@ def test_hub_fan_balance_tests_grow_no_faster_than_m_log_m(monkeypatch):
     leaves one hub per component off it, and the ear search tests about
     R/2 of them before the one with an ear.  Each is tested on its own
     graph: the vertices plus edges that is_balanced receives per decide
-    are 645, 1,295, 2,595 and 5,195 at R = 100, 200, 400 and 800.
+    are 598, 1,198, 2,398 and 4,798 at R = 100, 200, 400 and 800.
     Testing each over all n vertices received 9,998 to 639,998, 4.0
     times per doubling."""
     seen = [0]
@@ -374,6 +374,30 @@ def test_hub_fan_balance_tests_grow_no_faster_than_m_log_m(monkeypatch):
     for rim in (100, 200, 400, 800):
         seen[0] = 0
         assert decide_tied(*_hub_fan(rim, rim // 2 - 4)).kind == KIND_UNTIED
+        counts.append(seen[0])
+    _assert_growth(counts)
+
+
+def test_far_side_balance_tests_grow_no_faster_than_m_log_m(monkeypatch):
+    """A ladder whose pair is two adjacent rungs, (0, 1), reduces by a
+    chain of part-2/3 splits, and each tests the balance of its far
+    side.  Each far side is tested on its own graph: the vertices plus
+    edges that is_balanced receives per decide are 295, 620, 1,266 and
+    2,562 at 25, 50, 100 and 200 rungs.  Testing each over all n
+    vertices of its slice received 1,422, 5,372, 20,768 and 81,564, 3.8
+    to 3.9 times per doubling."""
+    seen = [0]
+    real = sgties.decide.is_balanced
+
+    def counting(g):
+        seen[0] += g.n + g.m
+        return real(g)
+
+    monkeypatch.setattr(sgties.decide, "is_balanced", counting)
+    counts = []
+    for k in (25, 50, 100, 200):
+        seen[0] = 0
+        decide_tied(ladder(k, 1)[0], 0, 1)
         counts.append(seen[0])
     _assert_growth(counts)
 
