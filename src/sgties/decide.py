@@ -36,8 +36,8 @@ Evaluation settles the verdict and builds the certificate of a tied
 one.  Its first untied leaf builds the witnesses of an untied verdict
 instead, and each split lifts them on the way back up by
 replacing marker edges with boundary-to-boundary paths of the marker's
-sign through the replaced side, searched in the split's own slice with
-the kept side's edges banned.  They travel as unordered sets of edge
+sign through the replaced side, searched on that side's own graph,
+cut out of the split's slice.  They travel as unordered sets of edge
 references: a lift swaps a marker for a path's edges, and each cycle is
 put back in cyclic order once, at the root.
 
@@ -149,7 +149,7 @@ class ReductionSplit:
     decision on the far side, both None in part 1.  ``cycle`` is the
     flow cycle whose bridges the first split of a part-1 chain swept for
     its cut table, None at every other split.  Every id is local to
-    ``sl``: witnesses are lifted through the replaced side inside it.
+    ``sl``; a lift cuts the replaced side out of it.
     """
 
     sl: Slice
@@ -851,7 +851,6 @@ def _fan(
     sources: Sequence[VertexId],
     cycle: Cycle,
     banned: frozenset[VertexId] = frozenset(),
-    banned_edges: frozenset[EdgeId] = frozenset(),
 ) -> Optional[tuple[frozenset[EdgeId], tuple[VertexId, VertexId]]]:
     """A negative cycle plus two disjoint paths to it from two sources.
 
@@ -862,9 +861,7 @@ def _fan(
     search to ban, and the two sources its paths start from; None when
     no two such paths exist.
     """
-    paths = disjoint_paths(
-        g, sources, cycle.vertices, 2, banned_vertices=banned, banned_edges=banned_edges
-    )
+    paths = disjoint_paths(g, sources, cycle.vertices, 2, banned_vertices=banned)
     if len(paths) < 2:
         return None
     (p, (x, *_)), (q, (y, *_)) = paths
@@ -999,27 +996,32 @@ def _marker_path(split: ReductionSplit, marker: _Marker) -> frozenset[Ref]:
     """A boundary path of the marker's sign through the replaced side.
 
     ``marker`` is one of the kept child's ``(name, u, v, sign)`` tuples,
-    its ends in the split slice's local ids.  The path is searched in
-    ``split.sl`` with the kept side's edges banned.  Part 2: the side is
-    balanced, so every boundary path through it is positive once the
-    split's switch is applied, and one BFS path is the answer.  Part 3:
-    the path is picked from the fan from the boundary to the side's
-    ``neg_cycle``, which holds exactly two boundary paths, of opposite
-    signs; the side plus a boundary edge is 2-connected, so it exists.
+    its ends in the split slice's local ids.  The path is searched on
+    the side's own graph, cut out of ``split.sl`` as ``_split_part23``
+    tests it.  Part 2: the side is balanced, so every boundary path
+    through it is positive once the split's switch is applied, and one
+    BFS path is the answer.  Part 3: the path is picked from the fan from
+    the boundary to the side's ``neg_cycle``, which holds exactly two
+    boundary paths, of opposite signs; the side plus a boundary edge is
+    2-connected, so it exists.
     """
     _, u, v, sign = marker
     sl = split.sl
-    kept = frozenset(split.side1 if split.kept == 1 else split.side2)
+    side = sl.sub(split.side2 if split.kept == 1 else split.side1)
+    vidx = side.vert_index
+    x, y = vidx[sl.vref[u]], vidx[sl.vref[v]]
     if split.part == 2:
-        ((path, _),) = disjoint_paths(sl.g, (u,), (v,), 1, banned_edges=kept)
-        return _refs(sl, path)
-    assert split.neg_cycle is not None
-    fan = _fan(sl.g, (u, v), split.neg_cycle, banned_edges=kept)
+        ((path, _),) = disjoint_paths(side.g, (x,), (y,), 1)
+        return _refs(side, path)
+    nc = split.neg_cycle
+    assert nc is not None
+    edges = tuple(side.edge_index[sl.eref[i]] for i in nc.edges)
+    cycle = Cycle(edges, tuple(vidx[sl.vref[w]] for w in nc.vertices))
+    fan = _fan(side.g, (x, y), cycle)
     assert fan is not None, "replaced side has no fan from its boundary"
-    outside, _ = fan
-    res = find_signed_path(sl.g, u, v, sign, banned_edges=outside)
+    res = find_signed_path(side.g, x, y, sign, banned_edges=fan[0])
     assert res.path is not None, "replaced side lacks a boundary path of the marker sign"
-    return _refs(sl, res.path.edges)
+    return _refs(side, res.path.edges)
 
 
 def _lift_part23(split: ReductionSplit, w: _Witness) -> _Witness:

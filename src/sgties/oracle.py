@@ -43,7 +43,7 @@ from typing import Collection, Iterator, Optional, Union
 
 from . import certificate as cert
 from .certificate import Verdict
-from .connectivity import blocks, is_3_connected, side_vertices
+from .connectivity import blocks, is_3_connected
 from .core import (
     Cycle,
     EdgeId,
@@ -356,9 +356,9 @@ def _graph(edges: _Edges) -> Slice:
 _Job = tuple[_Edges, Ref, Ref, dict]
 
 # an enum leaf's unsigned shape (n, the ends of each edge, e1, e2) -> its
-# common cycles and whether their enumeration completed; one dict per
-# verify_certificate call
-_Shapes = dict[tuple, tuple[tuple[Cycle, ...], bool]]
+# common cycles, each cycle's edges -> its vertices, and whether their
+# enumeration completed; one dict per verify_certificate call
+_Shapes = dict[tuple, tuple[dict[frozenset[EdgeId], frozenset[VertexId]], bool]]
 
 
 def _replay_leaf(sl: Slice, e1: int, e2: int, node: dict, shapes: _Shapes) -> None:
@@ -532,17 +532,17 @@ def _replay_case(sl: Slice, e1: int, e2: int, node: dict) -> None:
 
 def _replay_enum(sl: Slice, e1: int, e2: int, node: dict, shapes: _Shapes) -> None:
     """An enum leaf.  Its common cycles read no sign, so they are
-    enumerated once per shape in ``shapes``; every sign is read off this
-    leaf's own graph."""
+    enumerated once per shape in ``shapes``, and each recorded cycle is
+    looked up there; every sign is read off this leaf's own graph."""
     g = sl.g
     key = (g.n, tuple(e[:2] for e in g.edges), e1, e2)
     if key not in shapes:
         rep = enumerate_common_cycles(g, e1, e2)
-        shapes[key] = rep.cycles, rep.complete
+        shapes[key] = {frozenset(c.edges): frozenset(c.vertices) for c in rep.cycles}, rep.complete
     cycles, complete = shapes[key]
     _need(complete, "enum: re-enumeration hit its budget")
     _need(len(cycles) >= 1, "enum: leaf has no common cycle")
-    signs = {sign_product(g, c.edges) for c in cycles}
+    signs = {sign_product(g, c) for c in cycles}
     _need(len(signs) == 1, "enum: leaf cycles carry both signs")
     _need(
         type(node.get("sign")) is int and node.get("sign") in signs,
@@ -550,14 +550,11 @@ def _replay_enum(sl: Slice, e1: int, e2: int, node: dict, shapes: _Shapes) -> No
     )
     recorded = set()
     for cd in node.get("cycles") or []:
-        ids = _resolve_edges(sl, cd.get("edges") or [], "enum cycle")
+        ids = frozenset(_resolve_edges(sl, cd.get("edges") or [], "enum cycle"))
         vs = _resolve_verts(sl, cd.get("vertices") or [], "enum cycle vertices")
-        _need(set(vs) == side_vertices(sl.g, ids), "enum: cycle vertices mismatch")
-        recorded.add(frozenset(ids))
-    _need(
-        recorded == {frozenset(c.edges) for c in cycles},
-        "enum: recorded cycles differ from re-enumeration",
-    )
+        _need(ids not in cycles or set(vs) == cycles[ids], "enum: cycle vertices mismatch")
+        recorded.add(ids)
+    _need(recorded == cycles.keys(), "enum: recorded cycles differ from re-enumeration")
 
 
 def _check_witness_cycle(g: SignedGraph, c: Cycle, e1: int, e2: int, what: str) -> Sign:

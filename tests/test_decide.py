@@ -605,11 +605,12 @@ def _path_between(g, edges, u, v):
 
 
 def test_part23_far_side_is_read_in_the_split_slice():
-    """Parts 2 and 3 decide and lift the replaced side inside the split's
-    own slice: the switch set makes the far side all-positive there, the
-    negative cycle is a cycle of that slice through far-side edges, and
-    each marker path runs from boundary to boundary through the far side
-    with the marker's sign (in the switched slice for part 2)."""
+    """Parts 2 and 3 decide and lift the replaced side on its own cut of
+    the split's slice, and their ids read in that slice: the switch set
+    makes the far side all-positive there, the negative cycle is a cycle
+    of that slice through far-side edges, and each marker path runs from
+    boundary to boundary through the far side with the marker's sign (in
+    the switched slice for part 2)."""
     seen = {2: 0, 3: 0}
     for root in _random_block_roots(200) + _composed_roots(40):
         stack = [reduce(*root)]

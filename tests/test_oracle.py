@@ -612,6 +612,49 @@ def test_verify_rejects_a_tied_certificate_replayed_on_a_flipped_sign():
     assert accepted > 1000 and rejected > 1000
 
 
+
+def test_verify_rejects_a_tied_certificate_patched_for_an_inserted_edge():
+    """A tied certificate, without its witness and sign, of a graph that
+    one inserted edge unties, with the new edge's id appended to the
+    block and, at each split down from the root's inner node, to a side
+    picked at random: part 1 goes on into that side's child, parts 2
+    and 3 only when the picked side is kept.  Every such forgery must be
+    rejected.  Each tied document tries 16 random vertex pairs, each
+    with a random sign; trying every pair of the first composed
+    instance alone takes about a minute."""
+    rng = random.Random(0)
+    tied = forged = 0
+    reasons = Counter()
+    for g, e1, e2 in _flip_pairs():
+        doc = verdict_to_doc(decide_tied(g, e1, e2), e1, e2)
+        if doc["kind"] != KIND_TIED:
+            continue
+        tied += 1
+        doc["witness"], doc["common_sign"] = [], None
+        pairs = list(itertools.combinations(range(g.n), 2))
+        for u, v in rng.sample(pairs, min(16, len(pairs))):
+            h = SignedGraph.build(g.n, [*g.edges, (u, v, rng.choice((1, -1)))])
+            if oracle_tied(h, e1, e2).kind != KIND_UNTIED:
+                continue
+            forgery = json.loads(json.dumps(doc))
+            forgery["certificate"]["block"].append(g.m)
+            node = forgery["certificate"]["inner"]
+            while node["kind"] == "split":
+                side = rng.choice((1, 2))
+                node[f"side{side}"].append(g.m)
+                if node["part"] == 1:
+                    node = node["children"][side - 1]["node"]
+                elif node["kept"] == side:
+                    node = node["children"][0]["node"]
+                else:
+                    break
+            ok, reason = verify_certificate(h, e1, e2, forgery)
+            assert not ok, (g, e1, e2, h.edges[-1])
+            forged += 1
+            reasons[reason.split(":")[0]] += 1
+    assert (tied, forged) == (331, 1110)
+    assert reasons["enum"] > 100 and reasons["split"] > 500, reasons
+
 # --- independence of the verifier ---------------------------------------------
 
 ROOT = Path(__file__).resolve().parent.parent

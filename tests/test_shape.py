@@ -402,6 +402,48 @@ def test_far_side_balance_tests_grow_no_faster_than_m_log_m(monkeypatch):
     _assert_growth(counts)
 
 
+def test_marker_lift_searches_grow_no_faster_than_m_log_m(monkeypatch):
+    """_flat(n, True) plus an opposite-sign copy of its edge 1, with
+    _flat's own pair, is untied, and its witnesses cross markers of
+    part-2 and part-3 splits: 7, 9, 9 and 11 lifts per decide at n = 20,
+    40, 80 and 160.  Each lift searches the replaced side on its own
+    graph: the vertices plus edges plus banned edges that the lifts'
+    searches receive per decide are 42, 52, 52 and 62.  Searching the
+    whole split slice with the kept side's edges banned received 1,774,
+    4,166, 8,096 and 22,732, 2.8 times at the last doubling."""
+    seen, lifting = [0], [False]
+    real_lift = sgties.decide._marker_path
+
+    def counting_lift(*args):
+        lifting[0] = True
+        try:
+            return real_lift(*args)
+        finally:
+            lifting[0] = False
+
+    def counting(real):
+        def search(g, *args, banned_edges=frozenset(), **kwargs):
+            if lifting[0]:
+                seen[0] += g.n + g.m + len(banned_edges)
+            return real(g, *args, banned_edges=banned_edges, **kwargs)
+
+        return search
+
+    monkeypatch.setattr(sgties.decide, "_marker_path", counting_lift)
+    for name in ("disjoint_paths", "find_signed_path"):
+        monkeypatch.setattr(sgties.decide, name, counting(getattr(sgties.decide, name)))
+    counts = []
+    for n in (20, 40, 80, 160):
+        g, e1, e2 = _flat(n, True)
+        e = g.edges[1]
+        h = SignedGraph.build(g.n, [*g.edges, (e.u, e.v, -e.sign)])
+        seen[0] = 0
+        assert decide_tied(h, e1, e2).kind == KIND_UNTIED
+        counts.append(seen[0])
+    assert counts == [42, 52, 52, 62], counts
+    _assert_growth(counts)
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
